@@ -43,14 +43,17 @@ recover:
 torture:
 	DEPTREE_TORTURE=1 $(GO) test -race -count=1 -run 'Torture' ./internal/engine/chaos/
 
-# Short fuzz passes: the CSV codec round trip, the CSR partition product
-# vs the retained map-based oracle, the server's request decoder across
-# every registered discover route (malformed bodies must always be
-# structured 4xx, never a panic), the CFD pattern-tableau parser, the
-# set-based OD core against the retained pairwise oracle, the WAL frame
-# codec under arbitrary damage, and the stream cell codec's inversion.
+# Short fuzz passes: the CSV codec round trip, the typed dictionary
+# encoding (Codes/GroupCodes) vs a Value.Key string reference, the CSR
+# partition product vs the retained map-based oracle, the server's
+# request decoder across every registered discover route (malformed
+# bodies must always be structured 4xx, never a panic), the CFD
+# pattern-tableau parser, the set-based OD core against the retained
+# pairwise oracle, the WAL frame codec under arbitrary damage, and the
+# stream cell codec's inversion.
 fuzz:
 	$(GO) test -run=X -fuzz=FuzzCSVRoundTrip -fuzztime=30s ./internal/relation/
+	$(GO) test -run=X -fuzz=FuzzCodesMatchKey -fuzztime=30s ./internal/relation/
 	$(GO) test -run=X -fuzz=FuzzProductEquivalence -fuzztime=30s ./internal/partition/
 	$(GO) test -run=X -fuzz=FuzzDiscoverRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run=X -fuzz=FuzzParseTableau -fuzztime=30s ./internal/discovery/cfddisc/

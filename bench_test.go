@@ -14,6 +14,7 @@
 package deptree
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -541,6 +542,57 @@ func BenchmarkPartitionBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		partition.Build(r, x)
+	}
+}
+
+// ---- Dictionary-encoding micro-benchmarks (substrate) ----
+
+// benchHotelsCSV decodes a generated hotels relation through
+// ReadCSVAuto, so column kinds and cell payloads are exactly what the
+// server sees for the same rows.
+func benchHotelsCSV(b *testing.B, rows int) *relation.Relation {
+	b.Helper()
+	var buf bytes.Buffer
+	src := gen.Hotels(gen.HotelConfig{Rows: rows, Seed: 7, ErrorRate: 0.02, VarietyRate: 0.05, DuplicateRate: 0.1})
+	if err := relation.WriteCSV(src, &buf); err != nil {
+		b.Fatal(err)
+	}
+	r, err := relation.ReadCSVAuto("hotels", buf.Bytes(), relation.Limits{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// BenchmarkRelationCodes measures dictionary-encoding every column of a
+// hotels relation once, the per-run cost PFD discovery pays.
+func BenchmarkRelationCodes(b *testing.B) {
+	for _, rows := range []int{500, 1500, 5000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			r := benchHotelsCSV(b, rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < r.Cols(); c++ {
+					r.Codes(c)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPFDDiscover measures single-source PFD discovery (every
+// X → A over single attributes) on hotels relations.
+func BenchmarkPFDDiscover(b *testing.B) {
+	for _, rows := range []int{500, 1500, 5000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			r := benchHotelsCSV(b, rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pfddisc.Discover(r, pfddisc.Options{})
+			}
+		})
 	}
 }
 

@@ -42,6 +42,30 @@ func TestFD1HoldsAfterRestriction(t *testing.T) {
 	}
 }
 
+// TestMultiColumnLHSSeparatorCollision: two tuples whose LHS cells,
+// rendered as keys and joined with a separator byte, spell one string are
+// still distinct X-values, so differing Y-values violate nothing and the
+// FD ab → c holds only when they agree.
+func TestMultiColumnLHSSeparatorCollision(t *testing.T) {
+	s := relation.NewSchema(relation.Attribute{Name: "a"}, relation.Attribute{Name: "b"}, relation.Attribute{Name: "c"})
+	r := relation.MustFromRows("r", s, [][]relation.Value{
+		{relation.String("x\x1fs:y"), relation.String("z"), relation.String("1")},
+		{relation.String("x"), relation.String("y\x1fs:z"), relation.String("2")},
+		{relation.String("x"), relation.String("y\x1fs:z"), relation.String("3")},
+	})
+	f := Must(s, []string{"a", "b"}, []string{"c"})
+	if f.Holds(r) {
+		t.Fatal("ab -> c must not hold: rows 1 and 2 agree on ab and differ on c")
+	}
+	vs := f.Violations(r, 0)
+	if len(vs) != 1 || vs[0].Rows[0] != 1 || vs[0].Rows[1] != 2 {
+		t.Errorf("violations = %v, want only (1,2)", vs)
+	}
+	if !f.Holds(r.Select(func(row int) bool { return row < 2 })) {
+		t.Error("ab -> c must hold on rows 0 and 1: their ab-values differ")
+	}
+}
+
 func TestG3OnTable5(t *testing.T) {
 	r := gen.Table5()
 	addrRegion := Must(r.Schema(), []string{"address"}, []string{"region"})

@@ -52,30 +52,73 @@ func (p PFD) String() string {
 // Probability computes P(X → Y, r): the mean over distinct X-values of the
 // per-value majority fraction. An empty relation has probability 1.
 func (p PFD) Probability(r *relation.Relation) float64 {
-	if r.Rows() == 0 {
+	xCodes, xCard := r.GroupCodes(p.LHS.Cols())
+	yCodes, yCard := r.GroupCodes(p.RHS.Cols())
+	var k Kernel
+	return k.Probability(xCodes, xCard, yCodes, yCard)
+}
+
+// Kernel computes P(X → Y) from dictionary codes. It holds scratch arrays
+// reused across calls, so one Kernel checks many candidates with no
+// per-candidate allocation once its arrays have grown. A Kernel is
+// single-goroutine state; the zero value is ready to use.
+type Kernel struct {
+	// start is the CSR offset array over X-classes, rows the row ids
+	// grouped by X-class, counts a dense per-Y-code counter kept all
+	// zero between classes.
+	start, rows, counts []int
+}
+
+// Probability returns P(X → Y) for the rows encoded by x (dense codes in
+// [0, xCard), every code occurring) and y (codes in [0, yCard)). Rows are
+// grouped by X-class with a counting sort, each class's Y-codes are
+// counted in a dense array, and the per-class majority fractions are
+// summed in X-code order, so the result is bit-for-bit deterministic. No
+// rows means probability 1.
+func (k *Kernel) Probability(x []int, xCard int, y []int, yCard int) float64 {
+	if len(x) == 0 {
 		return 1
 	}
-	xCodes, xCard := r.GroupCodes(p.LHS.Cols())
-	yCodes, _ := r.GroupCodes(p.RHS.Cols())
-	// For each X-value: count per Y-value, track group size and max.
-	type key struct{ x, y int }
-	counts := make(map[key]int)
-	sizes := make(map[int]int)
-	for row := range xCodes {
-		counts[key{xCodes[row], yCodes[row]}]++
-		sizes[xCodes[row]]++
+	start := grow(&k.start, xCard+1)
+	clear(start)
+	for _, c := range x {
+		start[c+1]++
 	}
-	maxes := make(map[int]int)
-	for k, c := range counts {
-		if c > maxes[k.x] {
-			maxes[k.x] = c
+	for c := 1; c <= xCard; c++ {
+		start[c] += start[c-1]
+	}
+	// Place rows with start[c] as class c's cursor; afterwards start[c]
+	// is the end of class c, which is where class c+1 begins.
+	rows := grow(&k.rows, len(x))
+	for row, c := range x {
+		rows[start[c]] = row
+		start[c]++
+	}
+	counts := grow(&k.counts, yCard)
+	sum, lo := 0.0, 0
+	for c := 0; c < xCard; c++ {
+		class := rows[lo:start[c]]
+		lo = start[c]
+		best := 0
+		for _, row := range class {
+			counts[y[row]]++
+			best = max(best, counts[y[row]])
 		}
-	}
-	sum := 0.0
-	for x, size := range sizes {
-		sum += float64(maxes[x]) / float64(size)
+		for _, row := range class {
+			counts[y[row]] = 0
+		}
+		sum += float64(best) / float64(len(class))
 	}
 	return sum / float64(xCard)
+}
+
+// grow returns (*buf)[:n], reallocating when the capacity is short. A
+// reallocated buffer is zeroed; a reused one keeps its contents.
+func grow(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	return (*buf)[:n]
 }
 
 // PerValue computes P(X → Y, V_X) for the X-value of the given row.
@@ -107,24 +150,28 @@ func (p PFD) Holds(r *relation.Relation) bool {
 // minority tuples — tuples whose Y-value is not the majority for their
 // X-value.
 func (p PFD) Violations(r *relation.Relation, limit int) []deps.Violation {
-	if p.Holds(r) {
+	prob := p.Probability(r)
+	if prob >= p.MinProb {
 		return nil
 	}
 	px := partition.Build(r, p.LHS)
-	yCodes, _ := r.GroupCodes(p.RHS.Cols())
-	prob := p.Probability(r)
+	yCodes, yCard := r.GroupCodes(p.RHS.Cols())
+	counts := make([]int, yCard)
 	var out []deps.Violation
 	for ci := 0; ci < px.NumClasses(); ci++ {
 		class := px.Class(ci)
-		counts := make(map[int]int)
+		best := 0
 		for _, row := range class {
 			counts[yCodes[row]]++
+			best = max(best, counts[yCodes[row]])
 		}
-		majority, best := -1, -1
-		for y, c := range counts {
-			if c > best {
-				majority, best = y, c
+		// Ties go to the Y-value that appears first in the class.
+		majority := -1
+		for _, row := range class {
+			if majority < 0 && counts[yCodes[row]] == best {
+				majority = yCodes[row]
 			}
+			counts[yCodes[row]] = 0
 		}
 		for _, row := range class {
 			if yCodes[row] != majority {

@@ -3,10 +3,13 @@ package pfd
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"deptree/internal/attrset"
 	"deptree/internal/deps/fd"
 	"deptree/internal/gen"
+	"deptree/internal/relation"
 )
 
 func mk(t *testing.T, lhs, rhs string) PFD {
@@ -127,5 +130,45 @@ func TestStringAndKind(t *testing.T) {
 	}
 	if got := p.String(); got != "address ->_{p=1} region" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestProbabilityBitIdentical: P(X → Y, r) is summed in class order, so
+// repeated calls return the same float64 bits — a PFD sitting exactly at
+// its threshold cannot flip between runs.
+func TestProbabilityBitIdentical(t *testing.T) {
+	r := gen.Hotels(gen.HotelConfig{Rows: 2000, Seed: 7, ErrorRate: 0.02, VarietyRate: 0.05, DuplicateRate: 0.1})
+	p := PFD{Schema: r.Schema()}
+	p.LHS = p.LHS.Add(r.Schema().MustIndex("price"))
+	p.RHS = p.RHS.Add(r.Schema().MustIndex("region"))
+	want := math.Float64bits(p.Probability(r))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(p.Probability(r)); got != want {
+			t.Fatalf("call %d: probability bits %#x, want %#x", i, got, want)
+		}
+	}
+}
+
+// TestViolationsDeterministic: when Y-values tie for the majority of an
+// X-class, the witnesses are the same on every call (the tie goes to the
+// Y-value appearing first in the class).
+func TestViolationsDeterministic(t *testing.T) {
+	s := relation.NewSchema(relation.Attribute{Name: "x"}, relation.Attribute{Name: "y"})
+	var rows [][]relation.Value
+	for y := 0; y < 8; y++ {
+		for k := 0; k < 2; k++ {
+			rows = append(rows, []relation.Value{relation.String("a"), relation.String(string(rune('p' + y)))})
+		}
+	}
+	r := relation.MustFromRows("r", s, rows)
+	p := PFD{LHS: attrset.Single(0), RHS: attrset.Single(1), MinProb: 0.9, Schema: s}
+	want := p.Violations(r, 0)
+	if len(want) != 14 || want[0].Rows[0] != 2 {
+		t.Fatalf("violations = %v, want 14 starting at row 2 (rows 0-1 hold the tied first majority)", want)
+	}
+	for i := 0; i < 20; i++ {
+		if got := p.Violations(r, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: violations = %v, want %v", i, got, want)
+		}
 	}
 }

@@ -17,6 +17,8 @@ package pfddisc
 import (
 	"context"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"deptree/internal/attrset"
 	"deptree/internal/deps/pfd"
@@ -85,16 +87,22 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return Result{}
 	}
 	type cand struct {
-		x attrset.Set
-		a int
+		x   attrset.Set
+		a   int
+		lhs *lhsCodes // nil when x is a single attribute
 	}
 	var cands []cand
 	level := attrset.Singletons(n)
 	for size := 1; size <= opts.MaxLHS && len(level) > 0; size++ {
 		for _, x := range level {
+			var lhs *lhsCodes
+			if size > 1 {
+				lhs = &lhsCodes{x: x}
+				lhs.left.Store(int32(n - size))
+			}
 			for a := 0; a < n; a++ {
 				if !x.Has(a) {
-					cands = append(cands, cand{x, a})
+					cands = append(cands, cand{x, a, lhs})
 				}
 			}
 		}
@@ -109,10 +117,27 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	run.SetAttr("candidates", len(cands))
 	defer run.End()
 
+	// Every column is dictionary-encoded once per run and every
+	// multi-attribute LHS composed once; the candidates share the codes
+	// read-only and each check borrows a kernel, so its scratch arrays
+	// are reused across the candidates a worker checks.
+	enc := encodeColumns(r)
+	kernels := sync.Pool{New: func() any { return new(pfd.Kernel) }}
 	checkSpan := run.Child(obs.KindPhase, "probability-check")
 	hits, done, err := engine.MapBudget(pool, len(cands), batch, func(i int) bool {
-		c := pfd.PFD{LHS: cands[i].x, RHS: attrset.Single(cands[i].a), MinProb: opts.MinProb, Schema: r.Schema()}
-		return c.Probability(r) >= opts.MinProb
+		c := cands[i]
+		x, xCard := enc.codes[c.x.First()], enc.cards[c.x.First()]
+		if c.lhs != nil {
+			x, xCard = c.lhs.get(enc)
+		}
+		a := c.a
+		k := kernels.Get().(*pfd.Kernel)
+		prob := k.Probability(x, xCard, enc.codes[a], enc.cards[a])
+		kernels.Put(k)
+		if c.lhs != nil {
+			c.lhs.done()
+		}
+		return prob >= opts.MinProb
 	})
 	checkSpan.SetAttr("completed", done)
 	checkSpan.End()
@@ -176,13 +201,15 @@ func DiscoverMultiSource(r *relation.Relation, sourceCol int, opts Options) []pf
 	if n == 0 || r.Rows() == 0 {
 		return nil
 	}
-	// Split by source value.
+	// Split by source value and encode each source's columns once.
 	codes, card := r.Codes(sourceCol)
 	subs := make([]*relation.Relation, card)
-	for s := 0; s < card; s++ {
-		s := s
+	encs := make([]columns, card)
+	for s := range subs {
 		subs[s] = r.Select(func(row int) bool { return codes[row] == s })
+		encs[s] = encodeColumns(subs[s])
 	}
+	var k pfd.Kernel
 	var out []pfd.PFD
 	for x := 0; x < n; x++ {
 		if x == sourceCol {
@@ -192,16 +219,13 @@ func DiscoverMultiSource(r *relation.Relation, sourceCol int, opts Options) []pf
 			if a == x || a == sourceCol {
 				continue
 			}
-			cand := pfd.PFD{LHS: attrset.Single(x), RHS: attrset.Single(a), MinProb: opts.MinProb, Schema: r.Schema()}
-			var probs []SourceProbability
-			for _, sub := range subs {
-				if sub.Rows() == 0 {
-					continue
-				}
-				probs = append(probs, SourceProbability{Rows: sub.Rows(), Prob: cand.Probability(sub)})
+			probs := make([]SourceProbability, len(subs))
+			for s, enc := range encs {
+				prob := k.Probability(enc.codes[x], enc.cards[x], enc.codes[a], enc.cards[a])
+				probs[s] = SourceProbability{Rows: subs[s].Rows(), Prob: prob}
 			}
 			if MergeSources(probs) >= opts.MinProb {
-				out = append(out, cand)
+				out = append(out, pfd.PFD{LHS: attrset.Single(x), RHS: attrset.Single(a), MinProb: opts.MinProb, Schema: r.Schema()})
 			}
 		}
 	}
@@ -212,4 +236,49 @@ func DiscoverMultiSource(r *relation.Relation, sourceCol int, opts Options) []pf
 		return out[i].RHS < out[j].RHS
 	})
 	return out
+}
+
+// columns is a per-column dictionary encoding of one relation: the code
+// per row and the number of distinct codes, as relation.Codes returns.
+type columns struct {
+	codes [][]int
+	cards []int
+}
+
+func encodeColumns(r *relation.Relation) columns {
+	enc := columns{codes: make([][]int, r.Cols()), cards: make([]int, r.Cols())}
+	for c := range enc.codes {
+		enc.codes[c], enc.cards[c] = r.Codes(c)
+	}
+	return enc
+}
+
+// lhsCodes holds the codes of one multi-attribute LHS: the pairwise
+// composition of its columns' codes, equal to relation.GroupCodes over
+// x. The first of its candidates to be checked composes them; the last
+// drops them. Its candidates are contiguous and MapBudget checks one
+// batch at a time, so only the LHSes of about one batch are held at once.
+type lhsCodes struct {
+	x     attrset.Set
+	once  sync.Once
+	codes []int
+	card  int
+	left  atomic.Int32 // candidates not yet checked
+}
+
+func (l *lhsCodes) get(enc columns) ([]int, int) {
+	l.once.Do(func() {
+		cols := l.x.Cols()
+		l.codes, l.card = enc.codes[cols[0]], enc.cards[cols[0]]
+		for _, c := range cols[1:] {
+			l.codes, l.card = relation.ComposeCodes(l.codes, enc.codes[c])
+		}
+	})
+	return l.codes, l.card
+}
+
+func (l *lhsCodes) done() {
+	if l.left.Add(-1) == 0 {
+		l.codes = nil
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // MaxSupportedRows is the hard ceiling on relation cardinality: row
@@ -121,6 +122,7 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 	if err := checkFields(header, lim); err != nil {
 		return nil, err
 	}
+	foldCRLF(header)
 	if kinds == nil {
 		kinds = make([]Kind, len(header))
 	}
@@ -163,6 +165,7 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("relation: CSV line %d has %d fields, want %d", line, len(rec), len(header))
 		}
+		foldCRLF(rec)
 		for c, field := range rec {
 			v, err := Parse(field, kinds[c])
 			if err != nil {
@@ -175,6 +178,35 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 		}
 	}
 	return r, nil
+}
+
+// foldCRLF rewrites every run of "\r" that ends a field's "\r\n" to a
+// bare "\n". csv.Reader folds a line-ending "\r\n" but keeps any "\r"
+// just before it, so a quoted field can read as "\r\n" — which WriteCSV
+// cannot render back, because the reader folds it on the next read.
+// Folding here makes every field read a value that round-trips (found by
+// FuzzCSVRoundTrip). One linear pass; fields without "\r\n" are kept.
+func foldCRLF(rec []string) {
+	for i, f := range rec {
+		if !strings.Contains(f, "\r\n") {
+			continue
+		}
+		b := make([]byte, 0, len(f))
+		for j := 0; j < len(f); j++ {
+			if f[j] == '\r' {
+				k := j
+				for k < len(f) && f[k] == '\r' {
+					k++
+				}
+				if k < len(f) && f[k] == '\n' {
+					j = k - 1 // drop the run; the '\n' is copied next
+					continue
+				}
+			}
+			b = append(b, f[j])
+		}
+		rec[i] = string(b)
+	}
 }
 
 // checkFields enforces the per-field byte bound on one CSV record.
@@ -196,7 +228,8 @@ func checkFields(rec []string, lim Limits) error {
 // numeric becomes KindFloat, everything else stays KindString. It is the
 // single type-inference path shared by the deptool CLI and the server's
 // request decoder, so a relation posted to the server types identically
-// to the same bytes read from a file.
+// to the same bytes read from a file. The CSV is decoded once, as
+// strings; the numeric columns are then converted in place.
 func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
 	if lim.MaxBytes > 0 && int64(len(data)) > lim.MaxBytes {
 		return nil, fmt.Errorf("relation: read CSV: %w",
@@ -206,21 +239,29 @@ func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	kinds := make([]Kind, raw.Cols())
-	for c := 0; c < raw.Cols(); c++ {
-		kinds[c] = KindFloat
-		for row := 0; row < raw.Rows(); row++ {
-			v := raw.Value(row, c)
+	attrs := make([]Attribute, raw.Cols())
+	for c := range attrs {
+		attrs[c] = Attribute{Name: raw.schema.Attr(c).Name, Kind: KindFloat}
+		col := raw.cols[c]
+		for _, v := range col {
 			if v.IsNull() {
 				continue
 			}
 			if _, err := Parse(v.Str(), KindFloat); err != nil {
-				kinds[c] = KindString
+				attrs[c].Kind = KindString
 				break
 			}
 		}
+		if attrs[c].Kind == KindFloat {
+			// Every non-null value parsed above, and a null's empty
+			// payload parses to a float null, so this cannot fail.
+			for row, v := range col {
+				col[row], _ = Parse(v.Str(), KindFloat)
+			}
+		}
 	}
-	return ReadCSVLimits(name, bytes.NewReader(data), kinds, lim)
+	raw.schema = NewSchema(attrs...)
+	return raw, nil
 }
 
 // WriteCSV encodes the relation as CSV with a header record.

@@ -45,6 +45,7 @@ func FuzzCSVRoundTrip(f *testing.F) {
 	f.Add("x\n\n")
 	f.Add("x,y\n,\n")
 	f.Add("h\nπ\n")
+	f.Add("\"\r\r\n\"") // a quoted CR before the line's CRLF
 
 	f.Fuzz(func(t *testing.T, data string) {
 		r1, err := relation.ReadCSV("fuzz", strings.NewReader(data), nil)

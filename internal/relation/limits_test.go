@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -77,10 +79,10 @@ func TestEffectiveMaxRowsCeiling(t *testing.T) {
 		maxRows int
 		want    int
 	}{
-		{0, MaxSupportedRows},                  // zero value: the ceiling still applies
-		{-1, MaxSupportedRows},                 // negative: treated as unset
-		{2, 2},                                 // tighter bounds stay in force
-		{MaxSupportedRows, MaxSupportedRows},   // exactly the ceiling
+		{0, MaxSupportedRows},                    // zero value: the ceiling still applies
+		{-1, MaxSupportedRows},                   // negative: treated as unset
+		{2, 2},                                   // tighter bounds stay in force
+		{MaxSupportedRows, MaxSupportedRows},     // exactly the ceiling
 		{MaxSupportedRows + 7, MaxSupportedRows}, // looser than representable: clamped
 	}
 	for _, tc := range cases {
@@ -122,5 +124,122 @@ func TestReadCSVAutoInfersKinds(t *testing.T) {
 		t.Fatal("ReadCSVAuto ignored MaxBytes")
 	} else {
 		wantTooLarge(t, err, "bytes")
+	}
+}
+
+// readCSVAutoTwoPass is the two-decode reference for ReadCSVAuto: read
+// every column as a string, infer kinds, then decode the bytes again
+// typed.
+func readCSVAutoTwoPass(name string, data []byte, lim Limits) (*Relation, error) {
+	if lim.MaxBytes > 0 && int64(len(data)) > lim.MaxBytes {
+		return nil, fmt.Errorf("relation: read CSV: %w",
+			&ErrInputTooLarge{What: "bytes", Limit: lim.MaxBytes, Got: int64(len(data))})
+	}
+	raw, err := ReadCSVLimits(name, bytes.NewReader(data), nil, lim)
+	if err != nil {
+		return nil, err
+	}
+	kinds := make([]Kind, raw.Cols())
+	for c := range kinds {
+		kinds[c] = KindFloat
+		for row := 0; row < raw.Rows(); row++ {
+			if v := raw.Value(row, c); !v.IsNull() {
+				if _, err := Parse(v.Str(), KindFloat); err != nil {
+					kinds[c] = KindString
+					break
+				}
+			}
+		}
+	}
+	return ReadCSVLimits(name, bytes.NewReader(data), kinds, lim)
+}
+
+// TestReadCSVAutoMatchesTwoPass pins the single-decode ReadCSVAuto to the
+// two-decode reference: identical errors (text, and for oversized input
+// the typed bound, limit and observed value) on malformed and oversized
+// input, and identical kinds and cells otherwise.
+func TestReadCSVAutoMatchesTwoPass(t *testing.T) {
+	cases := []struct {
+		name string
+		data string
+		lim  Limits
+	}{
+		{"empty", "", Limits{}},
+		{"header only", "a,b\n", Limits{}},
+		{"duplicate header", "a,a\n1,2\n", Limits{}},
+		{"duplicate header before bad row", "a,a\n1\n", Limits{}},
+		{"short row", "a,b\n1,2\n3\n", Limits{}},
+		{"long row", "a,b\n1,2\n3,4,5\n", Limits{}},
+		{"unterminated quote", "a,b\n1,\"2\n", Limits{}},
+		{"bare quote", "a,b\n1,x\"y\n", Limits{}},
+		{"bytes over limit", hotelsCSV, Limits{MaxBytes: 20}},
+		{"bytes at limit", hotelsCSV, Limits{MaxBytes: int64(len(hotelsCSV))}},
+		{"rows over limit", hotelsCSV, Limits{MaxRows: 2}},
+		{"rows over limit after bad row", "a\n1\n2\n3,4\n", Limits{MaxRows: 1}},
+		{"header field over limit", hotelsCSV, Limits{MaxFieldBytes: 3}},
+		{"row field over limit", hotelsCSV, Limits{MaxFieldBytes: 6}},
+		{"inference", "s,f,n,m\nx,1,,NaN\ny,2.5,,-0\n,1e3,,inf\nz,-4,,0x1p-2\n", Limits{}},
+		{"numeric then string", "a,b\n1,2\n3,x\n", Limits{}},
+		{"quoted CR before LF", "a\n\"x\r\r\ny\"\n", Limits{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, gotErr := ReadCSVAuto("r", []byte(tc.data), tc.lim)
+			want, wantErr := readCSVAutoTwoPass("r", []byte(tc.data), tc.lim)
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("err = %v, want %v", gotErr, wantErr)
+			}
+			if wantErr != nil {
+				var g, w *ErrInputTooLarge
+				if errors.As(gotErr, &g) != errors.As(wantErr, &w) || g != nil && *g != *w {
+					t.Fatalf("typed error = %#v, want %#v", g, w)
+				}
+				return
+			}
+			if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+				t.Fatalf("shape %dx%d, want %dx%d", got.Rows(), got.Cols(), want.Rows(), want.Cols())
+			}
+			for c := 0; c < want.Cols(); c++ {
+				if g, w := got.Schema().Attr(c), want.Schema().Attr(c); g != w {
+					t.Fatalf("attr %d = %+v, want %+v", c, g, w)
+				}
+				for row := 0; row < want.Rows(); row++ {
+					if g, w := got.Value(row, c), want.Value(row, c); g.Key() != w.Key() || g.Kind() != w.Kind() {
+						t.Fatalf("cell (%d,%d) = %v, want %v", row, c, g, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFoldCRLFLinear pins the CRLF fold to one pass: a quoted field of a
+// long run of "\r" before "\n" folds to a single "\n" with one allocation,
+// and a 1 MiB such field reads back promptly through ReadCSVAuto.
+func TestFoldCRLFLinear(t *testing.T) {
+	cases := map[string]string{
+		"a\r\nb":       "a\nb",
+		"a\r\r\r\nb":   "a\nb",
+		"a\rb\r":       "a\rb\r",
+		"\r\n\r\r\n\r": "\n\n\r",
+		"plain":        "plain",
+	}
+	for in, want := range cases {
+		rec := []string{in}
+		if foldCRLF(rec); rec[0] != want {
+			t.Errorf("foldCRLF(%q) = %q, want %q", in, rec[0], want)
+		}
+	}
+	long := strings.Repeat("\r", 4096) + "\n"
+	if allocs := testing.AllocsPerRun(10, func() { foldCRLF([]string{long}) }); allocs > 1 {
+		t.Fatalf("foldCRLF allocated %v times on one field, want 1", allocs)
+	}
+	data := "a\n\"x" + strings.Repeat("\r", 1<<20) + "\ny\"\n"
+	r, err := ReadCSVAuto("r", []byte(data), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Value(0, 0).Str(); got != "x\ny" {
+		t.Fatalf("field = %q (len %d), want %q", got[:min(len(got), 16)], len(got), "x\ny")
 	}
 }

@@ -163,50 +163,6 @@ func (r *Relation) SortedIndex(cols []int) []int {
 	return idx
 }
 
-// Codes dictionary-encodes a column: equal values (in the Value.Equal sense)
-// receive equal small integer codes in first-appearance order. It returns
-// the code per row and the number of distinct codes. Partition construction
-// (TANE et al.) and counting-based measures (SFD strength, PFD probability)
-// all start from these codes.
-func (r *Relation) Codes(col int) (codes []int, card int) {
-	codes = make([]int, r.rows)
-	dict := make(map[string]int)
-	for i, v := range r.cols[col] {
-		k := v.Key()
-		c, ok := dict[k]
-		if !ok {
-			c = len(dict)
-			dict[k] = c
-		}
-		codes[i] = c
-	}
-	return codes, len(dict)
-}
-
-// GroupCodes dictionary-encodes the concatenation of several columns:
-// rows with equal values on all listed columns share a code. It returns the
-// code per row and the number of distinct groups |dom(X)|_r.
-func (r *Relation) GroupCodes(cols []int) (codes []int, card int) {
-	codes = make([]int, r.rows)
-	dict := make(map[string]int)
-	var b strings.Builder
-	for i := 0; i < r.rows; i++ {
-		b.Reset()
-		for _, c := range cols {
-			b.WriteString(r.cols[c][i].Key())
-			b.WriteByte('\x1f')
-		}
-		k := b.String()
-		c, ok := dict[k]
-		if !ok {
-			c = len(dict)
-			dict[k] = c
-		}
-		codes[i] = c
-	}
-	return codes, len(dict)
-}
-
 // DistinctCount returns |dom(X)|_r, the number of distinct value
 // combinations over the listed columns (paper §2.1.1).
 func (r *Relation) DistinctCount(cols []int) int {

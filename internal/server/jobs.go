@@ -195,6 +195,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	spec := jobs.Spec{
 		Kind: req.Kind, Algo: req.Algo, CSV: req.CSV,
 		FDs: req.FDs, FD: req.FD, MaxErr: req.MaxErr,
+		SampleRows: req.SampleRows, SampleSeed: req.SampleSeed,
 		Workers:   bs.workers,
 		TimeoutMs: bs.timeout.Milliseconds(),
 		MaxTasks:  bs.maxTasks,

@@ -158,3 +158,49 @@ func TestJobSamplingKnobs(t *testing.T) {
 		t.Error("cache key not deterministic")
 	}
 }
+
+// TestJobSampledResubmitAfterFullIsNotCacheHit: once a full-mode job has
+// finished, submitting the same CSV with sample knobs must run a sampled
+// job, not answer from the full-mode cache entry — and its result must
+// match the synchronous sampled reply.
+func TestJobSampledResubmitAfterFullIsNotCacheHit(t *testing.T) {
+	csv := hotelsCSV(t)
+	_, ts := newTestServer(t, Config{Workers: 2})
+	rel, err := relation.ReadCSVAuto("request", []byte(csv), relation.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := JobRequest{Kind: "discover", Algo: "tane", CSV: csv}
+	_, a := submitJob(t, ts.URL, mustJSON(t, full), nil)
+	if _, got := getJob(t, ts.URL, a.ID, "?wait=10s"); got.State != jobs.StateDone {
+		t.Fatalf("full job state = %s", got.State)
+	}
+
+	sampled := full
+	sampled.SampleRows, sampled.SampleSeed = rel.Rows()/3, 11
+	code, b := submitJob(t, ts.URL, mustJSON(t, sampled), nil)
+	if code != http.StatusAccepted || b.CacheHit {
+		t.Fatalf("sampled resubmit = %d cache_hit=%v, want 202 and a fresh run", code, b.CacheHit)
+	}
+	_, done := getJob(t, ts.URL, b.ID, "?wait=10s")
+	if done.State != jobs.StateDone || done.Result == nil {
+		t.Fatalf("sampled job = %+v", done)
+	}
+	status, body := post(t, ts.URL+"/v1/discover/tane",
+		mustJSON(t, DiscoverRequest{CSV: csv, SampleRows: sampled.SampleRows, SampleSeed: sampled.SampleSeed}))
+	if status != http.StatusOK {
+		t.Fatalf("sync sampled status = %d\n%s", status, body)
+	}
+	var sync discoverResponse
+	if err := json.Unmarshal(body, &sync); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(done.Result.Lines, sync.Results) {
+		t.Errorf("sampled job lines %v, want the sync sampled reply %v", done.Result.Lines, sync.Results)
+	}
+
+	// The same sampled spec again is a legitimate cache hit.
+	if code, again := submitJob(t, ts.URL, mustJSON(t, sampled), nil); code != http.StatusOK || !again.CacheHit {
+		t.Fatalf("identical sampled resubmit = %d cache_hit=%v, want 200 from cache", code, again.CacheHit)
+	}
+}
