@@ -49,8 +49,10 @@ torture:
 # request decoder across every registered discover route (malformed
 # bodies must always be structured 4xx, never a panic), the CFD
 # pattern-tableau parser, the set-based OD core against the retained
-# pairwise oracle, the WAL frame codec under arbitrary damage, and the
-# stream cell codec's inversion.
+# pairwise oracle, FastFD's single-visit agree-set sweep against the
+# map-deduplicated oracle, CORDS' per-column statistics and stamp-array
+# pair counting against the sort-based oracle, the WAL frame codec under
+# arbitrary damage, and the stream cell codec's inversion.
 fuzz:
 	$(GO) test -run=X -fuzz=FuzzCSVRoundTrip -fuzztime=30s ./internal/relation/
 	$(GO) test -run=X -fuzz=FuzzCodesMatchKey -fuzztime=30s ./internal/relation/
@@ -58,6 +60,8 @@ fuzz:
 	$(GO) test -run=X -fuzz=FuzzDiscoverRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run=X -fuzz=FuzzParseTableau -fuzztime=30s ./internal/discovery/cfddisc/
 	$(GO) test -run=X -fuzz=FuzzSetODAgainstPairwise -fuzztime=30s ./internal/discovery/oddisc/
+	$(GO) test -run=X -fuzz=FuzzAgreeSetsMatchOracle -fuzztime=30s ./internal/discovery/fastfd/
+	$(GO) test -run=X -fuzz=FuzzCORDSMatchOracle -fuzztime=30s ./internal/discovery/cords/
 	$(GO) test -run=X -fuzz=FuzzWALFrameRoundTrip -fuzztime=30s ./internal/wal/
 	$(GO) test -run=X -fuzz=FuzzStreamKeyRoundTrip -fuzztime=30s ./internal/stream/
 

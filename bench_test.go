@@ -596,6 +596,32 @@ func BenchmarkPFDDiscover(b *testing.B) {
 	}
 }
 
+// BenchmarkFastFDDiscover measures FastFD on a 500-row hotels relation,
+// the row cap the server's fastfd traffic runs at.
+func BenchmarkFastFDDiscover(b *testing.B) {
+	r := benchHotelsCSV(b, 500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fastfd.Discover(r)
+	}
+}
+
+// BenchmarkCORDSDiscover measures CORDS over every ordered column pair
+// (72 on hotels) of the whole relation.
+func BenchmarkCORDSDiscover(b *testing.B) {
+	for _, rows := range []int{500, 1500, 5000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			r := benchHotelsCSV(b, rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cords.Discover(r, cords.Options{})
+			}
+		})
+	}
+}
+
 // BenchmarkPartitionProduct measures the stripped-product hot path over
 // the class shapes that stress its different emit routes: small (a few
 // large classes), skewed (one dominant class plus a tail), and key-like

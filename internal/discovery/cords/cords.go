@@ -123,13 +123,12 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	run.SetAttr("pairs", len(pairs))
 	defer run.End()
 
-	// Dictionary-encode every column once up front: each pair analysis then
-	// runs on integer codes and counting arrays instead of string-keyed hash
-	// maps. Codes are bijective with Value.Key() strings per column, so all
-	// statistics (and the frequent-value tie-breaks) are unchanged.
-	cols := make([]colData, n)
+	// Encode every column and compute its sample statistics once up front:
+	// each pair analysis then only counts code pairs and fills its
+	// contingency table.
+	cols := make([]colStats, n)
 	for c := 0; c < n; c++ {
-		cols[c] = encodeColumn(r, c)
+		cols[c] = columnStats(r, c, sample, opts.MaxCategories)
 	}
 
 	pairSpan := run.Child(obs.KindPhase, "pair-analysis")
@@ -181,18 +180,24 @@ func sampleRows(r *relation.Relation, size int, seed int64) []int {
 	return perm
 }
 
-// colData is one dictionary-encoded column: per-row codes, the code
-// cardinality, and each code's Value.Key() string (codes and keys are
-// bijective, so ordering by key is ordering by value identity).
-type colData struct {
-	codes []int
-	card  int
-	keys  []string
+// colStats is one dictionary-encoded column with its sample statistics:
+// per-row codes and the code cardinality, the number of distinct codes in
+// the sample, the sample rows grouped by code (CSR: the rows of code k are
+// rows[offsets[k]:offsets[k+1]], in sample order), and the frequent-value
+// buckets (top codes and their code → bucket index).
+type colStats struct {
+	codes    []int
+	card     int
+	distinct int
+	offsets  []int32
+	rows     []int32
+	top      []int
+	idx      []int
 }
 
-// encodeColumn dictionary-encodes column c and records a representative
-// key per code for frequent-value tie-breaking.
-func encodeColumn(r *relation.Relation, c int) colData {
+// columnStats encodes column c and computes its statistics over sample.
+// Frequent-value ties break on each code's Value.Key() string.
+func columnStats(r *relation.Relation, c int, sample []int, maxCategories int) colStats {
 	codes, card := r.Codes(c)
 	keys := make([]string, card)
 	seen := make([]bool, card)
@@ -202,48 +207,52 @@ func encodeColumn(r *relation.Relation, c int) colData {
 			keys[code] = r.Value(row, c).Key()
 		}
 	}
-	return colData{codes: codes, card: card, keys: keys}
+	cnt := make([]int, card)
+	for _, row := range sample {
+		cnt[codes[row]]++
+	}
+	s := colStats{codes: codes, card: card, offsets: make([]int32, card+1), rows: make([]int32, len(sample))}
+	for k, n := range cnt {
+		if n > 0 {
+			s.distinct++
+		}
+		s.offsets[k+1] = s.offsets[k] + int32(n)
+	}
+	next := append([]int32(nil), s.offsets[:card]...)
+	for _, row := range sample {
+		k := codes[row]
+		s.rows[next[k]] = int32(row)
+		next[k]++
+	}
+	s.top = topCodes(cnt, keys, maxCategories)
+	s.idx = index(s.top, card)
+	return s
 }
 
 // analyze computes strength and the chi-square statistic for one ordered
-// column pair over the sample, entirely on integer codes: counting arrays
-// for per-column distincts, packed-and-sorted code pairs for the pairwise
-// distinct count, and array-indexed contingency cells.
-func analyze(sample []int, d1, d2 *colData, c1, c2 int, opts Options) Correlation {
-	cnt1 := make([]int, d1.card)
-	cnt2 := make([]int, d2.card)
-	packed := make([]int64, 0, len(sample))
-	for _, row := range sample {
-		k1, k2 := d1.codes[row], d2.codes[row]
-		cnt1[k1]++
-		cnt2[k2]++
-		packed = append(packed, int64(k1)*int64(d2.card)+int64(k2))
-	}
-	distinct1 := 0
-	for _, c := range cnt1 {
-		if c > 0 {
-			distinct1++
-		}
-	}
-	sort.Slice(packed, func(i, j int) bool { return packed[i] < packed[j] })
+// column pair over the sample, entirely on integer codes. The pairwise
+// distinct count walks column 1's code classes and marks column 2's codes
+// in a stamp array (one stamp per class, so no reset between classes);
+// the contingency cells are array-indexed.
+func analyze(sample []int, d1, d2 *colStats, c1, c2 int, opts Options) Correlation {
+	stamp := make([]int32, d2.card)
 	pairDistinct := 0
-	for i, p := range packed {
-		if i == 0 || p != packed[i-1] {
-			pairDistinct++
+	for k := 0; k < d1.card; k++ {
+		for _, row := range d1.rows[d1.offsets[k]:d1.offsets[k+1]] {
+			if k2 := d2.codes[row]; stamp[k2] != int32(k)+1 {
+				stamp[k2] = int32(k) + 1
+				pairDistinct++
+			}
 		}
 	}
 	corr := Correlation{Col1: c1, Col2: c2}
 	if pairDistinct > 0 {
-		corr.Strength = float64(distinct1) / float64(pairDistinct)
+		corr.Strength = float64(d1.distinct) / float64(pairDistinct)
 	} else {
 		corr.Strength = 1
 	}
 	// Bucket to the MaxCategories most frequent values per column.
-	top1 := topCodes(cnt1, d1.keys, opts.MaxCategories)
-	top2 := topCodes(cnt2, d2.keys, opts.MaxCategories)
-	idx1 := index(top1, d1.card)
-	idx2 := index(top2, d2.card)
-	rows, cols := len(top1), len(top2)
+	rows, cols := len(d1.top), len(d2.top)
 	if rows < 2 || cols < 2 {
 		// A constant column is trivially dependent; chi-square undefined.
 		corr.Correlated = corr.Strength >= opts.MinStrength
@@ -255,8 +264,8 @@ func analyze(sample []int, d1, d2 *colData, c1, c2 int, opts Options) Correlatio
 	}
 	total := 0.0
 	for _, row := range sample {
-		i := idx1[d1.codes[row]]
-		j := idx2[d2.codes[row]]
+		i := d1.idx[d1.codes[row]]
+		j := d2.idx[d2.codes[row]]
 		if i >= 0 && j >= 0 {
 			table[i][j]++
 			total++

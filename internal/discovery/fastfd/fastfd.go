@@ -53,6 +53,11 @@ type Result struct {
 // heavy and relations rarely exceed a few dozen columns.
 const rhsBatch = 4
 
+// stopCheckEvery is how many steps of a quadratic or exponential loop (the
+// agree-set pair sweep, the cover DFS) run between polls of the run's
+// stop condition.
+const stopCheckEvery = 1024
+
 // Discover returns the minimal exact FDs with singleton RHS. Results agree
 // with TANE on every instance (a property the test suite checks).
 func Discover(r *relation.Relation) []fd.FD {
@@ -71,7 +76,6 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	if n == 0 || n > attrset.MaxAttrs {
 		return Result{}
 	}
-	full := attrset.Full(n)
 
 	reg := opts.Obs
 	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
@@ -111,42 +115,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	coverSpan := run.Child(obs.KindPhase, "rhs-covers")
 	coverTimer := reg.Histogram("fastfd.covers.seconds").Start()
 	perRHS, done, runErr := engine.MapBudget(pool, n, rhsBatch, func(a int) []fd.FD {
-		// Difference sets for RHS a: D_A = {R \ ag \ {a} : pair disagrees
-		// on a}, i.e. attributes that could "explain" the disagreement.
-		var diffs []attrset.Set
-		for _, ag := range agreeList {
-			if !ag.Has(a) {
-				diffs = append(diffs, full.Minus(ag).Remove(a))
-			}
-		}
-		var out []fd.FD
-		if len(diffs) == 0 {
-			// No *somewhere-agreeing* pair disagrees on a. Two cases:
-			// (1) column a is constant — then ∅ → a;
-			// (2) column a varies, but every pair that disagrees on a
-			//     agrees on nothing at all — then for every attribute B,
-			//     all pairs agreeing on B agree on a, so every {B} → a is
-			//     a (minimal) FD.
-			if r.Rows() > 0 {
-				if _, card := r.Codes(a); card == 1 {
-					return []fd.FD{{LHS: attrset.Empty, RHS: attrset.Single(a), Schema: r.Schema()}}
-				}
-			}
-			if r.Rows() > 1 {
-				for b := 0; b < n; b++ {
-					if b != a {
-						out = append(out, fd.FD{LHS: attrset.Single(b), RHS: attrset.Single(a), Schema: r.Schema()})
-					}
-				}
-			}
-			return out
-		}
-		// Minimal covers: minimal X hitting every difference set.
-		covers := minimalHittingSets(diffs, full.Remove(a), stop)
-		for _, x := range covers {
-			out = append(out, fd.FD{LHS: x, RHS: attrset.Single(a), Schema: r.Schema()})
-		}
-		return out
+		return rhsFDs(r, agreeList, a, stop)
 	})
 	coverTimer()
 	coverSpan.SetAttr("completed", done)
@@ -170,11 +139,59 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	return Result{FDs: results, Completed: n}
 }
 
+// rhsFDs returns the minimal FDs X → a given the run's sorted agree sets:
+// the minimal covers of a's difference sets. stop is polled by the cover
+// search (see minimalHittingSets).
+func rhsFDs(r *relation.Relation, agreeList []attrset.Set, a int, stop func()) []fd.FD {
+	n := r.Cols()
+	full := attrset.Full(n)
+	// Difference sets for RHS a: D_A = {R \ ag \ {a} : pair disagrees
+	// on a}, i.e. attributes that could "explain" the disagreement.
+	var diffs []attrset.Set
+	for _, ag := range agreeList {
+		if !ag.Has(a) {
+			diffs = append(diffs, full.Minus(ag).Remove(a))
+		}
+	}
+	var out []fd.FD
+	if len(diffs) == 0 {
+		// No *somewhere-agreeing* pair disagrees on a. Two cases:
+		// (1) column a is constant — then ∅ → a;
+		// (2) column a varies, but every pair that disagrees on a
+		//     agrees on nothing at all — then for every attribute B,
+		//     all pairs agreeing on B agree on a, so every {B} → a is
+		//     a (minimal) FD.
+		if r.Rows() > 0 {
+			if _, card := r.Codes(a); card == 1 {
+				return []fd.FD{{LHS: attrset.Empty, RHS: attrset.Single(a), Schema: r.Schema()}}
+			}
+		}
+		if r.Rows() > 1 {
+			for b := 0; b < n; b++ {
+				if b != a {
+					out = append(out, fd.FD{LHS: attrset.Single(b), RHS: attrset.Single(a), Schema: r.Schema()})
+				}
+			}
+		}
+		return out
+	}
+	// Minimal covers: minimal X hitting every difference set.
+	covers := minimalHittingSets(diffs, full.Remove(a), stop)
+	for _, x := range covers {
+		out = append(out, fd.FD{LHS: x, RHS: attrset.Single(a), Schema: r.Schema()})
+	}
+	return out
+}
+
 // agreeSets computes the set of agree sets ag(t1,t2) over all tuple pairs
 // that agree on at least one attribute. Pairs are enumerated per stripped
-// partition class to skip pairs agreeing nowhere. The pair sweep is
-// quadratic, so it polls the pool between classes and stops early once
-// the run's deadline fires or it is cancelled.
+// partition class to skip pairs agreeing nowhere, and each pair is visited
+// once: in the sweep of column c it is skipped when some column before c
+// has equal codes for it, since it shares a class of that earlier column
+// and was visited there (the visiting column is min(ag)). The pair sweep
+// is quadratic, so it polls the pool between classes and every
+// stopCheckEvery pairs inside one, and stops early once the run's
+// deadline fires or it is cancelled.
 func agreeSets(r *relation.Relation, pool *engine.Pool) (map[attrset.Set]bool, error) {
 	n := r.Cols()
 	codes := make([][]int, n)
@@ -182,7 +199,7 @@ func agreeSets(r *relation.Relation, pool *engine.Pool) (map[attrset.Set]bool, e
 		codes[c], _ = r.Codes(c)
 	}
 	out := make(map[attrset.Set]bool)
-	seen := make(map[[2]int]bool)
+	steps := 0
 	for c := 0; c < n; c++ {
 		p := partition.FromCodes(codes[c], distinct(codes[c]))
 		for ci := 0; ci < p.NumClasses(); ci++ {
@@ -191,15 +208,22 @@ func agreeSets(r *relation.Relation, pool *engine.Pool) (map[attrset.Set]bool, e
 				return nil, err
 			}
 			for i := 0; i < len(class); i++ {
-				for j := i + 1; j < len(class); j++ {
-					key := [2]int{int(class[i]), int(class[j])}
-					if seen[key] {
-						continue
+				ri := class[i]
+			pairs:
+				for _, rj := range class[i+1:] {
+					if steps++; steps%stopCheckEvery == 0 {
+						if err := pool.Err(); err != nil {
+							return nil, err
+						}
 					}
-					seen[key] = true
-					var ag attrset.Set
-					for col := 0; col < n; col++ {
-						if codes[col][class[i]] == codes[col][class[j]] {
+					for col := 0; col < c; col++ {
+						if codes[col][ri] == codes[col][rj] {
+							continue pairs
+						}
+					}
+					ag := attrset.Single(c)
+					for col := c + 1; col < n; col++ {
+						if codes[col][ri] == codes[col][rj] {
 							ag = ag.Add(col)
 						}
 					}
@@ -238,7 +262,6 @@ func minimalHittingSets(diffs []attrset.Set, universe attrset.Set, stop func()) 
 	sorted := append([]attrset.Set(nil), diffs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Len() < sorted[j].Len() })
 	var covers []attrset.Set
-	const stopCheckEvery = 1024
 	steps := 0
 	var dfs func(current attrset.Set, idx int)
 	dfs = func(current attrset.Set, idx int) {
