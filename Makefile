@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke verify
+.PHONY: build test race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke servebench-check verify
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,14 @@ fuzz:
 # SIGTERMs and asserts a clean graceful drain.
 serve-smoke:
 	sh scripts/serve-smoke.sh
+
+# The servebench driver is its own module (servebench/go.mod, replacing
+# deptree with the checkout), so the root `go build ./...` skips it. This
+# vets and tests it offline against the current internal API, so a change
+# that breaks the benchmark driver fails here rather than at benchmark time.
+servebench-check:
+	cd servebench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) vet ./...
+	cd servebench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test ./...
 
 # Benchmark pass: every benchmark runs once (-benchtime=1x keeps CI
 # cheap), the text output lands in BENCH_4.txt and cmd/benchjson converts

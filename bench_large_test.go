@@ -77,7 +77,7 @@ func gateLarge(tb testing.TB) {
 // at one million rows.
 func BenchmarkLargeODSetBased(b *testing.B) {
 	r := requireLarge(b)
-	opts := oddisc.Options{Workers: runtime.NumCPU()}
+	opts := oddisc.Options{Exec: engine.Exec{Workers: runtime.NumCPU()}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,7 +93,7 @@ func BenchmarkLargeODSetBased(b *testing.B) {
 // amortizing one sort per column.
 func BenchmarkLargeODPairwise(b *testing.B) {
 	r := requireLarge(b)
-	opts := oddisc.Options{Workers: runtime.NumCPU()}
+	opts := oddisc.Options{Exec: engine.Exec{Workers: runtime.NumCPU()}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -509,7 +509,9 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	ctx := rootCtx
-	budget := engine.Budget{Timeout: *timeout, MaxTasks: *maxTasks, MaxCacheBytes: *maxCacheMB << 20}
+	// Each section below runs under its own copy of this budget.
+	x := engine.Exec{Workers: *workers, Obs: reg,
+		Budget: engine.Budget{Timeout: *timeout, MaxTasks: *maxTasks, MaxCacheBytes: *maxCacheMB << 20}}
 	// Each budgeted section appends its stop reason here; any entry turns
 	// the whole profile into a PARTIAL exit.
 	var partials []string
@@ -522,7 +524,7 @@ func cmdProfile(args []string) error {
 	}
 	// The TANE passes share one partition cache: the approximate pass
 	// reuses every partition the exact pass already built.
-	cache := engine.NewPartitionCacheBudget(r, 0, budget.MaxCacheBytes)
+	cache := engine.NewPartitionCacheBudget(r, 0, x.Budget.MaxCacheBytes)
 	cache.SetObserver(reg)
 	fmt.Printf("%s: %d tuples x %d attributes\n\n", r.Name(), r.Rows(), r.Cols())
 
@@ -536,7 +538,7 @@ func cmdProfile(args []string) error {
 	}
 	fmt.Println()
 
-	exactRes := tane.DiscoverContext(ctx, r, tane.Options{MaxLHS: 2, Workers: *workers, Cache: cache, Budget: budget, Obs: reg})
+	exactRes := tane.DiscoverContext(ctx, r, tane.Options{MaxLHS: 2, Exec: x, Cache: cache})
 	exact := exactRes.FDs
 	fmt.Printf("exact minimal FDs (LHS <= 2): %d%s\n", len(exact), note("exact FDs", exactRes.Partial, exactRes.Reason))
 	for i, f := range exact {
@@ -547,10 +549,10 @@ func cmdProfile(args []string) error {
 		fmt.Printf("  %s\n", f)
 	}
 
-	approxRes := tane.DiscoverContext(ctx, r, tane.Options{MaxError: 0.05, MaxLHS: 1, Workers: *workers, Cache: cache, Budget: budget, Obs: reg})
+	approxRes := tane.DiscoverContext(ctx, r, tane.Options{MaxError: 0.05, MaxLHS: 1, Exec: x, Cache: cache})
 	fmt.Printf("\napproximate FDs (g3 <= 0.05, LHS = 1): %d%s\n", len(approxRes.FDs), note("approximate FDs", approxRes.Partial, approxRes.Reason))
 
-	soft := cords.DiscoverContext(ctx, r, cords.Options{MinStrength: 0.9, Workers: *workers, Budget: budget, Obs: reg})
+	soft := cords.DiscoverContext(ctx, r, cords.Options{MinStrength: 0.9, Exec: x})
 	flagged := 0
 	for _, c := range soft.Correlations {
 		if c.Correlated {
@@ -562,7 +564,7 @@ func cmdProfile(args []string) error {
 	consts := cfddisc.ConstantCFDs(r, cfddisc.Options{MinSupport: max(2, r.Rows()/20), MaxLHS: 1})
 	fmt.Printf("constant CFDs (support >= %d): %d\n", max(2, r.Rows()/20), len(consts))
 
-	odRes := oddisc.DiscoverContext(ctx, r, oddisc.Options{Workers: *workers, Budget: budget, Obs: reg})
+	odRes := oddisc.DiscoverContext(ctx, r, oddisc.Options{Exec: x})
 	ods := oddisc.Minimal(odRes.ODs)
 	fmt.Printf("minimal order dependencies: %d%s\n", len(ods), note("order dependencies", odRes.Partial, odRes.Reason))
 	for i, o := range ods {
@@ -577,7 +579,7 @@ func cmdProfile(args []string) error {
 	if r.Rows() > 80 {
 		sample = r.Select(func(row int) bool { return row < 80 })
 	}
-	dcRes := fastdc.DiscoverContext(ctx, sample, fastdc.Options{MaxPredicates: 2, Workers: *workers, Budget: budget, Obs: reg})
+	dcRes := fastdc.DiscoverContext(ctx, sample, fastdc.Options{MaxPredicates: 2, Exec: x})
 	fmt.Printf("denial constraints (FASTDC on %d rows, <= 2 predicates): %d%s\n", sample.Rows(), len(dcRes.DCs), note("FASTDC", dcRes.Partial, dcRes.Reason))
 
 	if *verbose {

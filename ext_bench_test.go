@@ -15,6 +15,7 @@ import (
 	"deptree/internal/discovery/fastdc"
 	"deptree/internal/discovery/oddisc"
 	"deptree/internal/discovery/tane"
+	"deptree/internal/engine"
 	"deptree/internal/ext/speed"
 	"deptree/internal/gen"
 )
@@ -90,7 +91,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("tane/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tane.Discover(taneRel, tane.Options{Workers: w})
+				tane.Discover(taneRel, tane.Options{Exec: engine.Exec{Workers: w}})
 			}
 		})
 	}
@@ -98,7 +99,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("fastdc/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fastdc.Discover(dcRel, fastdc.Options{MaxPredicates: 2, Workers: w})
+				fastdc.Discover(dcRel, fastdc.Options{MaxPredicates: 2, Exec: engine.Exec{Workers: w}})
 			}
 		})
 	}

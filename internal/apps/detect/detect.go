@@ -31,18 +31,9 @@ type Report struct {
 type Options struct {
 	// PerRuleLimit caps witnesses per dependency (0 = unlimited).
 	PerRuleLimit int
-	// Workers fans the per-rule checks out across goroutines. 0 or 1
-	// runs sequentially; reports are collected in rule order, so output
-	// is identical for every worker count.
-	Workers int
-	// Budget bounds the run; the zero value is unlimited. An exhausted
-	// budget truncates the check to a prefix of the rules and the
-	// RunResult reports Partial.
-	Budget engine.Budget
-	// Obs optionally receives the run's metrics (detect.* counters, the
-	// rule-check phase latency) and its run/phase spans. Nil is a full
-	// no-op; observation never changes output.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 // RunResult is a detection run's outcome. A Partial result covers the
@@ -69,7 +60,7 @@ func Run(r *relation.Relation, rules []deps.Dependency, opts Options) []Report {
 // Partial prefix instead of failing.
 func RunContext(ctx context.Context, r *relation.Relation, rules []deps.Dependency, opts Options) RunResult {
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "detect")

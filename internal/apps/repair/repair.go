@@ -57,17 +57,9 @@ type Result struct {
 
 // Options configures the budgeted repair entry points.
 type Options struct {
-	// Workers fans the per-class majority computations out across
-	// goroutines. 0 or 1 runs sequentially; classes are disjoint and
-	// changes apply in class order, so output is identical for every
-	// worker count.
-	Workers int
-	// Budget bounds the run; the zero value is unlimited. An exhausted
-	// budget stops the fixpoint iteration and the Result reports Partial.
-	Budget engine.Budget
-	// Obs optionally receives the run's metrics (repair.* counters) and
-	// its run span. Nil is a full no-op; observation never changes output.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 // FDRepair repairs FD violations by majority vote within each LHS
@@ -88,7 +80,7 @@ func FDRepairContext(ctx context.Context, r *relation.Relation, fds []fd.FD, opt
 	out := r.Clone()
 	var changes []Change
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "repair.fd")

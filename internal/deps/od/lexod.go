@@ -55,9 +55,20 @@ func lexCompare(r *relation.Relation, i, j int, ms []Marked) int {
 	return 0
 }
 
+// stopCheckEvery is how many row pairs of the quadratic pair scan run
+// between calls of HoldsPolling's poll.
+const stopCheckEvery = 1024
+
 // Holds implements deps.Dependency.
 func (o LexOD) Holds(r *relation.Relation) bool {
 	return deps.HoldsByViolations(o, r)
+}
+
+// HoldsPolling is Holds for a check that runs inside a stoppable task:
+// the pair scan is quadratic, so poll is called every stopCheckEvery
+// pairs and may unwind the task (engine.Abort) once the run has stopped.
+func (o LexOD) HoldsPolling(r *relation.Relation, poll func()) bool {
+	return len(o.violations(r, 1, poll)) == 0
 }
 
 // Violations implements deps.Dependency: ordered pairs with
@@ -67,9 +78,21 @@ func (o LexOD) Holds(r *relation.Relation) bool {
 // strict Ȳ order in both directions would contradict antisymmetry, so
 // the implemented rule is: X̄ ≤ 0 ⇒ Ȳ ≤ 0 evaluated on ordered pairs.
 func (o LexOD) Violations(r *relation.Relation, limit int) []deps.Violation {
+	return o.violations(r, limit, nil)
+}
+
+// violations is Violations with an optional poll, called every
+// stopCheckEvery pairs.
+func (o LexOD) violations(r *relation.Relation, limit int, poll func()) []deps.Violation {
 	var out []deps.Violation
+	steps := 0
 	for i := 0; i < r.Rows(); i++ {
 		for j := 0; j < r.Rows(); j++ {
+			if poll != nil {
+				if steps++; steps%stopCheckEvery == 0 {
+					poll()
+				}
+			}
 			if i == j {
 				continue
 			}

@@ -32,14 +32,9 @@ type Options struct {
 	// threshold 2 for strings, 0 for numerics (equality up to small
 	// typos / exact numeric match).
 	Thetas []cd.SimilarityFunc
-	// Workers fans candidate validation across goroutines; output is
-	// identical for every worker count.
-	Workers int
-	// Budget bounds the run; exhaustion truncates to a deterministic
-	// prefix of the incremental candidate enumeration.
-	Budget engine.Budget
-	// Obs optionally receives metrics and spans; nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults() Options {
@@ -201,7 +196,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		thetas = DefaultThetas(r)
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "cddisc")

@@ -27,14 +27,9 @@ type Options struct {
 	// MaxLHS bounds the number of constant attributes in a pattern
 	// (default 3).
 	MaxLHS int
-	// Workers fans the per-pattern conclusion checks across goroutines;
-	// output is identical for every worker count.
-	Workers int
-	// Budget bounds the run; exhaustion truncates to a deterministic
-	// prefix of the level-wise pattern enumeration.
-	Budget engine.Budget
-	// Obs optionally receives metrics and spans; nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults() Options {
@@ -136,7 +131,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "cfddisc")

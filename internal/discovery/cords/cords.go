@@ -37,18 +37,9 @@ type Options struct {
 	MaxCategories int
 	// Seed drives sampling.
 	Seed int64
-	// Workers fans the per-column-pair analyses out across goroutines.
-	// 0 or 1 runs the exact sequential path; the sample is drawn once up
-	// front, so the statistics are identical for every worker count.
-	Workers int
-	// Budget bounds the run; the zero value is unlimited. An exhausted
-	// budget truncates the analysis to a prefix of the column pairs and
-	// the Result reports Partial.
-	Budget engine.Budget
-	// Obs optionally receives the run's metrics (cords.* counters, the
-	// pair-analysis phase latency) and its run/phase spans. Nil is a
-	// full no-op; observation never changes output.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults() Options {
@@ -114,7 +105,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "cords")

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/relation"
 )
@@ -232,7 +233,7 @@ func TestDiscoverMatchesOracle(t *testing.T) {
 		for _, sample := range []int{0, 40} {
 			for _, maxCat := range []int{0, 3} {
 				for _, workers := range []int{1, 4} {
-					checkCorrelations(t, r, Options{SampleSize: sample, Seed: 5, MaxCategories: maxCat, Workers: workers})
+					checkCorrelations(t, r, Options{SampleSize: sample, Seed: 5, MaxCategories: maxCat, Exec: engine.Exec{Workers: workers}})
 				}
 			}
 		}

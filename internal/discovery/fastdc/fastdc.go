@@ -33,19 +33,9 @@ type Options struct {
 	// CrossColumn enables tα.A vs tβ.B predicates between numeric columns
 	// of the same kind.
 	CrossColumn bool
-	// Workers stripes the O(n²) evidence-set construction across
-	// goroutines. 0 or 1 runs the exact sequential path; stripes are
-	// merged in row order so the evidence sets (and hence the DCs) are
-	// identical for every worker count.
-	Workers int
-	// Budget bounds the run; the zero value is unlimited. An exhausted
-	// budget truncates the evidence scan to a prefix of the first-tuple
-	// row range and the Result reports Partial.
-	Budget engine.Budget
-	// Obs optionally receives the run's metrics (fastdc.* counters, the
-	// evidence-scan and cover-search phase latencies) and its run/phase
-	// spans. Nil is a full no-op; observation never changes output.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults() Options {
@@ -93,7 +83,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	space := PredicateSpace(r, opts.CrossColumn)
 	run.SetAttr("predicates", len(space))
 	reg.Counter("fastdc.predicates").Add(int64(len(space)))
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	evSpan := run.Child(obs.KindPhase, "evidence-scan")

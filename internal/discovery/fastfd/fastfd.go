@@ -21,17 +21,9 @@ import (
 
 // Options configures a FastFD run.
 type Options struct {
-	// Workers fans the per-RHS difference-set searches out across
-	// goroutines. 0 or 1 runs the exact sequential path.
-	Workers int
-	// Budget bounds the run; the zero value is unlimited. An exhausted
-	// budget truncates the search to a prefix of the RHS attributes and
-	// the run reports a Partial Result.
-	Budget engine.Budget
-	// Obs optionally receives the run's metrics (fastfd.* counters, the
-	// agree-set and cover-search phase latencies) and its run/phase
-	// spans. Nil is a full no-op; observation never changes output.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 // Result is a FastFD run's outcome. A Partial result covers the FDs of
@@ -78,7 +70,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	}
 
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "fastfd")

@@ -157,7 +157,7 @@ func differentialRelations() []*relation.Relation {
 
 func checkAgreeSets(t *testing.T, r *relation.Relation) {
 	t.Helper()
-	pool := engine.New(1)
+	pool := engine.Exec{Workers: 1}.Pool(context.Background())
 	defer pool.Close()
 	got, err := agreeSets(r, pool)
 	if err != nil {
@@ -188,7 +188,7 @@ func TestDiscoverMatchesOracle(t *testing.T) {
 	for ri, r := range differentialRelations() {
 		want := oracleFDs(r)
 		for _, workers := range []int{1, 4} {
-			got := DiscoverOpts(r, Options{Workers: workers})
+			got := DiscoverOpts(r, Options{Exec: engine.Exec{Workers: workers}})
 			if len(got) != len(want) {
 				t.Fatalf("relation %d workers %d: %d FDs, oracle %d\n got: %v\nwant: %v", ri, workers, len(got), len(want), got, want)
 			}
@@ -216,7 +216,7 @@ func TestAgreeSetsHonorDeadline(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	res := DiscoverContext(context.Background(), r, Options{Budget: engine.Budget{Timeout: 50 * time.Millisecond}})
+	res := DiscoverContext(context.Background(), r, Options{Exec: engine.Exec{Budget: engine.Budget{Timeout: 50 * time.Millisecond}}})
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("run took %v under a 50ms deadline", elapsed)
 	}

@@ -26,14 +26,9 @@ type Options struct {
 	Resemblances map[int]metric.Resemblance
 	// MaxLHS bounds the determinant attribute count (default 2).
 	MaxLHS int
-	// Workers fans candidate validation across goroutines; output is
-	// identical for every worker count.
-	Workers int
-	// Budget bounds the run; exhaustion truncates to a deterministic
-	// prefix of the level-wise candidate enumeration.
-	Budget engine.Budget
-	// Obs optionally receives metrics and spans; nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults(r *relation.Relation) Options {
@@ -101,7 +96,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return out
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "ffddisc")

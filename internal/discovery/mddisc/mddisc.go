@@ -39,17 +39,9 @@ type Options struct {
 	// tuples — the statistical approximation of [87] with bounded relative
 	// error for stationary tuple order.
 	FirstK int
-	// Workers fans the per-attribute threshold searches out across
-	// goroutines. 0 or 1 runs the exact sequential path; output is
-	// identical for every worker count.
-	Workers int
-	// Budget bounds the run; the zero value is unlimited. An exhausted
-	// budget truncates discovery to a prefix of the candidate attributes
-	// and the Result reports Partial.
-	Budget engine.Budget
-	// Obs optionally receives the run's metrics and spans. Nil is a full
-	// no-op; observation never changes output.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults() Options {
@@ -114,7 +106,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "mddisc")

@@ -26,14 +26,9 @@ type Options struct {
 	// MVD is accepted when its spurious-tuple ratio is ≤ the threshold.
 	// 0 keeps exact MVD discovery.
 	MaxSpurious float64
-	// Workers fans candidate validation across goroutines; output is
-	// identical for every worker count.
-	Workers int
-	// Budget bounds the run; exhaustion truncates to a deterministic
-	// prefix of the (X, Y) candidate enumeration.
-	Budget engine.Budget
-	// Obs optionally receives metrics and spans; nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults() Options {
@@ -118,7 +113,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	})
 
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "mvddisc")

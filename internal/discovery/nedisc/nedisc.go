@@ -32,14 +32,9 @@ type Options struct {
 	MaxThresholds int
 	// MaxLHS bounds the predicate width (1 or 2; default 2).
 	MaxLHS int
-	// Workers fans the per-combination searches across goroutines; output
-	// is identical for every worker count.
-	Workers int
-	// Budget bounds the run; exhaustion truncates to a deterministic
-	// prefix of the combination enumeration (singles, then pairs).
-	Budget engine.Budget
-	// Obs optionally receives metrics and spans; nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults() Options {
@@ -108,7 +103,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "nedisc")

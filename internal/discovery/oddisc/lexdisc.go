@@ -16,14 +16,9 @@ type LexOptions struct {
 	Columns []int
 	// MaxWidth bounds the marked-list length on each side (default 2).
 	MaxWidth int
-	// Workers fans candidate validation across goroutines; output is
-	// identical for every worker count.
-	Workers int
-	// Budget bounds the run; exhaustion truncates to a deterministic
-	// prefix of the width-level candidate enumeration.
-	Budget engine.Budget
-	// Obs optionally receives metrics and spans; nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 // LexResult is a lexicographic OD discovery outcome; a Partial run covers
@@ -41,6 +36,18 @@ type LexResult struct {
 // lexBatch is the fixed MapBudget stripe width over lexicographic OD
 // candidates. Fixed so the truncation point is worker-independent.
 const lexBatch = 8
+
+// LexHolds decides o on r from inside a task of pool. The check compares
+// every pair of rows, so it polls the pool as it goes and aborts the task
+// (engine.Abort) once the run has stopped: a deadline ends the run in the
+// middle of a check rather than after it.
+func LexHolds(pool *engine.Pool, r *relation.Relation, o od.LexOD) bool {
+	return o.HoldsPolling(r, func() {
+		if err := pool.Err(); err != nil {
+			engine.Abort(err)
+		}
+	})
+}
 
 // DiscoverLex finds valid lexicographic ODs X̄ ~> Ȳ with list widths up
 // to MaxWidth, in the level-wise spirit of Langer & Naumann [67]: lists
@@ -97,7 +104,7 @@ func DiscoverLexContext(ctx context.Context, r *relation.Relation, opts LexOptio
 	sort.SliceStable(lhsLists, func(i, j int) bool { return len(lhsLists[i]) < len(lhsLists[j]) })
 
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "lexdisc")
@@ -163,7 +170,7 @@ func DiscoverLexContext(ctx context.Context, r *relation.Relation, opts LexOptio
 			}
 		}
 		hits, done, err := engine.MapBudget(pool, len(cands), lexBatch, func(i int) bool {
-			return (od.LexOD{LHS: cands[i].lhs, RHS: cands[i].rhs, Schema: r.Schema()}).Holds(r)
+			return LexHolds(pool, r, od.LexOD{LHS: cands[i].lhs, RHS: cands[i].rhs, Schema: r.Schema()})
 		})
 		completed += done
 		for i := 0; i < done; i++ {

@@ -1,9 +1,12 @@
 package oddisc
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/relation"
 )
@@ -68,5 +71,30 @@ func TestDiscoverLexNeedsCompositeLHS(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("[a≤,b≤] ~> [y≤] missing: %v", ods)
+	}
+}
+
+// TestLexHonorsDeadline: with two equal ascending columns every
+// candidate holds, so its check compares all 10,000² row pairs inside
+// one pool task; a 50 ms deadline must end the run inside that check,
+// long before the check could finish.
+func TestLexHonorsDeadline(t *testing.T) {
+	const rows = 10000
+	r := relation.New("sorted", relation.NewSchema(
+		relation.Attribute{Name: "a", Kind: relation.KindInt},
+		relation.Attribute{Name: "b", Kind: relation.KindInt},
+	))
+	for i := 0; i < rows; i++ {
+		if err := r.Append([]relation.Value{relation.Int(i), relation.Int(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	res := DiscoverLexContext(context.Background(), r, LexOptions{Exec: engine.Exec{Budget: engine.Budget{Timeout: 50 * time.Millisecond}}})
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("run took %v under a 50ms deadline", elapsed)
+	}
+	if !res.Partial || res.Reason != "deadline" {
+		t.Fatalf("result = %+v, want Partial with reason deadline", res)
 	}
 }

@@ -26,19 +26,9 @@ type Options struct {
 	// columns; string columns order lexicographically, which is rarely
 	// meaningful, so they are opt-in).
 	Columns []int
-	// Workers fans the pairwise O(n²) candidate checks out across
-	// goroutines. 0 or 1 runs the exact sequential path; candidates are
-	// enumerated and collected in a fixed order, so output is identical
-	// for every worker count.
-	Workers int
-	// Budget bounds the run; the zero value is unlimited. An exhausted
-	// budget truncates the check to a prefix of the candidate ODs and
-	// the Result reports Partial.
-	Budget engine.Budget
-	// Obs optionally receives the run's metrics (oddisc.* counters, the
-	// candidate-check phase latency) and its run/phase spans. Nil is a
-	// full no-op; observation never changes output.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 // Result is an OD discovery outcome. A Partial result covers a
@@ -105,7 +95,7 @@ func discover(ctx context.Context, r *relation.Relation, opts Options, setBased 
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "oddisc")

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"deptree/internal/deps/od"
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/relation"
 )
@@ -79,7 +80,7 @@ func TestSetBasedMatchesPairwiseOracle(t *testing.T) {
 		cols := 2 + rng.Intn(4)
 		r := nastyRelation(rng, rows, cols)
 		for _, workers := range []int{1, 2, 4, 7} {
-			opts := Options{Workers: workers}
+			opts := Options{Exec: engine.Exec{Workers: workers}}
 			set := DiscoverContext(context.Background(), r, opts)
 			pair := DiscoverPairwiseContext(context.Background(), r, opts)
 			sameODs(t, fmt.Sprintf("trial %d workers %d", trial, workers), set, pair)
@@ -102,8 +103,8 @@ func TestSetBasedMatchesPairwiseOnCorpora(t *testing.T) {
 	}
 	for name, r := range corpora {
 		for _, workers := range []int{1, 4} {
-			set := DiscoverContext(context.Background(), r, Options{Workers: workers})
-			pair := DiscoverPairwiseContext(context.Background(), r, Options{Workers: workers})
+			set := DiscoverContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
+			pair := DiscoverPairwiseContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
 			sameODs(t, fmt.Sprintf("%s workers %d", name, workers), set, pair)
 		}
 	}
@@ -156,8 +157,8 @@ func FuzzSetODAgainstPairwise(f *testing.F) {
 			}
 		}
 		for _, workers := range []int{1, 3} {
-			set := DiscoverContext(context.Background(), r, Options{Workers: workers})
-			pair := DiscoverPairwiseContext(context.Background(), r, Options{Workers: workers})
+			set := DiscoverContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
+			pair := DiscoverPairwiseContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
 			sameODs(t, fmt.Sprintf("workers %d", workers), set, pair)
 		}
 	})

@@ -9,6 +9,7 @@ import (
 
 	"deptree/internal/attrset"
 	"deptree/internal/deps/pfd"
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/relation"
 )
@@ -177,7 +178,7 @@ func TestDiscoverMatchesOracle(t *testing.T) {
 			for _, minProb := range []float64{0.5, 0.75, 0.9, 1} {
 				for _, workers := range []int{1, 4} {
 					got := map[[2]attrset.Set]bool{}
-					for _, p := range Discover(r, Options{MinProb: minProb, MaxLHS: maxLHS, Workers: workers}) {
+					for _, p := range Discover(r, Options{MinProb: minProb, MaxLHS: maxLHS, Exec: engine.Exec{Workers: workers}}) {
 						got[[2]attrset.Set{p.LHS, p.RHS}] = true
 					}
 					for i, c := range cands {

@@ -34,14 +34,9 @@ type Options struct {
 	// MaxLHS bounds determinant size (default 1; the original generates
 	// per-column-pair PFDs, TANE-style lattice expansion is used above 1).
 	MaxLHS int
-	// Workers fans candidate probability checks across goroutines; output
-	// is identical for every worker count.
-	Workers int
-	// Budget bounds the run; exhaustion truncates to a deterministic
-	// prefix of the level-wise candidate enumeration.
-	Budget engine.Budget
-	// Obs optionally receives metrics and spans; nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 func (o Options) withDefaults() Options {
@@ -109,7 +104,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		level = attrset.NextLevel(level)
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "pfddisc")

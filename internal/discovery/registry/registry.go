@@ -11,6 +11,7 @@ package registry
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"deptree/internal/deps/dd"
 	"deptree/internal/deps/fd"
@@ -38,13 +39,16 @@ import (
 	"deptree/internal/relation"
 )
 
-// RunOptions carries the execution knobs every registered runner
-// understands.
+// RunOptions carries the options every registered runner understands.
+// It is the one run-options type of the serving layer (server.RunParams
+// is an alias); Workers, Budget and Obs stay direct fields for callers
+// that build it by name, and reach the discoverers through Exec.
 type RunOptions struct {
 	// Workers is the engine worker count (<= 0 selects 1).
 	Workers int
 	// Budget bounds the run; exhausted budgets degrade to a Partial
-	// output, never an error.
+	// output, never an error. A sampled run spends it once across both
+	// of its phases.
 	Budget engine.Budget
 	// MaxErr is the g3 budget for approximate FDs (tane only).
 	MaxErr float64
@@ -60,12 +64,24 @@ type RunOptions struct {
 	Obs *obs.Registry
 }
 
-// samplingOptions maps the run knobs to the sampling driver's options.
-func samplingOptions(o RunOptions) sampling.Options {
-	return sampling.Options{
-		Rows: o.SampleRows, Seed: o.SampleSeed,
-		Workers: o.Workers, Budget: o.Budget, Obs: o.Obs,
+// Exec returns the run's execution config.
+func (o RunOptions) Exec() engine.Exec {
+	return engine.Exec{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs}
+}
+
+// sampled runs a sampling-capable discoverer: discover over the full
+// relation, or, with SampleRows > 0, sample-then-verify — discover on the
+// sample, then keep the candidates that the verifier (built only in that
+// mode) confirms on the full relation. Both phases share one budget.
+func sampled[T any](ctx context.Context, r *relation.Relation, o RunOptions,
+	discover func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]T, bool, string),
+	verifier func() func(*engine.Pool, T) bool) ([]T, bool, string) {
+	if o.SampleRows <= 0 {
+		return discover(ctx, r, o.Exec())
 	}
+	res := sampling.Run(ctx, r, sampling.Options{Rows: o.SampleRows, Seed: o.SampleSeed, Exec: o.Exec()},
+		discover, verifier())
+	return res.Verified, res.Partial, res.Reason
 }
 
 // fdVerifier builds the exact-verification predicate sampled FD
@@ -76,9 +92,9 @@ func samplingOptions(o RunOptions) sampling.Options {
 // once and multi-attribute partitions come from cached products; without
 // the cache every verified FD would rebuild its partitions from scratch,
 // which at a million rows costs more than full-mode discovery.
-func fdVerifier(r *relation.Relation, maxErr float64) func(fd.FD) bool {
+func fdVerifier(r *relation.Relation, maxErr float64) func(*engine.Pool, fd.FD) bool {
 	cache := engine.NewPartitionCache(r, 0)
-	return func(f fd.FD) bool {
+	return func(_ *engine.Pool, f fd.FD) bool {
 		px := cache.Get(f.LHS)
 		if maxErr > 0 {
 			codes, _ := r.GroupCodes(f.RHS.Cols())
@@ -96,8 +112,24 @@ type Output struct {
 	// Partial marks a budget/cancellation/panic-truncated run; Lines is
 	// then a deterministic prefix of the full run's lines.
 	Partial bool
-	// Reason is the stable stop token; empty when complete.
+	// Reason is the stable stop token ("deadline", "max-tasks",
+	// "cancelled", "panic: ..."); empty when complete.
 	Reason string
+}
+
+// Text renders the output exactly as `deptool discover` writes it to
+// stdout: one dependency per line, then the PARTIAL marker line if the
+// run was truncated.
+func (o Output) Text() string {
+	var b strings.Builder
+	for _, line := range o.Lines {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	if o.Partial {
+		fmt.Fprintf(&b, "PARTIAL: %s\n", o.Reason)
+	}
+	return b.String()
 }
 
 // Algo is one registered discoverer.
@@ -151,17 +183,12 @@ var algos = []Algo{
 		Doc:      "TANE partition-based (approximate) FD discovery",
 		Sampling: true, Incremental: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			if o.SampleRows > 0 {
-				res := sampling.Run(ctx, r, samplingOptions(o),
-					func(ctx context.Context, s *relation.Relation) ([]fd.FD, bool, string) {
-						dr := tane.DiscoverContext(ctx, s, tane.Options{MaxError: o.MaxErr, Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-						return dr.FDs, dr.Partial, dr.Reason
-					},
-					fdVerifier(r, o.MaxErr))
-				return render(res.Verified, res.Partial, res.Reason)
-			}
-			res := tane.DiscoverContext(ctx, r, tane.Options{MaxError: o.MaxErr, Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.FDs, res.Partial, res.Reason)
+			return render(sampled(ctx, r, o,
+				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]fd.FD, bool, string) {
+					res := tane.DiscoverContext(ctx, r, tane.Options{MaxError: o.MaxErr, Exec: x})
+					return res.FDs, res.Partial, res.Reason
+				},
+				func() func(*engine.Pool, fd.FD) bool { return fdVerifier(r, o.MaxErr) }))
 		},
 	},
 	{
@@ -169,24 +196,19 @@ var algos = []Algo{
 		Doc:      "FastFD difference-set FD discovery",
 		Sampling: true, Incremental: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			if o.SampleRows > 0 {
-				res := sampling.Run(ctx, r, samplingOptions(o),
-					func(ctx context.Context, s *relation.Relation) ([]fd.FD, bool, string) {
-						dr := fastfd.DiscoverContext(ctx, s, fastfd.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-						return dr.FDs, dr.Partial, dr.Reason
-					},
-					fdVerifier(r, 0))
-				return render(res.Verified, res.Partial, res.Reason)
-			}
-			res := fastfd.DiscoverContext(ctx, r, fastfd.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.FDs, res.Partial, res.Reason)
+			return render(sampled(ctx, r, o,
+				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]fd.FD, bool, string) {
+					res := fastfd.DiscoverContext(ctx, r, fastfd.Options{Exec: x})
+					return res.FDs, res.Partial, res.Reason
+				},
+				func() func(*engine.Pool, fd.FD) bool { return fdVerifier(r, 0) }))
 		},
 	},
 	{
 		Name: "cords", Class: "SFD",
 		Doc: "CORDS soft-FD (correlation) discovery",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := cords.DiscoverContext(ctx, r, cords.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := cords.DiscoverContext(ctx, r, cords.Options{Exec: o.Exec()})
 			return render(res.SFDs, res.Partial, res.Reason)
 		},
 	},
@@ -194,7 +216,7 @@ var algos = []Algo{
 		Name: "fastdc", Class: "DC",
 		Doc: "FastDC denial-constraint discovery (2-predicate)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := fastdc.DiscoverContext(ctx, r, fastdc.Options{MaxPredicates: 2, Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := fastdc.DiscoverContext(ctx, r, fastdc.Options{MaxPredicates: 2, Exec: o.Exec()})
 			return render(res.DCs, res.Partial, res.Reason)
 		},
 	},
@@ -203,22 +225,21 @@ var algos = []Algo{
 		Doc:      "Set-based order dependency discovery (minimal ODs)",
 		Sampling: true, Incremental: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			if o.SampleRows > 0 {
+			ods, partial, reason := sampled(ctx, r, o,
+				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]od.OD, bool, string) {
+					res := oddisc.DiscoverContext(ctx, r, oddisc.Options{Exec: x})
+					return res.ODs, res.Partial, res.Reason
+				},
 				// One set-based verifier over the full relation: per-column
 				// rank arrays are built once, each candidate check is a
-				// linear scan. Minimality is re-derived over the verified
-				// set, since verification can thin the transitive structure.
-				verifier := oddisc.NewVerifier(r)
-				res := sampling.Run(ctx, r, samplingOptions(o),
-					func(ctx context.Context, s *relation.Relation) ([]od.OD, bool, string) {
-						dr := oddisc.DiscoverContext(ctx, s, oddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-						return dr.ODs, dr.Partial, dr.Reason
-					},
-					verifier.Holds)
-				return render(oddisc.Minimal(res.Verified), res.Partial, res.Reason)
-			}
-			res := oddisc.DiscoverContext(ctx, r, oddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(oddisc.Minimal(res.ODs), res.Partial, res.Reason)
+				// linear scan.
+				func() func(*engine.Pool, od.OD) bool {
+					v := oddisc.NewVerifier(r)
+					return func(_ *engine.Pool, c od.OD) bool { return v.Holds(c) }
+				})
+			// Minimality is re-derived after verification, which can thin
+			// the transitive structure.
+			return render(oddisc.Minimal(ods), partial, reason)
 		},
 	},
 	{
@@ -226,24 +247,21 @@ var algos = []Algo{
 		Doc:      "Lexicographic order dependency discovery",
 		Sampling: true, Incremental: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			if o.SampleRows > 0 {
-				res := sampling.Run(ctx, r, samplingOptions(o),
-					func(ctx context.Context, s *relation.Relation) ([]od.LexOD, bool, string) {
-						dr := oddisc.DiscoverLexContext(ctx, s, oddisc.LexOptions{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-						return dr.ODs, dr.Partial, dr.Reason
-					},
-					func(c od.LexOD) bool { return c.Holds(r) })
-				return render(res.Verified, res.Partial, res.Reason)
-			}
-			res := oddisc.DiscoverLexContext(ctx, r, oddisc.LexOptions{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.ODs, res.Partial, res.Reason)
+			return render(sampled(ctx, r, o,
+				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]od.LexOD, bool, string) {
+					res := oddisc.DiscoverLexContext(ctx, r, oddisc.LexOptions{Exec: x})
+					return res.ODs, res.Partial, res.Reason
+				},
+				func() func(*engine.Pool, od.LexOD) bool {
+					return func(p *engine.Pool, c od.LexOD) bool { return oddisc.LexHolds(p, r, c) }
+				}))
 		},
 	},
 	{
 		Name: "cfd", Class: "CFD",
 		Doc: "CFDMiner-style minimal constant CFD mining",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := cfddisc.DiscoverContext(ctx, r, cfddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := cfddisc.DiscoverContext(ctx, r, cfddisc.Options{Exec: o.Exec()})
 			return render(res.CFDs, res.Partial, res.Reason)
 		},
 	},
@@ -251,7 +269,7 @@ var algos = []Algo{
 		Name: "pfd", Class: "pFD",
 		Doc: "Probabilistic FD discovery (majority-probability counting)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := pfddisc.DiscoverContext(ctx, r, pfddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := pfddisc.DiscoverContext(ctx, r, pfddisc.Options{Exec: o.Exec()})
 			return render(res.PFDs, res.Partial, res.Reason)
 		},
 	},
@@ -259,7 +277,7 @@ var algos = []Algo{
 		Name: "ffd", Class: "FFD",
 		Doc: "Fuzzy FD discovery over resemblance relations",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := ffddisc.DiscoverContext(ctx, r, ffddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := ffddisc.DiscoverContext(ctx, r, ffddisc.Options{Exec: o.Exec()})
 			return render(res.FFDs, res.Partial, res.Reason)
 		},
 	},
@@ -267,7 +285,7 @@ var algos = []Algo{
 		Name: "md", Class: "MD",
 		Doc: "Matching dependency discovery (RHS: last column)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := mddisc.DiscoverContext(ctx, r, mddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := mddisc.DiscoverContext(ctx, r, mddisc.Options{Exec: o.Exec()})
 			return render(res.MDs, res.Partial, res.Reason)
 		},
 	},
@@ -280,8 +298,8 @@ var algos = []Algo{
 			}
 			c := lastCol(r)
 			res := dddisc.DiscoverContext(ctx, r, dddisc.Options{
-				RHS:     dd.DiffFunc{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Op: dd.OpLe, Threshold: 0},
-				Workers: o.Workers, Budget: o.Budget, Obs: o.Obs,
+				RHS:  dd.DiffFunc{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Op: dd.OpLe, Threshold: 0},
+				Exec: o.Exec(),
 			})
 			return render(res.DDs, res.Partial, res.Reason)
 		},
@@ -295,8 +313,8 @@ var algos = []Algo{
 			}
 			c := lastCol(r)
 			res := nedisc.DiscoverContext(ctx, r, nedisc.Options{
-				RHS:     ned.Predicate{{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Threshold: 0}},
-				Workers: o.Workers, Budget: o.Budget, Obs: o.Obs,
+				RHS:  ned.Predicate{{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Threshold: 0}},
+				Exec: o.Exec(),
 			})
 			return render(res.NEDs, res.Partial, res.Reason)
 		},
@@ -305,7 +323,7 @@ var algos = []Algo{
 		Name: "cd", Class: "CD",
 		Doc: "Comparable dependency discovery (pay-as-you-go session)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := cddisc.DiscoverContext(ctx, r, cddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := cddisc.DiscoverContext(ctx, r, cddisc.Options{Exec: o.Exec()})
 			return render(res.CDs, res.Partial, res.Reason)
 		},
 	},
@@ -313,7 +331,7 @@ var algos = []Algo{
 		Name: "mvd", Class: "MVD",
 		Doc: "Multivalued dependency discovery (top-down search)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := mvddisc.DiscoverContext(ctx, r, mvddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := mvddisc.DiscoverContext(ctx, r, mvddisc.Options{Exec: o.Exec()})
 			return render(res.MVDs, res.Partial, res.Reason)
 		},
 	},
@@ -321,7 +339,7 @@ var algos = []Algo{
 		Name: "sd", Class: "SD",
 		Doc: "Sequential dependency discovery (fitted gap intervals)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			res := sddisc.DiscoverContext(ctx, r, sddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+			res := sddisc.DiscoverContext(ctx, r, sddisc.Options{Exec: o.Exec()})
 			return render(res.SDs, res.Partial, res.Reason)
 		},
 	},

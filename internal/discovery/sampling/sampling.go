@@ -42,16 +42,10 @@ type Options struct {
 	// Seed seeds the sample's deterministic permutation. The same
 	// (relation, Rows, Seed) always selects the same rows.
 	Seed int64
-	// Workers fans the verification checks out across the engine pool.
-	Workers int
-	// Budget bounds the verification fan-out (the discovery phase runs
-	// under the discoverer's own budget, passed by the caller's closure).
-	// An exhausted budget truncates verification to a deterministic
-	// candidate prefix and marks the result Partial.
-	Budget engine.Budget
-	// Obs receives the sampling.candidates / sampling.verified /
-	// sampling.refuted counters and the run span. Nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry (the
+	// sampling.* counters and the run span). Both phases spend its one
+	// budget; see Run.
+	engine.Exec
 }
 
 // Result is a sample-then-verify outcome for candidate type T.
@@ -97,13 +91,20 @@ func Sample(r *relation.Relation, rows int, seed int64) *relation.Relation {
 
 // Run executes one sample-then-verify pass: discover proposes candidates
 // on the sample (returning its own partial/reason state), verify decides
-// one candidate exactly against the full relation. Only verified
-// candidates are returned; refuted ones are counted and dropped.
+// one candidate exactly against the full relation from inside a task of
+// the verification pool. Only verified candidates are returned; refuted
+// ones are counted and dropped.
+//
+// The two phases spend one budget (engine.Exec.Share): discover must
+// run under the Exec it is passed, and verification gets what the
+// discovery phase left of the deadline and of MaxTasks.
 func Run[T any](ctx context.Context, full *relation.Relation, opts Options,
-	discover func(ctx context.Context, sample *relation.Relation) ([]T, bool, string),
-	verify func(cand T) bool) Result[T] {
+	discover func(ctx context.Context, sample *relation.Relation, x engine.Exec) ([]T, bool, string),
+	verify func(pool *engine.Pool, cand T) bool) Result[T] {
 
-	reg := opts.Obs
+	ctx, x, cancel := opts.Share(ctx)
+	defer cancel()
+	reg := x.Obs
 	sample := Sample(full, opts.Rows, opts.Seed)
 
 	span := reg.StartSpan(obs.KindRun, "sampling")
@@ -111,7 +112,7 @@ func Run[T any](ctx context.Context, full *relation.Relation, opts Options,
 	span.SetAttr("sample_rows", sample.Rows())
 	defer span.End()
 
-	cands, partial, reason := discover(ctx, sample)
+	cands, partial, reason := discover(ctx, sample, x)
 	reg.Counter("sampling.candidates").Add(int64(len(cands)))
 
 	if sample == full {
@@ -120,10 +121,10 @@ func Run[T any](ctx context.Context, full *relation.Relation, opts Options,
 		return Result[T]{Verified: cands, Candidates: len(cands), Partial: partial, Reason: reason}
 	}
 
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := x.Pool(ctx)
 	defer pool.Close()
 	verifySpan := span.Child(obs.KindPhase, "verify")
-	ok, done, err := engine.MapBudget(pool, len(cands), 0, func(i int) bool { return verify(cands[i]) })
+	ok, done, err := engine.MapBudget(pool, len(cands), 0, func(i int) bool { return verify(pool, cands[i]) })
 	verifySpan.SetAttr("completed", done)
 	verifySpan.End()
 

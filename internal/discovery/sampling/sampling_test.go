@@ -55,14 +55,14 @@ func TestRunTrivialSampleSkipsVerification(t *testing.T) {
 	r := gen.Table7()
 	reg := obs.New()
 	verifyCalls := 0
-	res := Run(context.Background(), r, Options{Rows: 0, Obs: reg},
-		func(ctx context.Context, s *relation.Relation) ([]int, bool, string) {
+	res := Run(context.Background(), r, Options{Rows: 0, Exec: engine.Exec{Obs: reg}},
+		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
 			if s != r {
 				t.Fatal("trivial sample is not the relation itself")
 			}
 			return []int{1, 2, 3}, false, ""
 		},
-		func(int) bool { verifyCalls++; return false })
+		func(*engine.Pool, int) bool { verifyCalls++; return false })
 	if verifyCalls != 0 {
 		t.Fatalf("verification ran %d times on a trivial sample", verifyCalls)
 	}
@@ -77,14 +77,14 @@ func TestRunTrivialSampleSkipsVerification(t *testing.T) {
 func TestRunPartitionsVerifiedAndRefuted(t *testing.T) {
 	r := gen.Categorical(100, []int{10}, 1)
 	reg := obs.New()
-	res := Run(context.Background(), r, Options{Rows: 10, Seed: 2, Workers: 3, Obs: reg},
-		func(ctx context.Context, s *relation.Relation) ([]int, bool, string) {
+	res := Run(context.Background(), r, Options{Rows: 10, Seed: 2, Exec: engine.Exec{Workers: 3, Obs: reg}},
+		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
 			if s.Rows() != 10 {
 				t.Fatalf("sample has %d rows, want 10", s.Rows())
 			}
 			return []int{0, 1, 2, 3, 4, 5}, false, ""
 		},
-		func(c int) bool { return c%2 == 0 })
+		func(_ *engine.Pool, c int) bool { return c%2 == 0 })
 	if !res.Sampled || res.Partial {
 		t.Fatalf("unexpected result state %+v", res)
 	}
@@ -106,14 +106,14 @@ func TestRunBudgetTruncatesVerificationDeterministically(t *testing.T) {
 	for i := range cands {
 		cands[i] = i
 	}
-	discover := func(ctx context.Context, s *relation.Relation) ([]int, bool, string) {
+	discover := func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
 		return cands, false, ""
 	}
-	verify := func(c int) bool { return c%3 != 0 }
+	verify := func(_ *engine.Pool, c int) bool { return c%3 != 0 }
 	var first []int
 	for _, workers := range []int{1, 2, 5} {
 		res := Run(context.Background(), r,
-			Options{Rows: 10, Seed: 1, Workers: workers, Budget: engine.Budget{MaxTasks: 20}},
+			Options{Rows: 10, Seed: 1, Exec: engine.Exec{Workers: workers, Budget: engine.Budget{MaxTasks: 20}}},
 			discover, verify)
 		if !res.Partial || res.Reason != "max-tasks" {
 			t.Fatalf("workers=%d: want partial max-tasks, got %+v", workers, res)
@@ -132,10 +132,10 @@ func TestRunBudgetTruncatesVerificationDeterministically(t *testing.T) {
 func TestRunPropagatesDiscoveryPartial(t *testing.T) {
 	r := gen.Categorical(50, []int{5}, 1)
 	res := Run(context.Background(), r, Options{Rows: 10, Seed: 1},
-		func(ctx context.Context, s *relation.Relation) ([]int, bool, string) {
+		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
 			return []int{1}, true, "deadline"
 		},
-		func(int) bool { return true })
+		func(*engine.Pool, int) bool { return true })
 	if !res.Partial || res.Reason != "deadline" {
 		t.Fatalf("discovery partial not propagated: %+v", res)
 	}
@@ -146,10 +146,10 @@ func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res := Run(ctx, r, Options{Rows: 10, Seed: 1},
-		func(ctx context.Context, s *relation.Relation) ([]int, bool, string) {
+		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
 			return []int{1, 2}, false, ""
 		},
-		func(int) bool { return true })
+		func(*engine.Pool, int) bool { return true })
 	if !res.Partial {
 		t.Fatalf("cancelled run not partial: %+v", res)
 	}

@@ -24,14 +24,9 @@ type Options struct {
 	// MinConfidence is the confidence an SD must reach to be reported,
 	// and the confidence FitInterval targets (default 0.9).
 	MinConfidence float64
-	// Workers fans the per-pair fits across goroutines; output is
-	// identical for every worker count.
-	Workers int
-	// Budget bounds the run; exhaustion truncates to a deterministic
-	// prefix of the (X, Y) pair enumeration.
-	Budget engine.Budget
-	// Obs optionally receives metrics and spans; nil is a no-op.
-	Obs *obs.Registry
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 }
 
 // Result is an SD discovery outcome.
@@ -80,7 +75,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, maxInt(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "sddisc")
@@ -126,13 +121,6 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		run.SetAttr("stop", res.Reason)
 	}
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FitInterval returns the tightest gap interval g containing at least

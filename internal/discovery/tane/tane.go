@@ -32,25 +32,15 @@ type Options struct {
 	MaxError float64
 	// MaxLHS bounds the determinant size (0 = no bound).
 	MaxLHS int
-	// Workers fans lattice-level candidate validation out across
-	// goroutines. 0 or 1 runs the exact sequential path; the output is
-	// the same either way.
-	Workers int
-	// Budget bounds the run (deadline, task count, cache bytes); the
-	// zero value is unlimited. An exhausted budget stops the lattice
-	// walk at a level boundary and the run reports a Partial Result.
-	Budget engine.Budget
+	// Exec is the run's worker count, budget and metrics registry;
+	// the output is identical for every worker count.
+	engine.Exec
 	// Cache optionally supplies a shared partition cache (for example to
 	// reuse partitions across several discovery runs over the same
 	// relation). When nil a private cache is used, byte-bounded by
 	// Budget.MaxCacheBytes. The cache must have been built over the same
 	// relation passed to Discover.
 	Cache *engine.PartitionCache
-	// Obs optionally receives the run's metrics (tane.* counters, the
-	// tane.level.seconds histogram, engine.* pool counters) and its
-	// run/phase spans. Nil is a full no-op; observation never changes
-	// discovery output.
-	Obs *obs.Registry
 }
 
 // Result is a TANE run's outcome. A run that exhausts its budget (or is
@@ -100,7 +90,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		cache = engine.NewPartitionCacheBudget(r, 0, opts.Budget.MaxCacheBytes)
 		cache.SetObserver(reg)
 	}
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := opts.Pool(ctx)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "tane")

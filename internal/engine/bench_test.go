@@ -24,7 +24,7 @@ func BenchmarkPoolObserved(b *testing.B) {
 				reg = obs.New()
 			}
 			b.Run(fmt.Sprintf("%s/workers=%d", label, workers), func(b *testing.B) {
-				pool := engine.NewObserved(context.Background(), workers, 0, engine.Budget{}, reg)
+				pool := engine.Exec{Workers: workers, Obs: reg}.Pool(context.Background())
 				defer pool.Close()
 				sink := make([]int, 256)
 				b.ReportAllocs()

@@ -31,7 +31,7 @@ func settleGoroutines(t *testing.T, before int) {
 // channel; now it must return ErrPoolClosed, including under a concurrent
 // hammer of submitters.
 func TestSubmitAfterCloseReturnsErrPoolClosed(t *testing.T) {
-	p := New(4)
+	p := Exec{Workers: 4}.Pool(context.Background())
 	p.Close()
 	if err := p.Submit(func() {}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
@@ -43,7 +43,7 @@ func TestSubmitAfterCloseReturnsErrPoolClosed(t *testing.T) {
 
 func TestSubmitCloseHammer(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		p := New(4)
+		p := Exec{Workers: 4}.Pool(context.Background())
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -67,7 +67,7 @@ func TestSubmitCloseHammer(t *testing.T) {
 // every index ran.
 func TestForEachNilWhenCancelLandsAfterCompletion(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		p := New(workers)
+		p := Exec{Workers: workers}.Pool(context.Background())
 		const n = 64
 		var mu sync.Mutex
 		done := 0
@@ -88,7 +88,7 @@ func TestForEachNilWhenCancelLandsAfterCompletion(t *testing.T) {
 }
 
 func TestReserveAllOrNothing(t *testing.T) {
-	p := NewBudgeted(context.Background(), 1, 0, Budget{MaxTasks: 10})
+	p := Exec{Workers: 1, Budget: Budget{MaxTasks: 10}}.Pool(context.Background())
 	defer p.Close()
 	if err := p.Reserve(8); err != nil {
 		t.Fatalf("Reserve(8) under MaxTasks=10 = %v", err)
@@ -107,10 +107,37 @@ func TestReserveAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestExecShareSpendsOneBudget: pools built one after another from a
+// shared Exec charge one MaxTasks counter and inherit one deadline.
+func TestExecShareSpendsOneBudget(t *testing.T) {
+	ctx, x, cancel := Exec{Workers: 2, Budget: Budget{Timeout: time.Hour, MaxTasks: 10}}.Share(context.Background())
+	defer cancel()
+	if _, ok := ctx.Deadline(); !ok || x.Budget.Timeout != 0 {
+		t.Fatalf("Share must move the Timeout onto the context: deadline set %v, Timeout %v", ok, x.Budget.Timeout)
+	}
+	first := x.Pool(ctx)
+	err := first.ForEach(6, func(int) {})
+	first.Close()
+	if err != nil {
+		t.Fatalf("first pool: ForEach(6) under MaxTasks=10 = %v", err)
+	}
+	second := x.Pool(ctx)
+	err = second.ForEach(6, func(int) {})
+	second.Close()
+	if !errors.Is(err, ErrMaxTasks) {
+		t.Fatalf("second pool: ForEach(6) after 6 of 10 tasks = %v, want ErrMaxTasks", err)
+	}
+	third := x.Pool(ctx)
+	defer third.Close()
+	if err := third.ForEach(4, func(int) {}); err != nil || third.Used() != 10 {
+		t.Fatalf("third pool: ForEach(4) = %v with Used %d, want nil with all 10 tasks used", err, third.Used())
+	}
+}
+
 func TestMapBudgetPrefixDeterministic(t *testing.T) {
 	const n, batch = 100, 8
 	run := func(workers int, maxTasks int64) ([]int, int, error) {
-		p := NewBudgeted(context.Background(), workers, 0, Budget{MaxTasks: maxTasks})
+		p := Exec{Workers: workers, Budget: Budget{MaxTasks: maxTasks}}.Pool(context.Background())
 		defer p.Close()
 		return MapBudget(p, n, batch, func(i int) int { return i * i })
 	}
@@ -139,7 +166,7 @@ func TestMapBudgetPrefixDeterministic(t *testing.T) {
 
 func TestPanicErrorTaskAttribution(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		p := New(workers)
+		p := Exec{Workers: workers}.Pool(context.Background())
 		err := p.ForEach(50, func(i int) {
 			if i == 17 {
 				panic("boom")
@@ -164,7 +191,7 @@ func TestPanicErrorTaskAttribution(t *testing.T) {
 
 func TestAbortDoesNotCountAsCompleted(t *testing.T) {
 	sentinel := errors.New("abort sentinel")
-	p := New(4)
+	p := Exec{Workers: 4}.Pool(context.Background())
 	defer p.Close()
 	err := p.ForEach(32, func(i int) {
 		if i == 5 {
@@ -184,18 +211,18 @@ func TestPoolLifecycleNoGoroutineLeaks(t *testing.T) {
 		run  func()
 	}{
 		{"close", func() {
-			p := New(4)
+			p := Exec{Workers: 4}.Pool(context.Background())
 			_ = p.ForEach(100, func(int) {})
 			p.Close()
 		}},
 		{"cancel-then-close", func() {
-			p := New(4)
+			p := Exec{Workers: 4}.Pool(context.Background())
 			p.Cancel()
 			_ = p.ForEach(100, func(int) {})
 			p.Close()
 		}},
 		{"panic-then-close", func() {
-			p := New(4)
+			p := Exec{Workers: 4}.Pool(context.Background())
 			_ = p.ForEach(100, func(i int) {
 				if i%10 == 3 {
 					panic("leak probe")
@@ -219,7 +246,7 @@ func TestPoolLifecycleNoGoroutineLeaks(t *testing.T) {
 // a deadline pool must stop mid-fan-out with the deadline error rather
 // than grinding through every index.
 func TestInlineWorkerHonorsDeadline(t *testing.T) {
-	p := NewBudgeted(context.Background(), 1, 0, Budget{Timeout: 30 * time.Millisecond})
+	p := Exec{Workers: 1, Budget: Budget{Timeout: 30 * time.Millisecond}}.Pool(context.Background())
 	defer p.Close()
 	ran := 0
 	err := p.ForEach(1000, func(int) {
@@ -238,7 +265,7 @@ func TestInlineWorkerHonorsDeadline(t *testing.T) {
 }
 
 func TestInlineSubmitPanicReturnsError(t *testing.T) {
-	p := New(1)
+	p := Exec{Workers: 1}.Pool(context.Background())
 	defer p.Close()
 	err := p.Submit(func() { panic("inline boom") })
 	var pe *PanicError

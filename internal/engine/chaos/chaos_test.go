@@ -63,20 +63,22 @@ type runOutcome struct {
 // path (the exact dispatch the server and CLI use). fastdc's
 // pair-quadratic evidence build gets a row-trimmed input, matching the
 // differential harness.
-func runOne(ctx context.Context, a registry.Algo, r *relation.Relation, workers int, b engine.Budget) runOutcome {
+func runOne(ctx context.Context, a registry.Algo, r *relation.Relation, o registry.RunOptions) runOutcome {
 	if a.Name == "fastdc" && r.Rows() > 25 {
 		r = r.Select(func(row int) bool { return row < 25 })
 	}
-	res := a.Run(ctx, r, registry.RunOptions{Workers: workers, Budget: b})
+	res := a.Run(ctx, r, o)
 	return runOutcome{a.Name, strings.Join(res.Lines, "\n"), res.Partial, res.Reason}
 }
 
 // runAll invokes every registered discoverer under ctx with the given
-// budget and workers.
-func runAll(ctx context.Context, r *relation.Relation, workers int, b engine.Budget) []runOutcome {
+// options; with SampleRows > 0, only the sampling-capable ones.
+func runAll(ctx context.Context, r *relation.Relation, o registry.RunOptions) []runOutcome {
 	out := make([]runOutcome, 0, len(registry.All()))
 	for _, a := range registry.All() {
-		out = append(out, runOne(ctx, a, r, workers, b))
+		if o.SampleRows == 0 || a.Sampling {
+			out = append(out, runOne(ctx, a, r, o))
+		}
 	}
 	return out
 }
@@ -89,7 +91,7 @@ func TestInjectedPanicPoolIsolation(t *testing.T) {
 	inj, uninstall := Install(Options{PanicEvery: 7})
 	defer uninstall()
 	requireNoGoroutineLeak(t, func() {
-		p := engine.New(4)
+		p := engine.Exec{Workers: 4}.Pool(context.Background())
 		err := p.ForEach(200, func(int) {})
 		var pe *engine.PanicError
 		if err == nil {
@@ -132,7 +134,7 @@ func TestInjectedPanicAllDiscoverers(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		inj, uninstall := Install(Options{PanicEvery: 3})
 		requireNoGoroutineLeak(t, func() {
-			for _, oc := range runAll(context.Background(), hotel(40), workers, engine.Budget{}) {
+			for _, oc := range runAll(context.Background(), hotel(40), registry.RunOptions{Workers: workers}) {
 				if !oc.partial {
 					t.Errorf("workers=%d %s: injected panic but run reported complete", workers, oc.name)
 					continue
@@ -159,8 +161,7 @@ func TestInjectedDelayHonorsDeadline(t *testing.T) {
 		requireNoGoroutineLeak(t, func() {
 			start := time.Now()
 			res := tane.DiscoverContext(context.Background(), hotel(60), tane.Options{
-				Workers: workers,
-				Budget:  engine.Budget{Timeout: 50 * time.Millisecond},
+				Exec: engine.Exec{Workers: workers, Budget: engine.Budget{Timeout: 50 * time.Millisecond}},
 			})
 			if !res.Partial {
 				t.Errorf("workers=%d: stalled run under 50ms deadline reported complete", workers)
@@ -185,7 +186,7 @@ func TestInjectedCancelMidRun(t *testing.T) {
 		for _, a := range registry.All() {
 			inj, uninstall := Install(Options{CancelAfter: 2})
 			requireNoGoroutineLeak(t, func() {
-				oc := runOne(context.Background(), a, r, workers, engine.Budget{})
+				oc := runOne(context.Background(), a, r, registry.RunOptions{Workers: workers})
 				if !oc.partial {
 					t.Errorf("workers=%d %s: cancelled run reported complete", workers, a.Name)
 				} else if oc.reason != "cancelled" {
@@ -206,7 +207,7 @@ func TestExternalContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: nothing may run, nothing may hang
 	requireNoGoroutineLeak(t, func() {
-		for _, oc := range runAll(ctx, hotel(40), 4, engine.Budget{}) {
+		for _, oc := range runAll(ctx, hotel(40), registry.RunOptions{Workers: 4}) {
 			if !oc.partial {
 				t.Errorf("%s: run under cancelled context reported complete", oc.name)
 			}
@@ -221,24 +222,41 @@ func TestExternalContextCancellation(t *testing.T) {
 // model: the same MaxTasks budget must truncate every registered
 // discoverer at the same deterministic prefix for workers=1 and
 // workers=4, and that prefix must be a subset of the full (unbudgeted)
-// answer.
+// answer. Sampled mode is one more input: on the sampling-capable
+// discoverers, discovery on a 25-row sample and verification on the full
+// relation spend one shared MaxTasks budget.
 func TestPartialPrefixConsistency(t *testing.T) {
 	r := hotel(40)
-	full := runAll(context.Background(), r, 1, engine.Budget{})
-	for _, budget := range []int64{10, 40, 120} {
-		b := engine.Budget{MaxTasks: budget}
-		seq := runAll(context.Background(), r, 1, b)
-		par := runAll(context.Background(), r, 4, b)
-		for i := range seq {
-			if seq[i].out != par[i].out || seq[i].partial != par[i].partial || seq[i].reason != par[i].reason {
-				t.Errorf("max-tasks=%d %s: workers=1 and workers=4 disagree\n--- w1 (partial=%v %s) ---\n%s\n--- w4 (partial=%v %s) ---\n%s",
-					budget, seq[i].name, seq[i].partial, seq[i].reason, seq[i].out, par[i].partial, par[i].reason, par[i].out)
-			}
-			// fastdc partial is a sample-style approximation, not a
-			// subset of the full answer (see fastdc.Result); every other
-			// discoverer must emit a line-subset of the full run.
-			if seq[i].partial && seq[i].name != "fastdc" {
-				assertLineSubset(t, seq[i].name, budget, seq[i].out, full[i].out)
+	full := map[string]string{}
+	for _, oc := range runAll(context.Background(), r, registry.RunOptions{Workers: 1}) {
+		full[oc.name] = oc.out
+	}
+	for _, mode := range []struct {
+		sampleRows int
+		budgets    []int64
+	}{
+		{0, []int64{10, 40, 120}},
+		// Budgets at which sampled tane, fastfd and lexod stop with
+		// non-empty verified prefixes.
+		{25, []int64{60, 100, 240}},
+	} {
+		for _, budget := range mode.budgets {
+			o := registry.RunOptions{Budget: engine.Budget{MaxTasks: budget}, SampleRows: mode.sampleRows, SampleSeed: 1}
+			o.Workers = 1
+			seq := runAll(context.Background(), r, o)
+			o.Workers = 4
+			par := runAll(context.Background(), r, o)
+			for i := range seq {
+				if seq[i].out != par[i].out || seq[i].partial != par[i].partial || seq[i].reason != par[i].reason {
+					t.Errorf("max-tasks=%d sample-rows=%d %s: workers=1 and workers=4 disagree\n--- w1 (partial=%v %s) ---\n%s\n--- w4 (partial=%v %s) ---\n%s",
+						budget, mode.sampleRows, seq[i].name, seq[i].partial, seq[i].reason, seq[i].out, par[i].partial, par[i].reason, par[i].out)
+				}
+				// fastdc partial is a sample-style approximation, not a
+				// subset of the full answer (see fastdc.Result); every other
+				// discoverer must emit a line-subset of the full run.
+				if seq[i].partial && seq[i].name != "fastdc" {
+					assertLineSubset(t, seq[i].name, budget, seq[i].out, full[seq[i].name])
+				}
 			}
 		}
 	}
@@ -267,7 +285,7 @@ func TestChaosStorm(t *testing.T) {
 	requireNoGoroutineLeak(t, func() {
 		for i := 0; i < 3; i++ {
 			b := engine.Budget{Timeout: 40 * time.Millisecond, MaxTasks: 150}
-			for _, oc := range runAll(context.Background(), hotel(50), 4, b) {
+			for _, oc := range runAll(context.Background(), hotel(50), registry.RunOptions{Workers: 4, Budget: b}) {
 				// Any outcome is legal here except a crash; partial runs
 				// must carry a reason.
 				if oc.partial && oc.reason == "" {

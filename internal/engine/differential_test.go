@@ -22,6 +22,7 @@ import (
 	"deptree/internal/discovery/oddisc"
 	"deptree/internal/discovery/registry"
 	"deptree/internal/discovery/tane"
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/obs"
 	"deptree/internal/relation"
@@ -189,8 +190,8 @@ func TestDifferentialCompleteness(t *testing.T) {
 // does not exercise.
 func TestDifferentialTANEApproximate(t *testing.T) {
 	for i, r := range corpus() {
-		seq := render(tane.Discover(r, tane.Options{MaxError: 0.05, MaxLHS: 2, Workers: 1}))
-		par := render(tane.Discover(r, tane.Options{MaxError: 0.05, MaxLHS: 2, Workers: diffWorkers}))
+		seq := render(tane.Discover(r, tane.Options{MaxError: 0.05, MaxLHS: 2, Exec: engine.Exec{Workers: 1}}))
+		par := render(tane.Discover(r, tane.Options{MaxError: 0.05, MaxLHS: 2, Exec: engine.Exec{Workers: diffWorkers}}))
 		assertIdentical(t, "tane(g3<=0.05)", i, seq, par)
 	}
 }
@@ -213,8 +214,8 @@ func renderCORDS(res cords.Result) string {
 // the registry emits.
 func TestDifferentialCORDS(t *testing.T) {
 	for i, r := range corpus() {
-		seq := renderCORDS(cords.Discover(r, cords.Options{SampleSize: 30, Seed: int64(i), Workers: 1}))
-		par := renderCORDS(cords.Discover(r, cords.Options{SampleSize: 30, Seed: int64(i), Workers: diffWorkers}))
+		seq := renderCORDS(cords.Discover(r, cords.Options{SampleSize: 30, Seed: int64(i), Exec: engine.Exec{Workers: 1}}))
+		par := renderCORDS(cords.Discover(r, cords.Options{SampleSize: 30, Seed: int64(i), Exec: engine.Exec{Workers: diffWorkers}}))
 		assertIdentical(t, "cords", i, seq, par)
 	}
 }
@@ -252,7 +253,7 @@ func TestDifferentialLexODErrata(t *testing.T) {
 			t.Fatalf("order-compatible but non-order-determining columns yielded %s (errata violation)", o)
 		}
 	}
-	seq := oddisc.DiscoverLex(r, oddisc.LexOptions{MaxWidth: 2, Workers: 1})
-	par := oddisc.DiscoverLex(r, oddisc.LexOptions{MaxWidth: 2, Workers: diffWorkers})
+	seq := oddisc.DiscoverLex(r, oddisc.LexOptions{MaxWidth: 2, Exec: engine.Exec{Workers: 1}})
+	par := oddisc.DiscoverLex(r, oddisc.LexOptions{MaxWidth: 2, Exec: engine.Exec{Workers: diffWorkers}})
 	assertIdentical(t, "lexod-errata", 0, render(seq), render(par))
 }

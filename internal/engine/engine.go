@@ -1,8 +1,8 @@
 // Package engine is the shared parallel-execution substrate for the
-// discovery algorithms: a reusable bounded worker pool with context
-// cancellation, per-run resource budgets (budget.go), deterministic
-// fan-out helpers, and a concurrency-safe memoizing partition cache
-// (cache.go).
+// discovery algorithms: a bounded worker pool with context cancellation,
+// built from one execution config (exec.go), per-run resource budgets
+// (budget.go), deterministic fan-out helpers, and a concurrency-safe
+// memoizing partition cache (cache.go).
 //
 // The paper's Fig 3 places FD/CFD/OD/DC discovery in the
 // exponential-lattice difficulty band; the engine lets each level or
@@ -26,7 +26,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -84,11 +83,11 @@ func SetTaskHook(h TaskHook) (restore func()) {
 	return func() { taskHook.Store(prev) }
 }
 
-// Pool is a bounded worker pool. A Pool with one worker executes every
-// task inline on the submitting goroutine — the exact sequential legacy
-// path, with no goroutines and no channel traffic — so algorithms can use
-// one code path for both modes. Budgets (deadline, max tasks) are honored
-// in both modes.
+// Pool is a bounded worker pool, built by Exec.Pool. A Pool with one
+// worker executes every task inline on the submitting goroutine — the
+// exact sequential legacy path, with no goroutines and no channel
+// traffic — so algorithms can use one code path for both modes.
+// Budgets (deadline, max tasks) are honored in both modes.
 //
 // Tasks submitted to the same Pool must not themselves submit to that
 // Pool: with every worker blocked on a full queue the pool would deadlock.
@@ -110,9 +109,9 @@ type Pool struct {
 	closed bool
 
 	// maxTasks caps Reserve'd task executions (0 = unlimited); used is
-	// the running total.
+	// the running total, shared by every pool of one run (Exec.Share).
 	maxTasks int64
-	used     atomic.Int64
+	used     *atomic.Int64
 
 	failMu  sync.Mutex
 	failure error
@@ -128,81 +127,6 @@ type Pool struct {
 	cAborted    *obs.Counter
 	cCancelled  *obs.Counter
 	cBudgetTrip *obs.Counter
-}
-
-// New creates a pool with the given number of workers and a default
-// bounded queue. workers <= 0 selects runtime.NumCPU(); workers == 1 is
-// the inline sequential mode.
-func New(workers int) *Pool {
-	return NewContext(context.Background(), workers, 0)
-}
-
-// NewContext creates a pool whose tasks observe ctx: once ctx is
-// cancelled, queued-but-unstarted tasks become no-ops and Submit returns
-// the context error. queue bounds the number of submitted-but-unstarted
-// tasks (<= 0 selects 2×workers).
-func NewContext(ctx context.Context, workers, queue int) *Pool {
-	return NewBudgeted(ctx, workers, queue, Budget{})
-}
-
-// NewBudgeted is NewContext with a per-run Budget: a nonzero Timeout
-// imposes a wall-clock deadline on the pool's context, and a nonzero
-// MaxTasks bounds the total tasks the pool will run (enforced through
-// Reserve, which every fan-out helper calls). MaxCacheBytes is not
-// enforced by the pool; pass it to NewPartitionCacheBudget.
-func NewBudgeted(ctx context.Context, workers, queue int, b Budget) *Pool {
-	return NewObserved(ctx, workers, queue, b, nil)
-}
-
-// NewObserved is NewBudgeted with an optional metrics registry. A non-nil
-// registry receives the pool's task counters (engine.tasks.*) and the
-// per-task latency histogram engine.task.seconds; those counters are
-// pre-registered so a snapshot lists them even when zero. Observation
-// never feeds back into scheduling, so a pool with a registry runs the
-// same task sequence as one without (reg == nil is the exact legacy
-// path).
-func NewObserved(ctx context.Context, workers, queue int, b Budget, reg *obs.Registry) *Pool {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if queue <= 0 {
-		queue = 2 * workers
-	}
-	var cancel context.CancelFunc
-	if b.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, b.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	p := &Pool{
-		workers:  workers,
-		tasks:    make(chan func(), queue),
-		ctx:      ctx,
-		cancel:   cancel,
-		maxTasks: b.MaxTasks,
-		obs:      reg,
-	}
-	if reg != nil {
-		p.taskSec = reg.Histogram("engine.task.seconds")
-		p.cCompleted = reg.Counter("engine.tasks.completed")
-		p.cPanicked = reg.Counter("engine.tasks.panicked")
-		p.cAborted = reg.Counter("engine.tasks.aborted")
-		p.cCancelled = reg.Counter("engine.tasks.cancelled")
-		p.cBudgetTrip = reg.Counter("engine.budget.max_tasks_trips")
-		reg.Gauge("engine.workers").Set(int64(workers))
-	}
-	if workers > 1 {
-		p.wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer p.wg.Done()
-				for task := range p.tasks {
-					task()
-				}
-			}()
-		}
-	}
-	return p
 }
 
 // Workers returns the pool's worker count.

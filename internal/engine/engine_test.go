@@ -9,7 +9,7 @@ import (
 )
 
 func TestPoolInlineSingleWorker(t *testing.T) {
-	p := New(1)
+	p := Exec{Workers: 1}.Pool(context.Background())
 	defer p.Close()
 	if p.Workers() != 1 {
 		t.Fatalf("Workers() = %d, want 1", p.Workers())
@@ -25,7 +25,7 @@ func TestPoolInlineSingleWorker(t *testing.T) {
 }
 
 func TestPoolForEachCoversAllIndices(t *testing.T) {
-	p := New(4)
+	p := Exec{Workers: 4}.Pool(context.Background())
 	defer p.Close()
 	const n = 1000
 	var hits [n]int32
@@ -41,7 +41,7 @@ func TestPoolForEachCoversAllIndices(t *testing.T) {
 
 func TestMapIsPositional(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		p := New(workers)
+		p := Exec{Workers: workers}.Pool(context.Background())
 		out := Map(p, 100, func(i int) int { return i * i })
 		p.Close()
 		for i, v := range out {
@@ -53,16 +53,16 @@ func TestMapIsPositional(t *testing.T) {
 }
 
 func TestPoolDefaultsWorkers(t *testing.T) {
-	p := New(0)
+	p := Exec{}.Pool(context.Background())
 	defer p.Close()
-	if p.Workers() < 1 {
-		t.Fatalf("Workers() = %d, want >= 1", p.Workers())
+	if p.Workers() != 1 {
+		t.Fatalf("Workers() = %d, want 1", p.Workers())
 	}
 }
 
 func TestPoolCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := NewContext(ctx, 2, 1)
+	p := Exec{Workers: 2}.Pool(ctx)
 	defer p.Close()
 
 	var started sync.WaitGroup
@@ -93,7 +93,7 @@ func TestPoolCancellation(t *testing.T) {
 }
 
 func TestPoolCancelMidFlight(t *testing.T) {
-	p := NewContext(context.Background(), 2, 2)
+	p := Exec{Workers: 2}.Pool(context.Background())
 	defer p.Close()
 	var ran int32
 	done := make(chan struct{})
@@ -118,7 +118,7 @@ func TestPoolCancelMidFlight(t *testing.T) {
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {
-	p := New(4)
+	p := Exec{Workers: 4}.Pool(context.Background())
 	p.ForEach(10, func(int) {})
 	p.Close()
 	p.Close()

@@ -9,11 +9,8 @@ import (
 	"strconv"
 	"time"
 
-	"deptree/internal/deps/fd"
-	"deptree/internal/discovery/registry"
 	"deptree/internal/engine"
 	"deptree/internal/jobs"
-	"deptree/internal/relation"
 )
 
 // maxJobWait caps a GET /v1/jobs/{id}?wait= long-poll so a client cannot
@@ -43,20 +40,17 @@ type JobRequest struct {
 	RunKnobs
 }
 
-// runJob executes one job attempt through the same admission gate and
-// run-and-render path the synchronous endpoints use, so a job's complete
-// result is byte-identical to the equivalent direct request. Admission
+// runJob executes one job attempt through the same prepare step,
+// admission gate and kind switch the synchronous endpoints use, so a
+// job's complete result is byte-identical to the equivalent direct
+// request. Admission
 // saturation is backpressure (the manager re-queues with growing backoff
 // and never burns retry budget — the queue exists to absorb exactly that
 // spike); malformed specs and run errors are terminal.
 func (s *Server) runJob(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
-	rel, err := relation.ReadCSVAuto("job", []byte(spec.CSV), relation.Limits{
-		MaxBytes:      s.cfg.MaxInputBytes,
-		MaxRows:       s.cfg.MaxRows,
-		MaxFieldBytes: s.cfg.MaxFieldBytes,
-	})
-	if err != nil {
-		return jobs.Result{}, fmt.Errorf("invalid csv: %w", err)
+	t, e := s.prepare("job", spec)
+	if e != nil {
+		return jobs.Result{}, e
 	}
 	weight := s.adm.clampWeight(int64(spec.Workers))
 	if err := s.adm.acquire(ctx, weight); err != nil {
@@ -68,44 +62,15 @@ func (s *Server) runJob(ctx context.Context, spec jobs.Spec) (jobs.Result, error
 	}
 	defer s.adm.release(weight)
 
-	p := RunParams{
+	_, res, err := t.run(ctx, RunParams{
 		Workers: spec.Workers,
 		Budget: engine.Budget{
 			Timeout:  time.Duration(spec.TimeoutMs) * time.Millisecond,
 			MaxTasks: spec.MaxTasks,
 		},
-		MaxErr:     spec.MaxErr,
-		SampleRows: spec.SampleRows,
-		SampleSeed: spec.SampleSeed,
-		Obs:        s.reg,
-	}
-	switch spec.Kind {
-	case "discover":
-		out, err := RunDiscover(ctx, rel, spec.Algo, p)
-		if err != nil {
-			return jobs.Result{}, err
-		}
-		return jobs.Result{Lines: out.Lines, Partial: out.Partial, Reason: out.Reason}, nil
-	case "validate":
-		fds, err := ParseFDList(rel.Schema(), spec.FDs)
-		if err != nil {
-			return jobs.Result{}, err
-		}
-		out := RunValidate(ctx, rel, fds, p)
-		return jobs.Result{Report: out.Text(), Partial: out.Partial, Reason: out.Reason}, nil
-	case "repair":
-		f, err := ParseFD(rel.Schema(), spec.FD)
-		if err != nil {
-			return jobs.Result{}, err
-		}
-		out, rerr := RunRepair(ctx, rel, []fd.FD{f}, p)
-		if rerr != nil {
-			return jobs.Result{}, rerr
-		}
-		return jobs.Result{CSV: out.CSV, Changes: out.Changes, Partial: out.Partial, Reason: out.Reason}, nil
-	default:
-		return jobs.Result{}, fmt.Errorf("unknown job kind %q", spec.Kind)
-	}
+		Obs: s.reg,
+	})
+	return res, err
 }
 
 // jobsOrFail returns the manager or writes the 503 explaining why the
@@ -150,56 +115,19 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		fail(e)
 		return
 	}
-	switch req.Kind {
-	case "discover":
-		if !validAlgo[req.Algo] {
-			fail(&apiError{status: http.StatusNotFound, code: "unknown_algo",
-				msg: fmt.Sprintf("unknown algorithm %q (want one of %v)", req.Algo, Algorithms())})
-			return
-		}
-		if req.SampleRows > 0 {
-			if a, ok := registry.Lookup(req.Algo); !ok || !a.Sampling {
-				fail(&apiError{status: http.StatusBadRequest, code: "sampling_unsupported",
-					msg: fmt.Sprintf("algorithm %q does not support sample-then-verify (sample_rows)", req.Algo)})
-				return
-			}
-		}
-	case "validate", "repair":
-		// Rule specs are parsed below, against the schema.
-	default:
-		fail(&apiError{status: http.StatusBadRequest, code: "invalid_kind",
-			msg: fmt.Sprintf("unknown job kind %q (want discover, validate or repair)", req.Kind)})
-		return
-	}
-	// Malformed input is a terminal submit-time rejection, never a
-	// queued job: parse the CSV (under the server's ingestion limits)
-	// and the rule specs now.
-	rel, e := s.parseCSV("job", req.CSV)
-	if e != nil {
-		fail(e)
-		return
-	}
-	switch req.Kind {
-	case "validate":
-		if _, err := ParseFDList(rel.Schema(), req.FDs); err != nil {
-			fail(&apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()})
-			return
-		}
-	case "repair":
-		if _, err := ParseFD(rel.Schema(), req.FD); err != nil {
-			fail(&apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()})
-			return
-		}
-	}
-	bs := s.resolveBudget(req.RunKnobs, r.Header)
 	spec := jobs.Spec{
 		Kind: req.Kind, Algo: req.Algo, CSV: req.CSV,
 		FDs: req.FDs, FD: req.FD, MaxErr: req.MaxErr,
 		SampleRows: req.SampleRows, SampleSeed: req.SampleSeed,
-		Workers:   bs.workers,
-		TimeoutMs: bs.timeout.Milliseconds(),
-		MaxTasks:  bs.maxTasks,
 	}
+	// Malformed input is a terminal submit-time rejection, never a
+	// queued job.
+	if _, e := s.prepare("job", spec); e != nil {
+		fail(e)
+		return
+	}
+	bs := s.resolveBudget(req.RunKnobs, r.Header)
+	spec.Workers, spec.TimeoutMs, spec.MaxTasks = bs.workers, bs.timeout.Milliseconds(), bs.maxTasks
 	v, err := m.Submit(spec, r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		switch {

@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"time"
 
+	"deptree/internal/deps/fd"
+	"deptree/internal/discovery/registry"
+	"deptree/internal/jobs"
 	"deptree/internal/relation"
 )
 
@@ -125,25 +128,92 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *ap
 	return nil
 }
 
+// task is one prepared run: a checked kind and algorithm, the parsed
+// relation and FD rules, and the run options the request fixed.
+type task struct {
+	kind, algo string
+	rel        *relation.Relation
+	fds        []fd.FD
+	maxErr     float64
+	sampleRows int
+	sampleSeed int64
+}
+
+// prepare is the one input check of the sync endpoints, job submission
+// and the job runner, so all of them accept and reject the same
+// requests with the same codes. It checks the kind, the algorithm and
+// its sampling support, then parses the CSV under the server's ingestion
+// limits and the FD specs against its schema. The spec's budget fields
+// are ignored: each caller resolves its own.
+func (s *Server) prepare(name string, spec jobs.Spec) (task, *apiError) {
+	switch spec.Kind {
+	case "discover":
+		a, ok := registry.Lookup(spec.Algo)
+		if !ok {
+			return task{}, unknownAlgo(spec.Algo)
+		}
+		if spec.SampleRows > 0 && !a.Sampling {
+			return task{}, &apiError{status: http.StatusBadRequest, code: "sampling_unsupported",
+				msg: fmt.Sprintf("algorithm %q does not support sample-then-verify (sample_rows)", spec.Algo)}
+		}
+	case "validate", "repair":
+	default:
+		return task{}, &apiError{status: http.StatusBadRequest, code: "invalid_kind",
+			msg: fmt.Sprintf("unknown job kind %q (want discover, validate or repair)", spec.Kind)}
+	}
+	rel, e := s.parseCSV(name, spec.CSV)
+	if e != nil {
+		return task{}, e
+	}
+	var err error
+	t := task{kind: spec.Kind, algo: spec.Algo, rel: rel,
+		maxErr: spec.MaxErr, sampleRows: spec.SampleRows, sampleSeed: spec.SampleSeed}
+	switch spec.Kind {
+	case "validate":
+		t.fds, err = ParseFDList(rel.Schema(), spec.FDs)
+	case "repair":
+		var f fd.FD
+		f, err = ParseFD(rel.Schema(), spec.FD)
+		t.fds = []fd.FD{f}
+	}
+	if err != nil {
+		return task{}, &apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()}
+	}
+	return t, nil
+}
+
+// unknownAlgo is the 404 for an algorithm name outside the registry.
+func unknownAlgo(algo string) *apiError {
+	return &apiError{status: http.StatusNotFound, code: "unknown_algo",
+		msg: fmt.Sprintf("unknown algorithm %q (want one of %v)", algo, Algorithms())}
+}
+
 // parseCSV turns a request's inline CSV into a typed relation under the
 // server's ingestion limits, mapping failures to 400/413.
 func (s *Server) parseCSV(name, csv string) (*relation.Relation, *apiError) {
 	if csv == "" {
 		return nil, &apiError{status: http.StatusBadRequest, code: "missing_csv", msg: "csv field is required"}
 	}
-	rel, err := relation.ReadCSVAuto(name, []byte(csv), relation.Limits{
-		MaxBytes:      s.cfg.MaxInputBytes,
-		MaxRows:       s.cfg.MaxRows,
-		MaxFieldBytes: s.cfg.MaxFieldBytes,
-	})
+	rel, err := relation.ReadCSVAuto(name, []byte(csv), s.limits())
 	if err != nil {
-		var tooLarge *relation.ErrInputTooLarge
-		if errors.As(err, &tooLarge) {
-			return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large", msg: err.Error()}
-		}
-		return nil, &apiError{status: http.StatusBadRequest, code: "invalid_csv", msg: err.Error()}
+		return nil, ingestError(err)
 	}
 	return rel, nil
+}
+
+// limits are the server's CSV ingestion limits.
+func (s *Server) limits() relation.Limits {
+	return relation.Limits{MaxBytes: s.cfg.MaxInputBytes, MaxRows: s.cfg.MaxRows, MaxFieldBytes: s.cfg.MaxFieldBytes}
+}
+
+// ingestError maps a CSV read failure to 413 when a limit tripped and to
+// 400 otherwise.
+func ingestError(err error) *apiError {
+	var tooLarge *relation.ErrInputTooLarge
+	if errors.As(err, &tooLarge) {
+		return &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large", msg: err.Error()}
+	}
+	return &apiError{status: http.StatusBadRequest, code: "invalid_csv", msg: err.Error()}
 }
 
 // headerInt reads a nonnegative integer header, 0 when absent or

@@ -39,8 +39,6 @@ import (
 	"deptree/internal/deps"
 	"deptree/internal/deps/fd"
 	"deptree/internal/discovery/registry"
-	"deptree/internal/engine"
-	"deptree/internal/obs"
 	"deptree/internal/relation"
 )
 
@@ -57,51 +55,12 @@ var ErrSamplingUnsupported = errors.New("server: sampling not supported")
 // registry, in the order the CLI documents the names.
 func Algorithms() []string { return registry.Names() }
 
-// RunParams carries the execution knobs shared by every runner.
-type RunParams struct {
-	// Workers is the engine worker count (<= 0 selects 1).
-	Workers int
-	// Budget bounds the run; exhausted budgets degrade to a Partial
-	// output, never an error.
-	Budget engine.Budget
-	// MaxErr is the g3 budget for approximate FDs (tane only).
-	MaxErr float64
-	// SampleRows > 0 selects sample-then-verify mode on discoverers that
-	// support it: candidates mined on a deterministic SampleRows-row
-	// sample, verified exactly on the full relation before emission.
-	SampleRows int
-	// SampleSeed seeds the deterministic sample permutation.
-	SampleSeed int64
-	// Obs optionally receives the run's metrics; nil is a no-op.
-	Obs *obs.Registry
-}
+// RunParams carries the options shared by every runner: the registry's
+// run options, so a discover run passes them through unchanged.
+type RunParams = registry.RunOptions
 
 // DiscoverOutput is one discovery run rendered as the CLI renders it.
-type DiscoverOutput struct {
-	// Lines holds one rendered dependency per line, in the CLI's order.
-	Lines []string
-	// Partial marks a budget/cancellation/panic-truncated run; Lines is
-	// then the same deterministic prefix the CLI prints.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks",
-	// "cancelled", "panic: ..."); empty when complete.
-	Reason string
-}
-
-// Text renders the output exactly as `deptool discover` writes it to
-// stdout: one dependency per line, then the PARTIAL marker line if the
-// run was truncated.
-func (o DiscoverOutput) Text() string {
-	var b strings.Builder
-	for _, line := range o.Lines {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	if o.Partial {
-		fmt.Fprintf(&b, "PARTIAL: %s\n", o.Reason)
-	}
-	return b.String()
-}
+type DiscoverOutput = registry.Output
 
 // RunDiscover runs one named discoverer over the relation under the
 // params, with the exact option mapping of `deptool discover` (fastdc
@@ -116,15 +75,7 @@ func RunDiscover(ctx context.Context, r *relation.Relation, algo string, p RunPa
 	if p.SampleRows > 0 && !a.Sampling {
 		return DiscoverOutput{}, fmt.Errorf("%w by %q", ErrSamplingUnsupported, algo)
 	}
-	res := a.Run(ctx, r, registry.RunOptions{
-		Workers:    p.Workers,
-		Budget:     p.Budget,
-		MaxErr:     p.MaxErr,
-		SampleRows: p.SampleRows,
-		SampleSeed: p.SampleSeed,
-		Obs:        p.Obs,
-	})
-	return DiscoverOutput{Lines: res.Lines, Partial: res.Partial, Reason: res.Reason}, nil
+	return a.Run(ctx, r, p), nil
 }
 
 // ParseFD parses one "lhs1,lhs2->rhs" spec against a schema.
@@ -196,12 +147,7 @@ func RunValidate(ctx context.Context, r *relation.Relation, fds []fd.FD, p RunPa
 	for i, f := range fds {
 		rules[i] = f
 	}
-	res := detect.RunContext(ctx, r, rules, detect.Options{
-		PerRuleLimit: 20,
-		Workers:      p.Workers,
-		Budget:       p.Budget,
-		Obs:          p.Obs,
-	})
+	res := detect.RunContext(ctx, r, rules, detect.Options{PerRuleLimit: 20, Exec: p.Exec()})
 	var b strings.Builder
 	b.WriteString(detect.Format(res.Reports))
 	for i, f := range fds {
@@ -236,11 +182,7 @@ type RepairOutput struct {
 // RunRepair repairs the FDs' violations by in-class majority vote, the
 // exact path of `deptool repair`.
 func RunRepair(ctx context.Context, r *relation.Relation, fds []fd.FD, p RunParams) (RepairOutput, error) {
-	res := repair.FDRepairContext(ctx, r, fds, repair.Options{
-		Workers: p.Workers,
-		Budget:  p.Budget,
-		Obs:     p.Obs,
-	})
+	res := repair.FDRepairContext(ctx, r, fds, repair.Options{Exec: p.Exec()})
 	var buf bytes.Buffer
 	if err := relation.WriteCSV(res.Repaired, &buf); err != nil {
 		return RepairOutput{}, err

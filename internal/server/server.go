@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deptree/internal/deps/fd"
 	"deptree/internal/discovery/registry"
 	"deptree/internal/engine"
 	"deptree/internal/jobs"
@@ -572,131 +570,105 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string
 	writeResponse(w, r, resp)
 }
 
-// validAlgo is the algorithm-name dispatch set for the discover route.
-var validAlgo = func() map[string]bool {
-	m := make(map[string]bool)
-	for _, a := range Algorithms() {
-		m[a] = true
-	}
-	return m
-}()
-
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	algo := r.PathValue("algo")
-	if !validAlgo[algo] {
+	if _, ok := registry.Lookup(algo); !ok {
 		s.reg.Counter("server.discover.unknown_algo").Inc()
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "unknown_algo",
-			msg: fmt.Sprintf("unknown algorithm %q (want one of %v)", algo, Algorithms())})
+		writeAPIError(w, unknownAlgo(algo))
 		return
 	}
 	var req DiscoverRequest
-	if e := s.decodeBody(w, r, &req); e != nil {
-		s.reg.Counter("server.discover." + algo + ".errors").Inc()
+	s.serveSync(w, r, "discover."+algo, &req, func() (jobs.Spec, RunKnobs) {
+		return jobs.Spec{Kind: "discover", Algo: algo, CSV: req.CSV, MaxErr: req.MaxErr,
+			SampleRows: req.SampleRows, SampleSeed: req.SampleSeed}, req.RunKnobs
+	})
+}
+
+func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
+	var req ValidateRequest
+	s.serveSync(w, r, "validate", &req, func() (jobs.Spec, RunKnobs) {
+		return jobs.Spec{Kind: "validate", CSV: req.CSV, FDs: req.FDs}, req.RunKnobs
+	})
+}
+
+func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
+	var req RepairRequest
+	s.serveSync(w, r, "repair", &req, func() (jobs.Spec, RunKnobs) {
+		return jobs.Spec{Kind: "repair", CSV: req.CSV, FD: req.FD}, req.RunKnobs
+	})
+}
+
+// serveSync is the pipeline of the synchronous endpoints: decode the
+// body into req, prepare the task that spec builds from it, then run it
+// through guarded and render the reply. Preparing comes before
+// admission, so malformed input never takes an admission slot or feeds
+// the breaker.
+func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, endpoint string, req any,
+	spec func() (jobs.Spec, RunKnobs)) {
+
+	fail := func(e *apiError) {
+		s.reg.Counter("server." + endpoint + ".errors").Inc()
 		writeAPIError(w, e)
+	}
+	if e := s.decodeBody(w, r, req); e != nil {
+		fail(e)
 		return
 	}
-	rel, e := s.parseCSV("request", req.CSV)
+	sp, knobs := spec()
+	t, e := s.prepare("request", sp)
 	if e != nil {
-		s.reg.Counter("server.discover." + algo + ".errors").Inc()
-		writeAPIError(w, e)
+		fail(e)
 		return
 	}
-	// Sampling on an unsupported discoverer is a client error: reject it
-	// before the guarded pipeline so it never feeds the breaker.
-	if req.SampleRows > 0 {
-		if a, ok := registry.Lookup(algo); !ok || !a.Sampling {
-			s.reg.Counter("server.discover." + algo + ".errors").Inc()
-			writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "sampling_unsupported",
-				msg: fmt.Sprintf("algorithm %q does not support sample-then-verify (sample_rows)", algo)})
-			return
-		}
-	}
-	spec := s.resolveBudget(req.RunKnobs, r.Header)
-	s.guarded(w, r, "discover."+algo, spec, func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-		p.MaxErr = req.MaxErr
-		p.SampleRows = req.SampleRows
-		p.SampleSeed = req.SampleSeed
-		out, err := RunDiscover(ctx, rel, algo, p)
+	s.guarded(w, r, endpoint, s.resolveBudget(knobs, r.Header), func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
+		resp, res, err := t.run(ctx, p)
 		if err != nil {
-			if errors.Is(err, ErrSamplingUnsupported) {
-				return nil, false, "", &apiError{status: http.StatusBadRequest, code: "sampling_unsupported", msg: err.Error()}
-			}
-			return nil, false, "", &apiError{status: http.StatusNotFound, code: "unknown_algo", msg: err.Error()}
+			// prepare has checked the algorithm, so only the repair
+			// encoder can fail here.
+			return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "encode_failed", msg: err.Error()}
+		}
+		return resp, res.Partial, res.Reason, nil
+	})
+}
+
+// run executes a prepared task under the execution knobs in p and
+// returns its output in both served forms: the sync reply and the job
+// result. It is the one kind switch behind the sync endpoints and the
+// job runner.
+func (t task) run(ctx context.Context, p RunParams) (response, jobs.Result, error) {
+	p.MaxErr, p.SampleRows, p.SampleSeed = t.maxErr, t.sampleRows, t.sampleSeed
+	switch t.kind {
+	case "discover":
+		out, err := RunDiscover(ctx, t.rel, t.algo, p)
+		if err != nil {
+			return nil, jobs.Result{}, err
 		}
 		results := out.Lines
 		if results == nil {
 			results = []string{}
 		}
 		return discoverResponse{
-			Algo: algo, Count: len(out.Lines), Results: results,
-			Partial: out.Partial, Reason: out.Reason, out: out,
-		}, out.Partial, out.Reason, nil
-	})
-}
-
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "validate"
-	var req ValidateRequest
-	if e := s.decodeBody(w, r, &req); e != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-		return
-	}
-	rel, e := s.parseCSV("request", req.CSV)
-	if e != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-		return
-	}
-	fds, err := ParseFDList(rel.Schema(), req.FDs)
-	if err != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()})
-		return
-	}
-	spec := s.resolveBudget(req.RunKnobs, r.Header)
-	s.guarded(w, r, endpoint, spec, func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-		out := RunValidate(ctx, rel, fds, p)
+				Algo: t.algo, Count: len(out.Lines), Results: results,
+				Partial: out.Partial, Reason: out.Reason, out: out,
+			},
+			jobs.Result{Lines: out.Lines, Partial: out.Partial, Reason: out.Reason}, nil
+	case "validate":
+		out := RunValidate(ctx, t.rel, t.fds, p)
 		return validateResponse{
-			Report: out.Report, Checked: out.Completed, Rules: out.Rules,
-			Partial: out.Partial, Reason: out.Reason, out: out,
-		}, out.Partial, out.Reason, nil
-	})
-}
-
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "repair"
-	var req RepairRequest
-	if e := s.decodeBody(w, r, &req); e != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-		return
-	}
-	rel, e := s.parseCSV("request", req.CSV)
-	if e != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-		return
-	}
-	f, err := ParseFD(rel.Schema(), req.FD)
-	if err != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()})
-		return
-	}
-	spec := s.resolveBudget(req.RunKnobs, r.Header)
-	s.guarded(w, r, endpoint, spec, func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-		out, rerr := RunRepair(ctx, rel, []fd.FD{f}, p)
-		if rerr != nil {
-			return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "encode_failed", msg: rerr.Error()}
+				Report: out.Report, Checked: out.Completed, Rules: out.Rules,
+				Partial: out.Partial, Reason: out.Reason, out: out,
+			},
+			jobs.Result{Report: out.Text(), Partial: out.Partial, Reason: out.Reason}, nil
+	default: // "repair"
+		out, err := RunRepair(ctx, t.rel, t.fds, p)
+		if err != nil {
+			return nil, jobs.Result{}, err
 		}
 		changes := out.Changes
 		if changes == nil {
 			changes = []string{}
 		}
-		return repairResponse{
-			CSV: out.CSV, Changes: changes,
-			Partial: out.Partial, Reason: out.Reason,
-		}, out.Partial, out.Reason, nil
-	})
+		return repairResponse{CSV: out.CSV, Changes: changes, Partial: out.Partial, Reason: out.Reason},
+			jobs.Result{CSV: out.CSV, Changes: out.Changes, Partial: out.Partial, Reason: out.Reason}, nil
+	}
 }

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 
+	"deptree/internal/discovery/registry"
 	"deptree/internal/obs"
 	"deptree/internal/relation"
 	"deptree/internal/stream"
@@ -298,10 +299,9 @@ func streamEndpoints() []string {
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	algo := r.PathValue("algo")
-	if !validAlgo[algo] {
+	if _, ok := registry.Lookup(algo); !ok {
 		s.reg.Counter("server.stream.unknown_algo").Inc()
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "unknown_algo",
-			msg: fmt.Sprintf("unknown algorithm %q (want one of %v)", algo, Algorithms())})
+		writeAPIError(w, unknownAlgo(algo))
 		return
 	}
 	if !stream.Supported(algo) {
@@ -423,17 +423,9 @@ func (s *Server) parseStreamBatch(schema *relation.Schema, csv string) ([][]rela
 	for i := range kinds {
 		kinds[i] = schema.Attr(i).Kind
 	}
-	rel, err := relation.ReadCSVLimits("batch", strings.NewReader(csv), kinds, relation.Limits{
-		MaxBytes:      s.cfg.MaxInputBytes,
-		MaxRows:       s.cfg.MaxRows,
-		MaxFieldBytes: s.cfg.MaxFieldBytes,
-	})
+	rel, err := relation.ReadCSVLimits("batch", strings.NewReader(csv), kinds, s.limits())
 	if err != nil {
-		var tooLarge *relation.ErrInputTooLarge
-		if errors.As(err, &tooLarge) {
-			return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large", msg: err.Error()}
-		}
-		return nil, &apiError{status: http.StatusBadRequest, code: "invalid_csv", msg: err.Error()}
+		return nil, ingestError(err)
 	}
 	for i := 0; i < schema.Len(); i++ {
 		if got := rel.Schema().Attr(i).Name; got != schema.Attr(i).Name {

@@ -67,13 +67,13 @@ func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, fp string, op
 	var fds []fd.FD
 	switch e.algo {
 	case "tane":
-		res := tane.DiscoverContext(ctx, r, tane.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: opts.Obs})
+		res := tane.DiscoverContext(ctx, r, tane.Options{Exec: opts.exec()})
 		if res.Partial {
 			return true, res.Reason
 		}
 		fds = res.FDs
 	default:
-		res := fastfd.DiscoverContext(ctx, r, fastfd.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: opts.Obs})
+		res := fastfd.DiscoverContext(ctx, r, fastfd.Options{Exec: opts.exec()})
 		if res.Partial {
 			return true, res.Reason
 		}
@@ -222,11 +222,7 @@ func uniformAll(r *relation.Relation, p *partition.Partition, a int) bool {
 // seeds. Completion clears that RHS's seeds; a budget stop keeps them
 // and reports partial, with everything committed so far final.
 func (e *fdEngine) rediscover(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	pool := engine.NewObserved(ctx, workers, 0, opts.Budget, opts.Obs)
+	pool := opts.exec().Pool(ctx)
 	defer pool.Close()
 	cols := r.Cols()
 	rhs := make([]int, 0, len(e.seeds))

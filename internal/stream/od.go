@@ -41,7 +41,7 @@ func (e *odEngine) Lines() []string {
 }
 
 func (e *odEngine) Init(ctx context.Context, r *relation.Relation, fp string, opts Options) (bool, string) {
-	st, res := oddisc.NewStream(ctx, r, oddisc.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: opts.Obs})
+	st, res := oddisc.NewStream(ctx, r, oddisc.Options{Exec: opts.exec()})
 	if st == nil {
 		return true, res.Reason
 	}
@@ -85,7 +85,7 @@ type lexEngine struct {
 func (e *lexEngine) Lines() []string { return renderLines(e.held) }
 
 func (e *lexEngine) Init(ctx context.Context, r *relation.Relation, fp string, opts Options) (bool, string) {
-	res := oddisc.DiscoverLexContext(ctx, r, oddisc.LexOptions{Workers: opts.Workers, Budget: opts.Budget, Obs: opts.Obs})
+	res := oddisc.DiscoverLexContext(ctx, r, oddisc.LexOptions{Exec: opts.exec()})
 	if res.Partial {
 		return true, res.Reason
 	}
@@ -132,11 +132,7 @@ func (e *lexEngine) Sync(ctx context.Context, r *relation.Relation, fp string, o
 // valid later); a budget stop keeps them, with the committed additions
 // final for the same antitone reason as in fdEngine.
 func (e *lexEngine) rediscover(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	pool := engine.NewObserved(ctx, workers, 0, opts.Budget, opts.Obs)
+	pool := opts.exec().Pool(ctx)
 	defer pool.Close()
 	heldKey := make(map[string]bool, len(e.held))
 	for _, o := range e.held {
@@ -157,7 +153,7 @@ func (e *lexEngine) rediscover(ctx context.Context, r *relation.Relation, opts O
 		}
 	}
 	hits, done, err := engine.MapBudget(pool, len(cands), lexStripe, func(i int) bool {
-		return cands[i].Holds(r)
+		return oddisc.LexHolds(pool, r, cands[i])
 	})
 	for i := 0; i < done; i++ {
 		if hits[i] {

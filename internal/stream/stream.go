@@ -63,6 +63,11 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// exec passes o's knobs down as an engine.Exec; Budget stays per sync.
+func (o Options) exec() engine.Exec {
+	return engine.Exec{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs}
+}
+
 // BatchResult reports one AppendBatch (or Revalidate) outcome.
 type BatchResult struct {
 	// Seq is the number of accepted non-empty batches so far.
