@@ -6,11 +6,11 @@
 //
 // The design is event-sourced: every state transition is one appended
 // Record, and a Manager is just the fold of its store's records. The
-// in-memory store keeps the records in a slice; the WAL store appends
-// them as JSONL with batched fsync (wal.go). On restart the manager
-// replays the store, re-enqueues every job that was queued or running
-// at crash time in its original submission order, and serves completed
-// results without recompute.
+// in-memory store keeps the records in a slice; the WAL store encodes
+// each as JSON inside one internal/wal frame, with batched fsync
+// (wal.go). On restart the manager replays the store, re-enqueues every
+// job that was queued or running at crash time in its original
+// submission order, and serves completed results without recompute.
 //
 // Failure taxonomy (DESIGN.md "Job lifecycle, WAL format & crash
 // recovery"):
@@ -37,7 +37,6 @@
 package jobs
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -97,25 +96,41 @@ type Spec struct {
 	Workers   int   `json:"workers,omitempty"`
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	MaxTasks  int64 `json:"max_tasks,omitempty"`
+
+	// Rel, when set, is CSV already parsed by the submitter. It lives
+	// only in memory and never reaches a store: Submit fingerprints it
+	// instead of parsing CSV again, the job hands it to each attempt,
+	// and drops it at its terminal state. A job replayed from the WAL
+	// runs without it and parses CSV itself. Runs must treat it as
+	// read-only, because a retried attempt reuses it.
+	Rel *relation.Relation `json:"-"`
 }
 
 // Fingerprint returns the content-addressed identity of the spec's
 // dataset: the SHA-256 of the canonical CSV encoding (parse then
 // re-encode), so two submissions of the same relation in different
-// surface formatting share one fingerprint. Unparsable CSV is an error:
-// malformed input is a terminal submit-time rejection, never a queued
-// job.
+// surface formatting share one fingerprint. A set Rel is hashed as is,
+// without parsing CSV again. Unparsable CSV is an error: malformed input
+// is a terminal submit-time rejection, never a queued job.
 func (s Spec) Fingerprint() (string, error) {
-	rel, err := relation.ReadCSVAuto("job", []byte(s.CSV), relation.Limits{})
-	if err != nil {
+	rel := s.Rel
+	if rel == nil {
+		var err error
+		if rel, err = relation.ReadCSVAuto("job", []byte(s.CSV), relation.Limits{}); err != nil {
+			return "", fmt.Errorf("jobs: fingerprint: %w", err)
+		}
+	}
+	return FingerprintRelation(rel)
+}
+
+// FingerprintRelation is the dataset fingerprint of a parsed relation:
+// its canonical CSV encoding streamed straight into SHA-256.
+func FingerprintRelation(rel *relation.Relation) (string, error) {
+	h := sha256.New()
+	if err := relation.WriteCSV(rel, h); err != nil {
 		return "", fmt.Errorf("jobs: fingerprint: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := relation.WriteCSV(rel, &buf); err != nil {
-		return "", fmt.Errorf("jobs: fingerprint: %w", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // CacheKey is the result-cache key for the spec under the given dataset

@@ -10,6 +10,7 @@ import (
 
 	"deptree/internal/engine"
 	"deptree/internal/obs"
+	"deptree/internal/relation"
 )
 
 // RunFunc executes one job attempt. The serving layer supplies it (the
@@ -97,6 +98,10 @@ type job struct {
 	fingerprint string
 	idemKey     string
 	cacheHit    bool
+	// rel is the submitter's parsed relation (Spec.Rel), handed to every
+	// attempt until the job turns terminal. Nil for cache hits and for
+	// jobs replayed from the store, whose runs parse the CSV.
+	rel *relation.Relation
 
 	state    State
 	attempts int // execution starts (informational, persisted)
@@ -323,12 +328,16 @@ func (m *Manager) isDraining() bool {
 // the idempotency key was seen before, or an already-done job when the
 // result cache holds a complete result for the spec's (fingerprint,
 // kind, algo, params) key. The returned View reflects the state at
-// return (queued, or a terminal cache/idempotency hit).
+// return (queued, or a terminal cache/idempotency hit). A set spec.Rel
+// is fingerprinted in place of parsing the CSV, and a queued job keeps
+// it for its runs.
 func (m *Manager) Submit(spec Spec, idemKey string) (View, error) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		return View{}, err
 	}
+	rel := spec.Rel
+	spec.Rel = nil
 	m.mu.Lock()
 	if m.closed || m.isDraining() {
 		m.mu.Unlock()
@@ -372,6 +381,7 @@ func (m *Manager) Submit(spec Spec, idemKey string) (View, error) {
 		return View{}, ErrQueueFull
 	}
 	j := m.newJobLocked(spec, fp, idemKey)
+	j.rel = rel
 	rec := Record{Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &j.spec, Fingerprint: fp, IdemKey: idemKey}
 	// Persist before exposing: a crash between the append and the
 	// enqueue replays the job from the submit record. The store append
@@ -488,6 +498,7 @@ func (m *Manager) Cancel(id string) (View, error) {
 	j.cancelRequested = true
 	if j.state == StateQueued {
 		j.state = StateCancelled
+		j.rel = nil
 		m.nQueued--
 		m.gQueued.Set(int64(m.nQueued))
 		close(j.done)
@@ -639,6 +650,8 @@ func (m *Manager) runJob(j *job) {
 		m.nQueued--
 		jctx, cancelRun := context.WithCancel(m.runCtx)
 		j.cancelRun = cancelRun
+		spec := j.spec
+		spec.Rel = j.rel
 		wait := time.Since(j.enqueuedAt).Seconds()
 		m.gQueued.Set(int64(m.nQueued))
 		m.mu.Unlock()
@@ -650,7 +663,7 @@ func (m *Manager) runJob(j *job) {
 		if runErr == nil {
 			m.bumpAppends(1)
 			start := time.Now()
-			res, runErr = m.cfg.Run(jctx, j.spec)
+			res, runErr = m.cfg.Run(jctx, spec)
 			m.hRunSec.Observe(time.Since(start).Seconds())
 		} else {
 			m.cWALAppendErrs.Inc()
@@ -750,6 +763,7 @@ func (m *Manager) finalize(j *job, state State, res *Result, reason string) {
 	j.state = state
 	j.result = res
 	j.reason = reason
+	j.rel = nil
 	if state == StateDone && res != nil && !res.Partial {
 		m.cache[j.spec.CacheKey(j.fingerprint)] = res
 	}

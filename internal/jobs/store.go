@@ -22,11 +22,11 @@ const (
 	RecCancel RecordType = "cancel"
 )
 
-// Record is one appended state transition. The WAL serializes records
-// as JSONL, one per line; replay folds them back into jobs in Seq
-// order. Wall-clock times are deliberately absent — replay must be
-// deterministic, and the API's informational timestamps live only in
-// memory.
+// Record is one appended state transition. The WAL serializes each
+// record as JSON in one internal/wal frame; replay folds them back into
+// jobs in Seq order. Wall-clock times are deliberately absent — replay
+// must be deterministic, and the API's informational timestamps live
+// only in memory.
 type Record struct {
 	Type RecordType `json:"type"`
 	// ID names the job every record but submit refers back to.

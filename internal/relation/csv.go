@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -229,7 +230,8 @@ func checkFields(rec []string, lim Limits) error {
 // single type-inference path shared by the deptool CLI and the server's
 // request decoder, so a relation posted to the server types identically
 // to the same bytes read from a file. The CSV is decoded once, as
-// strings; the numeric columns are then converted in place.
+// strings; the numeric columns are then converted in place from the
+// floats the inference pass already parsed, so no cell parses twice.
 func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
 	if lim.MaxBytes > 0 && int64(len(data)) > lim.MaxBytes {
 		return nil, fmt.Errorf("relation: read CSV: %w",
@@ -240,23 +242,28 @@ func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
 		return nil, err
 	}
 	attrs := make([]Attribute, raw.Cols())
+	nums := make([]float64, raw.Rows()) // one column's parsed floats
 	for c := range attrs {
 		attrs[c] = Attribute{Name: raw.schema.Attr(c).Name, Kind: KindFloat}
 		col := raw.cols[c]
-		for _, v := range col {
+		for row, v := range col {
 			if v.IsNull() {
 				continue
 			}
-			if _, err := Parse(v.Str(), KindFloat); err != nil {
+			f, err := strconv.ParseFloat(v.Str(), 64)
+			if err != nil {
 				attrs[c].Kind = KindString
 				break
 			}
+			nums[row] = f
 		}
 		if attrs[c].Kind == KindFloat {
-			// Every non-null value parsed above, and a null's empty
-			// payload parses to a float null, so this cannot fail.
 			for row, v := range col {
-				col[row], _ = Parse(v.Str(), KindFloat)
+				if v.IsNull() {
+					col[row] = Null(KindFloat)
+				} else {
+					col[row] = Float(nums[row])
+				}
 			}
 		}
 	}
@@ -267,27 +274,22 @@ func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
 // WriteCSV encodes the relation as CSV with a header record.
 func WriteCSV(r *Relation, dst io.Writer) error {
 	cw := csv.NewWriter(dst)
-	writeRecord := func(rec []string, what string) error {
+	writeRecord := func(rec []string) error {
 		// encoding/csv renders a lone empty field as a blank line, which
 		// readers then skip as empty — the record would vanish on a round
 		// trip (found by FuzzCSVRoundTrip). Emit an explicit "" instead.
 		if len(rec) == 1 && rec[0] == "" {
 			cw.Flush()
 			if err := cw.Error(); err != nil {
-				return fmt.Errorf("relation: write CSV %s: %w", what, err)
+				return err
 			}
-			if _, err := io.WriteString(dst, "\"\"\n"); err != nil {
-				return fmt.Errorf("relation: write CSV %s: %w", what, err)
-			}
-			return nil
+			_, err := io.WriteString(dst, "\"\"\n")
+			return err
 		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("relation: write CSV %s: %w", what, err)
-		}
-		return nil
+		return cw.Write(rec)
 	}
-	if err := writeRecord(r.Schema().Names(), "header"); err != nil {
-		return err
+	if err := writeRecord(r.Schema().Names()); err != nil {
+		return fmt.Errorf("relation: write CSV header: %w", err)
 	}
 	rec := make([]string, r.Cols())
 	for i := 0; i < r.Rows(); i++ {
@@ -299,8 +301,8 @@ func WriteCSV(r *Relation, dst io.Writer) error {
 				rec[c] = v.String()
 			}
 		}
-		if err := writeRecord(rec, fmt.Sprintf("row %d", i)); err != nil {
-			return err
+		if err := writeRecord(rec); err != nil {
+			return fmt.Errorf("relation: write CSV row %d: %w", i, err)
 		}
 	}
 	cw.Flush()

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -122,5 +124,38 @@ func TestWriteCSVNulls(t *testing.T) {
 	}
 	if !back.Value(0, 0).IsNull() || !back.Value(0, 1).IsNull() {
 		t.Error("nulls did not round-trip through CSV")
+	}
+}
+
+// TestWriteCSVAllocsIndependentOfRows bounds WriteCSV's allocations on
+// string columns, whose cells render without allocating: a 1000-row
+// relation may allocate no more than a 10-row one, so no per-row cost
+// (such as building an error label for every row) can creep back into
+// the fingerprint and render path.
+func TestWriteCSVAllocsIndependentOfRows(t *testing.T) {
+	build := func(rows int) *Relation {
+		s := NewSchema(Attribute{Name: "name", Kind: KindString}, Attribute{Name: "city", Kind: KindString})
+		r := New("allocs", s)
+		for i := 0; i < rows; i++ {
+			city := Null(KindString)
+			if i%3 != 0 {
+				city = String(fmt.Sprintf("city, %d", i%7))
+			}
+			if err := r.Append([]Value{String(fmt.Sprintf("n%d", i)), city}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	allocs := func(r *Relation) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := WriteCSV(r, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(build(10)), allocs(build(1000))
+	if large > small {
+		t.Fatalf("WriteCSV allocates per row: %v allocs for 10 rows, %v for 1000", small, large)
 	}
 }

@@ -43,10 +43,11 @@ type JobRequest struct {
 // runJob executes one job attempt through the same prepare step,
 // admission gate and kind switch the synchronous endpoints use, so a
 // job's complete result is byte-identical to the equivalent direct
-// request. Admission
-// saturation is backpressure (the manager re-queues with growing backoff
-// and never burns retry budget — the queue exists to absorb exactly that
-// spike); malformed specs and run errors are terminal.
+// request. The attempt reuses the relation parsed at submit and parses
+// the CSV only for a job replayed from the WAL. Admission saturation is
+// backpressure (the manager re-queues with growing backoff and never
+// burns retry budget — the queue exists to absorb exactly that spike);
+// malformed specs and run errors are terminal.
 func (s *Server) runJob(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
 	t, e := s.prepare("job", spec)
 	if e != nil {
@@ -121,11 +122,15 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		SampleRows: req.SampleRows, SampleSeed: req.SampleSeed,
 	}
 	// Malformed input is a terminal submit-time rejection, never a
-	// queued job.
-	if _, e := s.prepare("job", spec); e != nil {
+	// queued job. The parsed relation rides on the spec, so Submit
+	// fingerprints it and the first run reuses it instead of parsing
+	// the CSV again.
+	t, e := s.prepare("job", spec)
+	if e != nil {
 		fail(e)
 		return
 	}
+	spec.Rel = t.rel
 	bs := s.resolveBudget(req.RunKnobs, r.Header)
 	spec.Workers, spec.TimeoutMs, spec.MaxTasks = bs.workers, bs.timeout.Milliseconds(), bs.maxTasks
 	v, err := m.Submit(spec, r.Header.Get("Idempotency-Key"))

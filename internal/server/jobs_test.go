@@ -14,6 +14,7 @@ import (
 
 	"deptree/internal/jobs"
 	"deptree/internal/obs"
+	"deptree/internal/relation"
 )
 
 // submitJob posts a job request and decodes the returned view.
@@ -390,5 +391,74 @@ func TestParseWaitMalformedAndOverflow(t *testing.T) {
 		if got := parseWait(tc.in); got < 0 || got > maxJobWait {
 			t.Errorf("parseWait(%q) = %v outside [0, %v]", tc.in, got, maxJobWait)
 		}
+	}
+}
+
+// TestJobRetryReusesPreparedRelation: a job submitted with its parsed
+// relation hands that one relation to every attempt, and the attempt
+// after a transient failure renders byte-identically to a run that
+// parses the CSV itself, as a WAL-replayed job does. Repair is in the
+// set because it is the kind that writes cells, on its own clone.
+func TestJobRetryReusesPreparedRelation(t *testing.T) {
+	s := New(Config{Workers: 2, Obs: obs.New()})
+	defer s.Close()
+	csv := hotelsCSV(t)
+	for _, spec := range []jobs.Spec{
+		{Kind: "discover", Algo: "tane", CSV: csv, Workers: 2},
+		{Kind: "validate", CSV: csv, FDs: "address->region;region->name", Workers: 2},
+		{Kind: "repair", CSV: csv, FD: "address->region", Workers: 2},
+	} {
+		t.Run(spec.Kind, func(t *testing.T) {
+			want, err := s.runJob(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk, e := s.prepare("job", spec)
+			if e != nil {
+				t.Fatal(e)
+			}
+			spec.Rel = tk.rel
+
+			var rels []*relation.Relation
+			var texts []string
+			m, err := jobs.New(jobs.Config{
+				Runners: 1, RetryBackoff: time.Millisecond, JitterSeed: 1, CompactEvery: -1,
+				Run: func(ctx context.Context, sp jobs.Spec) (jobs.Result, error) {
+					rels = append(rels, sp.Rel)
+					res, err := s.runJob(ctx, sp)
+					if err != nil {
+						return res, err
+					}
+					texts = append(texts, res.Text())
+					if len(rels) == 1 {
+						return jobs.Result{}, jobs.Transient{Err: fmt.Errorf("injected fault")}
+					}
+					return res, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			v, err := m.Submit(spec, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := m.Wait(context.Background(), v.ID, 30*time.Second)
+			if got.State != jobs.StateDone || got.Attempts != 2 {
+				t.Fatalf("job state=%s attempts=%d reason=%q, want done after 2", got.State, got.Attempts, got.Reason)
+			}
+			if len(rels) != 2 || rels[0] != spec.Rel || rels[1] != spec.Rel {
+				t.Fatalf("attempts saw relations %v, want the submitted %p twice", rels, spec.Rel)
+			}
+			for i, text := range texts {
+				if text != want.Text() {
+					t.Fatalf("attempt %d differs from the parsing run:\n%q\nvs\n%q", i+1, text, want.Text())
+				}
+			}
+			if got.Result.Text() != want.Text() {
+				t.Fatal("job result differs from the parsing run")
+			}
+		})
 	}
 }

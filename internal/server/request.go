@@ -143,8 +143,9 @@ type task struct {
 // and the job runner, so all of them accept and reject the same
 // requests with the same codes. It checks the kind, the algorithm and
 // its sampling support, then parses the CSV under the server's ingestion
-// limits and the FD specs against its schema. The spec's budget fields
-// are ignored: each caller resolves its own.
+// limits and the FD specs against its schema; a set spec.Rel stands in
+// for the parse. The spec's budget fields are ignored: each caller
+// resolves its own.
 func (s *Server) prepare(name string, spec jobs.Spec) (task, *apiError) {
 	switch spec.Kind {
 	case "discover":
@@ -161,9 +162,12 @@ func (s *Server) prepare(name string, spec jobs.Spec) (task, *apiError) {
 		return task{}, &apiError{status: http.StatusBadRequest, code: "invalid_kind",
 			msg: fmt.Sprintf("unknown job kind %q (want discover, validate or repair)", spec.Kind)}
 	}
-	rel, e := s.parseCSV(name, spec.CSV)
-	if e != nil {
-		return task{}, e
+	rel := spec.Rel
+	if rel == nil {
+		var e *apiError
+		if rel, e = s.parseCSV(name, spec.CSV); e != nil {
+			return task{}, e
+		}
 	}
 	var err error
 	t := task{kind: spec.Kind, algo: spec.Algo, rel: rel,
