@@ -44,8 +44,9 @@ torture:
 	DEPTREE_TORTURE=1 $(GO) test -race -count=1 -run 'Torture' ./internal/engine/chaos/
 
 # Short fuzz passes: the CSV codec round trip, the typed dictionary
-# encoding (Codes/GroupCodes) vs a Value.Key string reference, the CSR
-# partition product vs the retained map-based oracle, the server's
+# encoding (Codes/GroupCodes/Dict/SameKey) vs a Value.Key string
+# reference, the CSR partition product vs the retained map-based oracle,
+# the append refiner vs a from-scratch Build after every batch, the server's
 # request decoder across every registered discover route (malformed
 # bodies must always be structured 4xx, never a panic), the CFD
 # pattern-tableau parser, the set-based OD core against the retained
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run=X -fuzz=FuzzCSVRoundTrip -fuzztime=30s ./internal/relation/
 	$(GO) test -run=X -fuzz=FuzzCodesMatchKey -fuzztime=30s ./internal/relation/
 	$(GO) test -run=X -fuzz=FuzzProductEquivalence -fuzztime=30s ./internal/partition/
+	$(GO) test -run=X -fuzz=FuzzRefinerMatchesBuild -fuzztime=30s ./internal/partition/
 	$(GO) test -run=X -fuzz=FuzzDiscoverRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run=X -fuzz=FuzzParseTableau -fuzztime=30s ./internal/discovery/cfddisc/
 	$(GO) test -run=X -fuzz=FuzzSetODAgainstPairwise -fuzztime=30s ./internal/discovery/oddisc/
@@ -94,12 +96,13 @@ benchdiff:
 	$(GO) run ./cmd/benchjson -diff -old BENCH_3.json -new BENCH_4.json
 
 # Million-row pass (opt-in; several GB of relation data, minutes of
-# wall-clock): the set-based OD core vs the pairwise oracle, full-mode
-# vs sample-then-verify discovery, and the budget-vs-sampling claim,
-# plus the partiality pin test. Results land in BENCH_8.json and the
-# alloc diff is reported against the standard pass's BENCH_4.json.
+# wall-clock): the set-based OD core vs the pairwise oracle (the latter
+# in internal/discovery/oddisc, beside its test-only implementation),
+# full-mode vs sample-then-verify discovery, and the budget-vs-sampling
+# claim, plus the partiality pin test. Results land in BENCH_8.json and
+# the alloc diff is reported against the standard pass's BENCH_4.json.
 bench-large:
-	DEPTREE_BENCH_LARGE=1 $(GO) test -run 'TestLarge' -bench 'BenchmarkLarge' -benchmem -benchtime=1x . > BENCH_8.txt
+	DEPTREE_BENCH_LARGE=1 $(GO) test -run 'TestLarge' -bench 'BenchmarkLarge' -benchmem -benchtime=1x . ./internal/discovery/oddisc/ > BENCH_8.txt
 	$(GO) run ./cmd/benchjson -in BENCH_8.txt -out BENCH_8.json
 	$(GO) run ./cmd/benchjson -diff -old BENCH_4.json -new BENCH_8.json
 

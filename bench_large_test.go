@@ -1,7 +1,8 @@
 // Million-row benchmark pass (make bench-large → BENCH_8.json): the
-// set-based OD core against the retained pairwise oracle, full-relation
-// discovery against sample-then-verify, and the budget-vs-sampling
-// trade the sampling driver exists for. The pass is opt-in — it
+// set-based OD core, full-relation discovery against sample-then-verify,
+// and the budget-vs-sampling trade the sampling driver exists for. The
+// set-based core's pairwise baseline, BenchmarkLargeODPairwise, lives
+// beside the test-only oracle in internal/discovery/oddisc. The pass is opt-in — it
 // allocates hundreds of MB and runs for minutes — so every entry point
 // skips unless DEPTREE_BENCH_LARGE=1 is set (and always skips under
 // -short), keeping the tier-1 `go test ./...` gate fast.
@@ -82,22 +83,6 @@ func BenchmarkLargeODSetBased(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := oddisc.DiscoverContext(context.Background(), r, opts)
-		if res.Partial || len(res.ODs) == 0 {
-			b.Fatalf("unexpected result: partial=%v ods=%d", res.Partial, len(res.ODs))
-		}
-	}
-}
-
-// BenchmarkLargeODPairwise is the baseline the set-based core must beat:
-// the retained pairwise oracle, which re-sorts per candidate instead of
-// amortizing one sort per column.
-func BenchmarkLargeODPairwise(b *testing.B) {
-	r := requireLarge(b)
-	opts := oddisc.Options{Exec: engine.Exec{Workers: runtime.NumCPU()}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := oddisc.DiscoverPairwiseContext(context.Background(), r, opts)
 		if res.Partial || len(res.ODs) == 0 {
 			b.Fatalf("unexpected result: partial=%v ods=%d", res.Partial, len(res.ODs))
 		}

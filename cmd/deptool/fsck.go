@@ -17,15 +17,15 @@ import (
 // cmdFsck is the offline WAL doctor: verify, repair and compact the
 // framed logs `deptool serve -jobs-dir` writes, without a server
 // attached. Verification is read-only and per-record; -repair performs
-// exactly the recoveries the server performs at boot (legacy JSONL
-// migration, torn-tail truncation) plus the opt-in one (quarantining a
-// corrupt suffix to a sidecar); -compact rewrites the log to its
+// exactly the recovery the server performs at boot (torn-tail
+// truncation) plus the opt-in one (quarantining a corrupt suffix to a
+// sidecar); -compact rewrites the log to its
 // minimal equivalent. Exit codes: 0 clean, 2 problems found (or left),
 // 1 operational error.
 func cmdFsck(args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ContinueOnError)
 	kindFlag := fs.String("kind", "auto", `log kind: "jobs", "stream" or "auto" (sniff the first record, then the filename)`)
-	repair := fs.Bool("repair", false, "repair in place: migrate legacy JSONL, truncate a torn tail, quarantine a corrupt suffix to <path>.quarantine")
+	repair := fs.Bool("repair", false, "repair in place: truncate a torn tail, quarantine a corrupt suffix to <path>.quarantine")
 	compact := fs.Bool("compact", false, "rewrite the log minimally (jobs: folded state snapshot; stream: verified records); runs after -repair")
 	maxRecMB := fs.Int64("max-record-mb", 0, "per-record size limit in MiB (0 = the WAL default, 1024)")
 	quiet := fs.Bool("q", false, "summary only, no per-record verdicts")
@@ -78,7 +78,7 @@ type fsckReport struct {
 	verified   int64 // bytes of verified prefix (header included)
 	total      int64 // file size
 	torn       bool
-	corrupt    error // typed *wal.ErrCorruptRecord / *wal.ErrRecordTooLarge / legacy-JSONL
+	corrupt    error // typed *wal.ErrCorruptRecord / *wal.ErrRecordTooLarge
 	decodeErrs int   // frames whose payload the kind's codec rejects
 }
 
@@ -160,8 +160,7 @@ func fsckVerify(w io.Writer, path, kind string, maxRec int64, quiet bool) (*fsck
 func isTypedDamage(err error) bool {
 	var corrupt *wal.ErrCorruptRecord
 	var tooBig *wal.ErrRecordTooLarge
-	return errors.As(err, &corrupt) || errors.As(err, &tooBig) ||
-		strings.Contains(err.Error(), "legacy JSONL")
+	return errors.As(err, &corrupt) || errors.As(err, &tooBig)
 }
 
 // sniffKind resolves -kind auto: a record with an "op" field is a
@@ -220,8 +219,8 @@ func decodeRecord(kind string, payload []byte) (string, error) {
 }
 
 // fsckRepair opens the log read-write in quarantine mode and replays
-// it, which is the full recovery suite: legacy JSONL migration,
-// torn-tail truncation, corrupt-suffix quarantining.
+// it, which is the full recovery suite: torn-tail truncation and
+// corrupt-suffix quarantining.
 func fsckRepair(w io.Writer, path string, maxRec int64) error {
 	l, err := wal.Open(path, wal.Options{MaxRecordBytes: maxRec, Quarantine: true})
 	if err != nil {
@@ -235,16 +234,13 @@ func fsckRepair(w io.Writer, path string, maxRec int64) error {
 		}
 		return fmt.Errorf("fsck: repair: %w", err)
 	}
-	if l.Migrated() {
-		fmt.Fprintf(w, "%s: migrated legacy JSONL log to the framed format\n", path)
-	}
 	if n := l.TornTail(); n > 0 {
 		fmt.Fprintf(w, "%s: truncated torn tail\n", path)
 	}
 	if n := l.Quarantined(); n > 0 {
 		fmt.Fprintf(w, "%s: quarantined corrupt suffix to %s.quarantine\n", path, path)
 	}
-	if !l.Migrated() && l.TornTail() == 0 && l.Quarantined() == 0 {
+	if l.TornTail() == 0 && l.Quarantined() == 0 {
 		fmt.Fprintf(w, "%s: nothing to repair\n", path)
 	}
 	return nil

@@ -166,32 +166,6 @@ func TestFsckCompactFoldsJobsLog(t *testing.T) {
 	}
 }
 
-func TestFsckMigratesLegacyJSONL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.wal")
-	legacy := `{"type":"submit","id":"j1","spec":{"kind":"discover"}}` + "\n" +
-		`{"type":"result","id":"j1","state":"done"}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Verify-only names the migration path and exits 2.
-	out, err := capture(t, func() error { return cmdFsck([]string{path}) })
-	if err == nil {
-		t.Fatalf("verify of legacy log succeeded:\n%s", out)
-	}
-	if !strings.Contains(out, "legacy JSONL") {
-		t.Fatalf("legacy report:\n%s", out)
-	}
-
-	out, err = capture(t, func() error { return cmdFsck([]string{"-repair", path}) })
-	if err != nil {
-		t.Fatalf("fsck -repair legacy: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "migrated legacy JSONL") || !strings.Contains(out, "2 record(s)") {
-		t.Fatalf("migration output:\n%s", out)
-	}
-}
-
 func TestFsckKindSniffing(t *testing.T) {
 	dir := t.TempDir()
 	// Contents win over filename: a stream record in a file named x.wal.

@@ -156,30 +156,35 @@ func Merge(r *relation.Relation, clusters [][]int) *relation.Relation {
 	return out
 }
 
+// majorityValue returns the cluster's most frequent non-null value in col,
+// ties broken by first occurrence, as its last occurrence; an all-null
+// column yields the first row's value.
 func majorityValue(r *relation.Relation, rows []int, col int) relation.Value {
-	counts := map[string]int{}
-	rep := map[string]relation.Value{}
-	order := map[string]int{}
-	for i, row := range rows {
+	var d relation.Dict
+	var counts []int
+	var rep []relation.Value
+	for _, row := range rows {
 		v := r.Value(row, col)
 		if v.IsNull() {
 			continue
 		}
-		k := v.Key()
-		counts[k]++
-		rep[k] = v
-		if _, seen := order[k]; !seen {
-			order[k] = i
+		c := d.Code(v)
+		if c == len(counts) {
+			counts = append(counts, 0)
+			rep = append(rep, v)
 		}
+		counts[c]++
+		rep[c] = v
 	}
-	bestKey, best := "", -1
-	for k, c := range counts {
-		if c > best || (c == best && order[k] < order[bestKey]) {
-			bestKey, best = k, c
-		}
-	}
-	if best < 0 {
+	if len(counts) == 0 {
 		return r.Value(rows[0], col)
 	}
-	return rep[bestKey]
+	// Codes run in first-occurrence order, so the first maximum wins ties.
+	best := 0
+	for c, n := range counts {
+		if n > counts[best] {
+			best = c
+		}
+	}
+	return rep[best]
 }

@@ -9,6 +9,8 @@
 package fairness
 
 import (
+	"math"
+
 	"deptree/internal/attrset"
 	"deptree/internal/deps/mvd"
 	"deptree/internal/relation"
@@ -30,49 +32,43 @@ func CheckCI(r *relation.Relation, protected, outcome int, admissible []int) boo
 // projection — the tuple-generating repair of [80] that removes the causal
 // path from the protected attribute to the outcome. It returns a new
 // relation with appended tuples (values outside A ∪ S ∪ O are copied from
-// the donor tuple providing the outcome).
+// the donor tuple providing the outcome). Swap tuples are appended per
+// admissible group in first-row order, each group's S and O values in
+// first-appearance order.
 func Repair(r *relation.Relation, protected, outcome int, admissible []int) *relation.Relation {
 	out := r.Clone()
-	// Group rows by admissible values.
-	groups := map[string][]int{}
-	keyOf := func(row int) string {
-		k := ""
-		for _, c := range admissible {
-			k += r.Value(row, c).Key() + "\x1f"
-		}
-		return k
-	}
-	for i := 0; i < r.Rows(); i++ {
-		groups[keyOf(i)] = append(groups[keyOf(i)], i)
+	groupOf, card := r.GroupCodes(admissible)
+	sCodes, _ := r.Codes(protected)
+	oCodes, _ := r.Codes(outcome)
+	groups := make([][]int, card)
+	for row, g := range groupOf {
+		groups[g] = append(groups[g], row)
 	}
 	for _, rows := range groups {
-		// Existing (S, O) combos and representative rows per S and per O.
-		type so struct{ s, o string }
-		combos := map[so]bool{}
-		sRep := map[string]int{}
-		oRep := map[string]int{}
+		// Existing (S, O) combos and the first row per S and per O value.
+		combos := map[[2]int]bool{}
+		seenS, seenO := map[int]bool{}, map[int]bool{}
+		var sReps, oReps []int
 		for _, row := range rows {
-			sv := r.Value(row, protected).Key()
-			ov := r.Value(row, outcome).Key()
-			combos[so{sv, ov}] = true
-			if _, ok := sRep[sv]; !ok {
-				sRep[sv] = row
+			s, o := sCodes[row], oCodes[row]
+			combos[[2]int{s, o}] = true
+			if !seenS[s] {
+				seenS[s] = true
+				sReps = append(sReps, row)
 			}
-			if _, ok := oRep[ov]; !ok {
-				oRep[ov] = row
+			if !seenO[o] {
+				seenO[o] = true
+				oReps = append(oReps, row)
 			}
 		}
-		for sv, sRow := range sRep {
-			for ov, oRow := range oRep {
-				if combos[so{sv, ov}] {
+		for _, sRow := range sReps {
+			for _, oRow := range oReps {
+				if combos[[2]int{sCodes[sRow], oCodes[oRow]}] {
 					continue
 				}
 				// Insert the swap tuple: donor oRow with protected value
 				// from sRow.
-				t := make([]relation.Value, r.Cols())
-				for c := 0; c < r.Cols(); c++ {
-					t[c] = r.Value(oRow, c)
-				}
+				t := r.Tuple(oRow)
 				t[protected] = r.Value(sRow, protected)
 				if err := out.Append(t); err != nil {
 					panic(err)
@@ -88,32 +84,27 @@ func Repair(r *relation.Relation, protected, outcome int, admissible []int) *rel
 // o — a simple demographic-parity diagnostic used to show the repair's
 // effect in the examples.
 func DisparityRatio(r *relation.Relation, protected, outcome int) float64 {
-	total := map[string]int{}
-	joint := map[[2]string]int{}
 	n := r.Rows()
 	if n == 0 {
 		return 0
 	}
-	outcomeCount := map[string]int{}
+	sCodes, sCard := r.Codes(protected)
+	oCodes, oCard := r.Codes(outcome)
+	total := make([]int, sCard)
+	outcomeCount := make([]int, oCard)
+	joint := map[[2]int]int{}
 	for i := 0; i < n; i++ {
-		s := r.Value(i, protected).Key()
-		o := r.Value(i, outcome).Key()
+		s, o := sCodes[i], oCodes[i]
 		total[s]++
 		outcomeCount[o]++
-		joint[[2]string{s, o}]++
+		joint[[2]int{s, o}]++
 	}
 	worst := 0.0
 	for o, oc := range outcomeCount {
 		base := float64(oc) / float64(n)
 		for s, sc := range total {
-			cond := float64(joint[[2]string{s, o}]) / float64(sc)
-			d := cond - base
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
+			cond := float64(joint[[2]int{s, o}]) / float64(sc)
+			worst = max(worst, math.Abs(cond-base))
 		}
 	}
 	return worst

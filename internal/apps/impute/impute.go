@@ -7,8 +7,6 @@
 package impute
 
 import (
-	"sort"
-
 	"deptree/internal/deps/dd"
 	"deptree/internal/deps/ned"
 	"deptree/internal/relation"
@@ -26,19 +24,16 @@ func PNeighborhood(r *relation.Relation, n ned.NED, target int) (*relation.Relat
 		if !r.Value(i, target).IsNull() {
 			continue
 		}
-		votes := map[string]int{}
-		rep := map[string]relation.Value{}
+		var b ballot
 		for j := 0; j < r.Rows(); j++ {
 			if i == j || r.Value(j, target).IsNull() {
 				continue
 			}
 			if n.LHS.Agree(r, i, j) {
-				v := r.Value(j, target)
-				votes[v.Key()]++
-				rep[v.Key()] = v
+				b.vote(r.Value(j, target))
 			}
 		}
-		if v, ok := majority(votes, rep); ok {
+		if v, ok := b.winner(); ok {
 			out.SetValue(i, target, v)
 			filled++
 		}
@@ -58,19 +53,16 @@ func DDEnriched(r *relation.Relation, d dd.DD, target int) (*relation.Relation, 
 		if !r.Value(i, target).IsNull() {
 			continue
 		}
-		votes := map[string]int{}
-		rep := map[string]relation.Value{}
+		var b ballot
 		for j := 0; j < r.Rows(); j++ {
 			if i == j || r.Value(j, target).IsNull() {
 				continue
 			}
 			if d.LHS.Compatible(r, i, j) {
-				v := r.Value(j, target)
-				votes[v.Key()]++
-				rep[v.Key()] = v
+				b.vote(r.Value(j, target))
 			}
 		}
-		if v, ok := majority(votes, rep); ok {
+		if v, ok := b.winner(); ok {
 			out.SetValue(i, target, v)
 			filled++
 		}
@@ -78,20 +70,43 @@ func DDEnriched(r *relation.Relation, d dd.DD, target int) (*relation.Relation, 
 	return out, filled
 }
 
-func majority(votes map[string]int, rep map[string]relation.Value) (relation.Value, bool) {
-	if len(votes) == 0 {
-		return relation.Value{}, false
+// ballot tallies the neighbour votes for one imputed cell.
+type ballot struct {
+	dict   relation.Dict
+	counts []int
+	// rep is each code's last vote.
+	rep []relation.Value
+}
+
+func (b *ballot) vote(v relation.Value) {
+	c := b.dict.Code(v)
+	if c == len(b.counts) {
+		b.counts = append(b.counts, 0)
+		b.rep = append(b.rep, v)
 	}
-	keys := make([]string, 0, len(votes))
-	for k := range votes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	bestKey, best := "", -1
-	for _, k := range keys {
-		if votes[k] > best {
-			bestKey, best = k, votes[k]
+	b.counts[c]++
+	b.rep[c] = v
+}
+
+// winner returns the most voted value, ties broken by the smallest
+// Value.Key; ok is false when nobody voted.
+func (b *ballot) winner() (relation.Value, bool) {
+	best, bestKey := -1, ""
+	for c, n := range b.counts {
+		switch {
+		case best < 0 || n > b.counts[best]:
+			best, bestKey = c, ""
+		case n == b.counts[best]:
+			if bestKey == "" {
+				bestKey = b.rep[best].Key()
+			}
+			if k := b.rep[c].Key(); k < bestKey {
+				best, bestKey = c, k
+			}
 		}
 	}
-	return rep[bestKey], true
+	if best < 0 {
+		return relation.Value{}, false
+	}
+	return b.rep[best], true
 }

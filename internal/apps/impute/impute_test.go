@@ -106,13 +106,16 @@ func TestDDEnrichedFillsMore(t *testing.T) {
 }
 
 func TestMajorityDeterministic(t *testing.T) {
-	votes := map[string]int{"s:a": 2, "s:b": 2}
-	rep := map[string]relation.Value{"s:a": relation.String("a"), "s:b": relation.String("b")}
-	v, ok := majority(votes, rep)
+	var b ballot
+	for _, s := range []string{"b", "a", "b", "a"} {
+		b.vote(relation.String(s))
+	}
+	v, ok := b.winner()
 	if !ok || !v.Equal(relation.String("a")) {
 		t.Errorf("tie should break to the lexicographically first key, got %v", v)
 	}
-	if _, ok := majority(nil, nil); ok {
+	var empty ballot
+	if _, ok := empty.winner(); ok {
 		t.Error("empty votes must fail")
 	}
 }

@@ -6,6 +6,8 @@
 package normalize
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"deptree/internal/attrset"
@@ -228,39 +230,40 @@ func Decompose4NF(n int, mvds []mvd.MVD, fds []fd.FD) []attrset.Set {
 // LosslessJoin verifies a decomposition empirically on an instance: the
 // natural join of the projections must reproduce exactly the original
 // tuple set (no spurious tuples) — the correctness criterion of MVD-based
-// decomposition (§2.6.1).
+// decomposition (§2.6.1). Tuples are joined on the columns' dictionary
+// codes.
 func LosslessJoin(r *relation.Relation, schemes []attrset.Set) bool {
-	// Join all projections over distinct tuples.
-	type row map[int]relation.Value
-	current := []row{{}}
+	n := r.Cols()
+	codes := make([][]int, n)
+	for c := range codes {
+		codes[c], _ = r.Codes(c)
+	}
+	// A joined tuple holds one code per column, -1 where no projection
+	// has bound the column yet.
+	empty := make([]int, n)
+	for c := range empty {
+		empty[c] = -1
+	}
+	current := [][]int{empty}
 	for _, scheme := range schemes {
 		cols := scheme.Cols()
-		// Distinct projected tuples.
-		seen := map[string]bool{}
-		var proj []row
-		for i := 0; i < r.Rows(); i++ {
-			key := ""
-			rw := row{}
-			for _, c := range cols {
-				v := r.Value(i, c)
-				rw[c] = v
-				key += v.Key() + "\x1f"
-			}
-			if !seen[key] {
-				seen[key] = true
-				proj = append(proj, rw)
+		// Distinct projected tuples, each as its first row.
+		groupOf, card := r.GroupCodes(cols)
+		seen := make([]bool, card)
+		var proj []int
+		for row, g := range groupOf {
+			if !seen[g] {
+				seen[g] = true
+				proj = append(proj, row)
 			}
 		}
-		var next []row
-		for _, a := range current {
-			for _, b := range proj {
-				if joinable(a, b) {
-					merged := row{}
-					for k, v := range a {
-						merged[k] = v
-					}
-					for k, v := range b {
-						merged[k] = v
+		var next [][]int
+		for _, t := range current {
+			for _, row := range proj {
+				if joinable(t, codes, cols, row) {
+					merged := append([]int(nil), t...)
+					for _, c := range cols {
+						merged[c] = codes[c][row]
 					}
 					next = append(next, merged)
 				}
@@ -268,47 +271,38 @@ func LosslessJoin(r *relation.Relation, schemes []attrset.Set) bool {
 		}
 		current = next
 	}
-	// Compare against the original distinct tuples.
-	orig := map[string]bool{}
-	for i := 0; i < r.Rows(); i++ {
-		key := ""
-		for c := 0; c < r.Cols(); c++ {
-			key += r.Value(i, c).Key() + "\x1f"
-		}
-		orig[key] = true
-	}
+	// Every original tuple survives the join, so the join is exact when
+	// it has no more distinct complete tuples than the original.
 	joined := map[string]bool{}
-	for _, rw := range current {
-		key := ""
-		complete := true
-		for c := 0; c < r.Cols(); c++ {
-			v, ok := rw[c]
-			if !ok {
-				complete = false
-				break
-			}
-			key += v.Key() + "\x1f"
-		}
-		if complete {
-			joined[key] = true
+	for _, t := range current {
+		if !slices.Contains(t, -1) {
+			joined[tupleKey(t)] = true
 		}
 	}
-	if len(joined) != len(orig) {
-		return false
+	all := make([]int, n)
+	for c := range all {
+		all[c] = c
 	}
-	for k := range orig {
-		if !joined[k] {
+	_, distinct := r.GroupCodes(all)
+	return len(joined) == distinct
+}
+
+// joinable reports whether row agrees with the joined tuple t on every
+// column of cols that t has bound.
+func joinable(t []int, codes [][]int, cols []int, row int) bool {
+	for _, c := range cols {
+		if t[c] >= 0 && t[c] != codes[c][row] {
 			return false
 		}
 	}
 	return true
 }
 
-func joinable(a, b map[int]relation.Value) bool {
-	for k, v := range b {
-		if av, ok := a[k]; ok && !av.Equal(v) {
-			return false
-		}
+// tupleKey is a code tuple's fixed-width byte form, 4 bytes per column.
+func tupleKey(t []int) string {
+	b := make([]byte, 0, 4*len(t))
+	for _, c := range t {
+		b = binary.LittleEndian.AppendUint32(b, uint32(c))
 	}
-	return true
+	return string(b)
 }

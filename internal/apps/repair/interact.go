@@ -59,7 +59,7 @@ func InteractiveClean(r *relation.Relation, mds []md.MD, fds []fd.FD, maxRounds 
 						continue
 					}
 					for _, row := range cluster {
-						if !out.Value(row, col).Equal(target) {
+						if !relation.SameKey(out.Value(row, col), target) {
 							changes = append(changes, Change{Row: row, Col: col, Old: out.Value(row, col), New: target})
 							out.SetValue(row, col, target)
 							dirty = true
@@ -100,46 +100,40 @@ func sortedClusters(m map[int][]int) [][]int {
 // preferredValue picks the identification target for a cluster's column:
 // the cluster value with the highest global frequency in that column
 // (non-null), ties broken by in-cluster frequency then first occurrence.
+// The target is the cluster's last occurrence of the chosen value.
 func preferredValue(r *relation.Relation, cluster []int, col int) (relation.Value, bool) {
-	globalFreq := map[string]int{}
-	for row := 0; row < r.Rows(); row++ {
-		v := r.Value(row, col)
-		if !v.IsNull() {
-			globalFreq[v.Key()]++
+	codes, card := r.Codes(col)
+	global := make([]int, card)
+	for row, code := range codes {
+		if !r.Value(row, col).IsNull() {
+			global[code]++
 		}
 	}
-	localFreq := map[string]int{}
-	rep := map[string]relation.Value{}
-	order := map[string]int{}
-	for i, row := range cluster {
-		v := r.Value(row, col)
-		if v.IsNull() {
+	local := make([]int, card)
+	last := make([]int, card)
+	for _, row := range cluster {
+		if r.Value(row, col).IsNull() {
 			continue
 		}
-		k := v.Key()
-		localFreq[k]++
-		rep[k] = v
-		if _, seen := order[k]; !seen {
-			order[k] = i
-		}
+		code := codes[row]
+		local[code]++
+		last[code] = row
 	}
-	bestKey := ""
-	for k := range localFreq {
-		if bestKey == "" {
-			bestKey = k
+	// Visit codes in first-occurrence order; a later code must win
+	// strictly.
+	best := -1
+	for _, row := range cluster {
+		code := codes[row]
+		if local[code] == 0 {
 			continue
 		}
-		switch {
-		case globalFreq[k] > globalFreq[bestKey]:
-			bestKey = k
-		case globalFreq[k] == globalFreq[bestKey] && localFreq[k] > localFreq[bestKey]:
-			bestKey = k
-		case globalFreq[k] == globalFreq[bestKey] && localFreq[k] == localFreq[bestKey] && order[k] < order[bestKey]:
-			bestKey = k
+		if best < 0 || global[code] > global[best] ||
+			(global[code] == global[best] && local[code] > local[best]) {
+			best = code
 		}
 	}
-	if bestKey == "" {
+	if best < 0 {
 		return relation.Value{}, false
 	}
-	return rep[bestKey], true
+	return r.Value(last[best], col), true
 }

@@ -105,10 +105,14 @@ func FDRepairContext(ctx context.Context, r *relation.Relation, fds []fd.FD, opt
 		passes++
 		dirty := false
 		for _, f := range fds {
-			f := f
 			px := partition.Build(out, f.LHS)
+			ys := f.RHS.Cols()
+			codes := make([][]int, len(ys))
+			for k, y := range ys {
+				codes[k], _ = out.Codes(y)
+			}
 			perClass, err := engine.MapErr(pool, px.NumClasses(), func(i int) []Change {
-				return classChanges(out, f, px.Class(i))
+				return classChanges(out, ys, codes, px.Class(i))
 			})
 			if err != nil {
 				run.SetAttr("passes", passes)
@@ -134,36 +138,64 @@ func FDRepairContext(ctx context.Context, r *relation.Relation, fds []fd.FD, opt
 }
 
 // classChanges computes the majority-vote overwrites for one LHS
-// equivalence class without mutating the relation. Reads are confined to
-// the class rows, which makes concurrent per-class calls safe.
-func classChanges(out *relation.Relation, f fd.FD, class []int32) []Change {
+// equivalence class without mutating the relation. codes[k] holds the
+// dictionary codes of column ys[k]. The majority is the most frequent
+// code, ties broken by the smallest Value.Key, and its value is the
+// class's last occurrence of that code. Reads are confined to the class
+// rows, which makes concurrent per-class calls safe.
+func classChanges(out *relation.Relation, ys []int, codes [][]int, class []int32) []Change {
 	var chs []Change
-	for _, y := range f.RHS.Cols() {
-		// Majority value of column y within the class.
-		counts := map[string]int{}
-		rep := map[string]relation.Value{}
-		for _, row := range class {
-			v := out.Value(int(row), y)
-			counts[v.Key()]++
-			rep[v.Key()] = v
-		}
-		bestKey, best := "", -1
-		for k, c := range counts {
-			if c > best || (c == best && k < bestKey) {
-				bestKey, best = k, c
-			}
-		}
-		if counts[bestKey] == len(class) {
+	for k, y := range ys {
+		code := codes[k]
+		if uniform(code, class) {
 			continue
 		}
-		target := rep[bestKey]
+		counts := map[int]int{}
+		top := 0
 		for _, row := range class {
-			if !out.Value(int(row), y).Equal(target) {
+			counts[code[row]]++
+			top = max(top, counts[code[row]])
+		}
+		// One row per code with the top count, in class order.
+		var tied []int32
+		for _, row := range class {
+			if counts[code[row]] == top {
+				tied = append(tied, row)
+				counts[code[row]] = 0
+			}
+		}
+		pick := tied[0]
+		if len(tied) > 1 {
+			key := out.Value(int(pick), y).Key()
+			for _, row := range tied[1:] {
+				if rk := out.Value(int(row), y).Key(); rk < key {
+					pick, key = row, rk
+				}
+			}
+		}
+		best := code[pick]
+		last := len(class) - 1
+		for code[class[last]] != best {
+			last--
+		}
+		target := out.Value(int(class[last]), y)
+		for _, row := range class {
+			if code[row] != best {
 				chs = append(chs, Change{Row: int(row), Col: y, Old: out.Value(int(row), y), New: target})
 			}
 		}
 	}
 	return chs
+}
+
+// uniform reports whether every row of class shares one code.
+func uniform(codes []int, class []int32) bool {
+	for _, row := range class[1:] {
+		if codes[row] != codes[class[0]] {
+			return false
+		}
+	}
+	return true
 }
 
 // HolisticDCRepair repairs DC violations following the holistic strategy:

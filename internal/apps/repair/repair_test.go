@@ -1,6 +1,8 @@
 package repair
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"deptree/internal/deps"
@@ -71,6 +73,31 @@ func TestFDRepairMajorityWins(t *testing.T) {
 	}
 	if !res.Repaired.Value(2, 1).Equal(relation.String("good")) {
 		t.Error("majority value not applied")
+	}
+	// NaN and signed-zero classes: every NaN is one value, -0 and +0 are
+	// two. Only the minority cell changes, and the FD then holds.
+	ns := relation.NewSchema(relation.Attribute{Name: "k"}, relation.Attribute{Name: "v", Kind: relation.KindFloat})
+	nf := fd.Must(ns, []string{"k"}, []string{"v"})
+	k, num := relation.String("a"), relation.Float
+	for _, tc := range []struct {
+		vals []float64
+		want string
+	}{
+		{[]float64{math.NaN(), math.NaN(), 1}, "[t3.1: 1 -> NaN]"},
+		{[]float64{0, 0, math.Copysign(0, -1)}, "[t3.1: -0 -> 0]"},
+		{[]float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}, "[t2.1: 0 -> -0]"},
+	} {
+		rows := make([][]relation.Value, len(tc.vals))
+		for i, v := range tc.vals {
+			rows[i] = []relation.Value{k, num(v)}
+		}
+		res := FDRepair(relation.MustFromRows("n", ns, rows), []fd.FD{nf})
+		if got := fmt.Sprint(res.Changes); got != tc.want {
+			t.Errorf("%v: changes %s, want %s", tc.vals, got, tc.want)
+		}
+		if vs := nf.Violations(res.Repaired, 0); len(vs) != 0 {
+			t.Errorf("%v: violations after repair: %v", tc.vals, vs)
+		}
 	}
 }
 

@@ -307,18 +307,21 @@ func (c CFD) Violations(r *relation.Relation, limit int) []deps.Violation {
 			}
 		}
 	}
-	// Pairwise check: group matching rows by X-values.
-	groups := make(map[string][]int)
-	var key strings.Builder
+	// Pairwise check: group matching rows by X-values, groups numbered
+	// in first-matching-row order.
+	xCodes, card := r.GroupCodes(c.X)
+	slot := make([]int, card)
+	var groups [][]int
 	for _, i := range matching {
-		key.Reset()
-		for _, col := range c.X {
-			key.WriteString(r.Value(i, col).Key())
-			key.WriteByte('\x1f')
+		g := slot[xCodes[i]]
+		if g == 0 {
+			groups = append(groups, nil)
+			g = len(groups)
+			slot[xCodes[i]] = g
 		}
-		groups[key.String()] = append(groups[key.String()], i)
+		groups[g-1] = append(groups[g-1], i)
 	}
-	for _, rows := range matching2groups(groups) {
+	for _, rows := range groups {
 		for a := 0; a < len(rows); a++ {
 			for b := a + 1; b < len(rows); b++ {
 				if !equalOn(r, rows[a], rows[b], c.Y) {
@@ -332,26 +335,9 @@ func (c CFD) Violations(r *relation.Relation, limit int) []deps.Violation {
 	return out
 }
 
-// matching2groups returns the groups in deterministic (first-row) order.
-func matching2groups(groups map[string][]int) [][]int {
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		if len(g) > 1 {
-			out = append(out, g)
-		}
-	}
-	// Sort by first row for stable output.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j][0] < out[j-1][0]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 func equalOn(r *relation.Relation, i, j int, cols []int) bool {
 	for _, c := range cols {
-		if !r.Value(i, c).Equal(r.Value(j, c)) {
+		if !relation.SameKey(r.Value(i, c), r.Value(j, c)) {
 			return false
 		}
 	}

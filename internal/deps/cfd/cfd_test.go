@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -66,6 +67,26 @@ func TestFDEmbeddingEdge(t *testing.T) {
 		}
 		if got := c.Support(r); got != r.Rows() {
 			t.Fatalf("wildcard support = %d, want all rows", got)
+		}
+	}
+	// Cells that spell one another once value keys are joined with a
+	// separator byte, and Y classes of NaN and of signed zeros.
+	s := relation.NewSchema(
+		relation.Attribute{Name: "a", Kind: relation.KindString},
+		relation.Attribute{Name: "b", Kind: relation.KindString},
+		relation.Attribute{Name: "y", Kind: relation.KindFloat},
+	)
+	str, num := relation.String, relation.Float
+	for _, rows := range [][][]relation.Value{
+		{{str("x\x1fs:y"), str("z"), num(1)}, {str("x"), str("y\x1fs:z"), num(2)}},
+		{{str("k"), str("k"), num(math.NaN())}, {str("k"), str("k"), num(math.NaN())}},
+		{{str("k"), str("k"), num(0)}, {str("k"), str("k"), num(math.Copysign(0, -1))}},
+	} {
+		r := relation.MustFromRows("edge", s, rows)
+		f := fd.Must(s, []string{"a", "b"}, []string{"y"})
+		c := FromFD(f.LHS.Cols(), f.RHS.Cols(), s)
+		if f.Holds(r) != c.Holds(r) {
+			t.Fatalf("rows %v: FD.Holds=%v but CFD(wildcards).Holds=%v", rows, f.Holds(r), c.Holds(r))
 		}
 	}
 }

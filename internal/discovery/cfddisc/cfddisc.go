@@ -8,9 +8,8 @@ package cfddisc
 
 import (
 	"context"
+	"encoding/binary"
 	"sort"
-	"strconv"
-	"strings"
 
 	"deptree/internal/attrset"
 	"deptree/internal/deps/cfd"
@@ -42,10 +41,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// item is one (column, value) constant of a pattern.
+// item is one (column, value) constant of a pattern; the value is the
+// column's dictionary code.
 type item struct {
-	col int
-	key string
+	col, code int
 }
 
 // pattern is a sorted constant itemset.
@@ -59,15 +58,15 @@ func (p pattern) cols() attrset.Set {
 	return s
 }
 
+// id is the pattern's fixed-width byte form (column and code, 4 bytes
+// each per item), so distinct patterns never share an id.
 func (p pattern) id() string {
-	var b strings.Builder
+	b := make([]byte, 0, 8*len(p))
 	for _, it := range p {
-		b.WriteString(strconv.Itoa(it.col))
-		b.WriteByte(':')
-		b.WriteString(it.key)
-		b.WriteByte('\x1f')
+		b = binary.LittleEndian.AppendUint32(b, uint32(it.col))
+		b = binary.LittleEndian.AppendUint32(b, uint32(it.code))
 	}
-	return b.String()
+	return string(b)
 }
 
 // Result is a constant-CFD mining outcome; a Partial run covers a
@@ -111,23 +110,27 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		pat  pattern
 		rows []int
 	}
-	// Level 1: single items.
+	// Level 1: the supported single items, per column in Value.Key order.
+	codes := make([][]int, n)
 	var level []node
 	for c := 0; c < n; c++ {
-		groups := map[string][]int{}
-		for row := 0; row < r.Rows(); row++ {
-			k := r.Value(row, c).Key()
-			groups[k] = append(groups[k], row)
+		var card int
+		codes[c], card = r.Codes(c)
+		groups := make([][]int, card)
+		for row, code := range codes[c] {
+			groups[code] = append(groups[code], row)
 		}
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if len(groups[k]) >= opts.MinSupport {
-				level = append(level, node{pat: pattern{{col: c, key: k}}, rows: groups[k]})
+		keys := make([]string, card)
+		var frequent []int
+		for code, rows := range groups {
+			if len(rows) >= opts.MinSupport {
+				keys[code] = r.Value(rows[0], c).Key()
+				frequent = append(frequent, code)
 			}
+		}
+		sort.Slice(frequent, func(i, j int) bool { return keys[frequent[i]] < keys[frequent[j]] })
+		for _, code := range frequent {
+			level = append(level, node{pat: pattern{{col: c, code: code}}, rows: groups[code]})
 		}
 	}
 	reg := opts.Obs
@@ -140,23 +143,19 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	defer run.End()
 	mineSpan := run.Child(obs.KindPhase, "pattern-mining")
 
-	// implied records conclusions already derived from some sub-pattern:
-	// map from conclusion (col, valueKey) to the list of pattern ids.
-	type conclusion struct {
-		col int
-		key string
-	}
-	impliedBy := map[conclusion][]pattern{}
+	// impliedBy records conclusions already derived from some
+	// sub-pattern: from conclusion (col, code) to the patterns.
+	impliedBy := map[item][]pattern{}
 	var results []cfd.CFD
 	addResult := func(p pattern, col int, rows []int) {
 		// Minimality: some sub-pattern already implies this conclusion?
-		key := r.Value(rows[0], col).Key()
-		for _, prev := range impliedBy[conclusion{col, key}] {
+		concl := item{col: col, code: codes[col][rows[0]]}
+		for _, prev := range impliedBy[concl] {
 			if subPattern(prev, p) {
 				return
 			}
 		}
-		impliedBy[conclusion{col, key}] = append(impliedBy[conclusion{col, key}], p)
+		impliedBy[concl] = append(impliedBy[concl], p)
 		// Assemble the CFD: X constants → A = a.
 		x := make([]string, len(p))
 		cells := make([]cfd.Cell, 0, len(p)+1)
@@ -185,10 +184,11 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 				if cols.Has(a) {
 					continue
 				}
-				k0 := r.Value(nd.rows[0], a).Key()
+				ca := codes[a]
+				k0 := ca[nd.rows[0]]
 				same := true
 				for _, row := range nd.rows[1:] {
-					if r.Value(row, a).Key() != k0 {
+					if ca[row] != k0 {
 						same = false
 						break
 					}
@@ -271,7 +271,7 @@ func mergePatterns(a, b pattern) (pattern, bool) {
 		if merged[i].col != merged[j].col {
 			return merged[i].col < merged[j].col
 		}
-		return merged[i].key < merged[j].key
+		return merged[i].code < merged[j].code
 	})
 	// One column, one constant.
 	for i := 1; i < len(merged); i++ {

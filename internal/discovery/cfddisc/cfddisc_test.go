@@ -3,6 +3,7 @@ package cfddisc
 import (
 	"testing"
 
+	"deptree/internal/deps/cfd"
 	"deptree/internal/gen"
 	"deptree/internal/relation"
 )
@@ -123,4 +124,54 @@ func TestConstantCFDsSupportThreshold(t *testing.T) {
 			t.Errorf("rule %v support %d < 5", c, got)
 		}
 	}
+}
+
+// TestConstantCFDsSeparatorPayloads: the patterns {c0=a, c1=b␟2:s:c}
+// and {c0=a␟1:s:b, c2=c} are distinct, though their items spell the same
+// string once joined with a separator byte, and each has its own minimal
+// rule.
+func TestConstantCFDsSeparatorPayloads(t *testing.T) {
+	s := relation.Strings("c0", "c1", "c2", "c3")
+	var rows [][]relation.Value
+	for _, vs := range [][4]string{
+		{"a", "b\x1f2:s:c", "c", "v"},
+		{"a", "b\x1f2:s:c", "d", "v"},
+		{"a", "q", "c", "w"},
+		{"a", "q", "d", "w"},
+		{"e", "b\x1f2:s:c", "c", "w"},
+		{"e", "b\x1f2:s:c", "d", "w"},
+		{"a\x1f1:s:b", "r", "c", "x"},
+		{"a\x1f1:s:b", "t", "c", "x"},
+		{"a\x1f1:s:b", "r2", "g", "y"},
+		{"a\x1f1:s:b", "t2", "g", "y"},
+	} {
+		rows = append(rows, []relation.Value{
+			relation.String(vs[0]), relation.String(vs[1]), relation.String(vs[2]), relation.String(vs[3]),
+		})
+	}
+	r := relation.MustFromRows("sep", s, rows)
+	ab := cfdString(s, []string{"c0", "c1"}, rows[0][:2], "c3", rows[0][3])
+	ac := cfdString(s, []string{"c0", "c2"}, []relation.Value{rows[6][0], rows[6][2]}, "c3", rows[6][3])
+	want := map[string]bool{ab: false, ac: false}
+	for _, c := range ConstantCFDs(r, Options{MinSupport: 2, MaxLHS: 2}) {
+		if _, ok := want[c.String()]; ok {
+			want[c.String()] = true
+		}
+		if !c.Holds(r) {
+			t.Errorf("mined CFD %v does not hold", c)
+		}
+	}
+	for rule, found := range want {
+		if !found {
+			t.Errorf("rule %q not mined", rule)
+		}
+	}
+}
+
+func cfdString(s *relation.Schema, x []string, consts []relation.Value, y string, a relation.Value) string {
+	cells := make([]cfd.Cell, 0, len(consts)+1)
+	for _, v := range consts {
+		cells = append(cells, cfd.Const(v))
+	}
+	return cfd.Must(s, x, []string{y}, append(cells, cfd.Const(a))).String()
 }

@@ -53,31 +53,36 @@ func GeneralCFDs(r *relation.Relation, opts GeneralOptions) []cfd.CFD {
 			rhsCols = append(rhsCols, c)
 		}
 	}
-	// Frequent constants per column.
+	// Frequent constants per column: the supported values by count, ties
+	// in Value.Key order; a constant is its class's last occurrence.
 	freqConsts := make([][]relation.Value, n)
 	for c := 0; c < n; c++ {
-		counts := map[string]int{}
-		rep := map[string]relation.Value{}
-		for row := 0; row < r.Rows(); row++ {
-			v := r.Value(row, c)
-			counts[v.Key()]++
-			rep[v.Key()] = v
+		codes, card := r.Codes(c)
+		counts := make([]int, card)
+		rep := make([]relation.Value, card)
+		for row, code := range codes {
+			counts[code]++
+			rep[code] = r.Value(row, c)
 		}
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if counts[keys[i]] != counts[keys[j]] {
-				return counts[keys[i]] > counts[keys[j]]
+		keys := make([]string, card)
+		var frequent []int
+		for code, cnt := range counts {
+			if cnt >= opts.MinSupport {
+				keys[code] = rep[code].Key()
+				frequent = append(frequent, code)
 			}
-			return keys[i] < keys[j]
+		}
+		sort.Slice(frequent, func(i, j int) bool {
+			if counts[frequent[i]] != counts[frequent[j]] {
+				return counts[frequent[i]] > counts[frequent[j]]
+			}
+			return keys[frequent[i]] < keys[frequent[j]]
 		})
-		for i, k := range keys {
-			if i >= opts.MaxConstants || counts[k] < opts.MinSupport {
+		for i, code := range frequent {
+			if i >= opts.MaxConstants {
 				break
 			}
-			freqConsts[c] = append(freqConsts[c], rep[k])
+			freqConsts[c] = append(freqConsts[c], rep[code])
 		}
 	}
 
@@ -136,7 +141,7 @@ func GeneralCFDs(r *relation.Relation, opts GeneralOptions) []cfd.CFD {
 				if b.cells[pos].IsWildcard() {
 					return false
 				}
-				if !a.cells[i].Conds[0].Const.Equal(b.cells[pos].Conds[0].Const) {
+				if !relation.SameKey(a.cells[i].Conds[0].Const, b.cells[pos].Conds[0].Const) {
 					return false
 				}
 			}

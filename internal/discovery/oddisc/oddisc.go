@@ -5,9 +5,9 @@
 // already-found ones. The default core is set-based through order
 // compatibility (setod.go, per the Godfrey/Golab/Kargar/Srivastava
 // errata note): FD ∧ order-compatibility decided over per-column rank
-// arrays built once, against which the retained pairwise core
-// (DiscoverPairwiseContext) serves as the exact oracle. Lexicographic
-// OD discovery (lexdisc.go) is unchanged by the core choice.
+// arrays built once; a pairwise od.Holds check of every candidate,
+// kept in the tests, serves as its exact oracle. Lexicographic OD
+// discovery (lexdisc.go) is unchanged by the core choice.
 package oddisc
 
 import (
@@ -56,44 +56,11 @@ func Discover(r *relation.Relation, opts Options) []od.OD {
 // order-compatibility scan over lazily built per-column orders (at most
 // one ascending sort per column for the whole run), with the exact
 // od.Holds pair logic as the fallback for columns where a NaN breaks
-// Compare totality. Output is identical to the retained pairwise core
-// for every input and worker count.
+// Compare totality. Output is identical to a pairwise od.Holds check of
+// every candidate (the test-only oracle) for every input and worker
+// count.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
-	return discover(ctx, r, opts, true)
-}
-
-// DiscoverPairwiseContext is the retained pairwise core — one od.Holds
-// check per candidate, no shared per-column preparation. It decides the
-// same predicate as DiscoverContext and exists as the differential/fuzz
-// oracle and the benchmark baseline for the set-based path.
-func DiscoverPairwiseContext(ctx context.Context, r *relation.Relation, opts Options) Result {
-	return discover(ctx, r, opts, false)
-}
-
-func discover(ctx context.Context, r *relation.Relation, opts Options, setBased bool) Result {
-	cols := opts.Columns
-	if cols == nil {
-		for c := 0; c < r.Cols(); c++ {
-			if r.Schema().Attr(c).Kind != relation.KindString {
-				cols = append(cols, c)
-			}
-		}
-	}
-	var cands []od.OD
-	for _, a := range cols {
-		for _, b := range cols {
-			if a == b {
-				continue
-			}
-			for _, desc := range []bool{false, true} {
-				cands = append(cands, od.OD{
-					LHS:    []od.Marked{{Col: a}},
-					RHS:    []od.Marked{{Col: b, Desc: desc}},
-					Schema: r.Schema(),
-				})
-			}
-		}
-	}
+	cols, cands := candidates(r, opts)
 	reg := opts.Obs
 	pool := opts.Pool(ctx)
 	defer pool.Close()
@@ -103,27 +70,20 @@ func discover(ctx context.Context, r *relation.Relation, opts Options, setBased 
 	run.SetAttr("candidates", len(cands))
 	defer run.End()
 
-	check := func(i int) bool { return cands[i].Holds(r) }
-	var orders *colOrders
-	if setBased {
-		// Column orders are built lazily inside the first candidate
-		// check that survives the fail-fast pre-pass on each column, so
-		// budget tasks remain candidate checks — exactly as in the
-		// pairwise core — and MaxTasks truncation keeps the same
-		// deterministic candidate-prefix semantics across both cores.
-		orders = newColOrders(r, cols, reg)
-		fallbacks := reg.Counter("oddisc.setod.fallbacks")
-		check = func(i int) bool { return setHolds(r, cands[i], orders, fallbacks, true) }
-	}
+	// Column orders are built lazily inside the first candidate check
+	// that survives the fail-fast pre-pass on each column, so budget
+	// tasks remain candidate checks and MaxTasks truncation keeps
+	// deterministic candidate-prefix semantics.
+	orders := newColOrders(r, cols, reg)
+	fallbacks := reg.Counter("oddisc.setod.fallbacks")
+	check := func(i int) bool { return setHolds(r, cands[i], orders, fallbacks, true) }
 
 	checkSpan := run.Child(obs.KindPhase, "candidate-checks")
 	checkTimer := reg.Histogram("oddisc.checks.seconds").Start()
 	valid, done, err := engine.MapBudget(pool, len(cands), 0, check)
 	checkTimer()
 	checkSpan.SetAttr("completed", done)
-	if orders != nil {
-		checkSpan.SetAttr("columns-sorted", int(orders.built.Load()))
-	}
+	checkSpan.SetAttr("columns-sorted", int(orders.built.Load()))
 	checkSpan.End()
 	reg.Counter("oddisc.candidates.checked").Add(int64(done))
 	var out []od.OD
@@ -141,6 +101,35 @@ func discover(ctx context.Context, r *relation.Relation, opts Options, setBased 
 		run.SetAttr("stop", res.Reason)
 	}
 	return res
+}
+
+// candidates returns the searched columns (Options.Columns, or every
+// non-string column) and, in the fixed order budget truncation follows,
+// the candidates A≤ → B≤ and A≤ → B≥ over every ordered pair of them.
+func candidates(r *relation.Relation, opts Options) (cols []int, cands []od.OD) {
+	cols = opts.Columns
+	if cols == nil {
+		for c := 0; c < r.Cols(); c++ {
+			if r.Schema().Attr(c).Kind != relation.KindString {
+				cols = append(cols, c)
+			}
+		}
+	}
+	for _, a := range cols {
+		for _, b := range cols {
+			if a == b {
+				continue
+			}
+			for _, desc := range []bool{false, true} {
+				cands = append(cands, od.OD{
+					LHS:    []od.Marked{{Col: a}},
+					RHS:    []od.Marked{{Col: b, Desc: desc}},
+					Schema: r.Schema(),
+				})
+			}
+		}
+	}
+	return cols, cands
 }
 
 // Minimal reduces an OD list to a canonical cover: a subset with the

@@ -35,9 +35,9 @@ import (
 // both columns; a NaN breaks totality (Compare treats it as equal to
 // every numeric), so candidates touching a non-total column fall back to
 // the exact od.Holds pair logic — the same predicate, decided the slow
-// way. Discovery output is therefore identical to the retained pairwise
-// core (DiscoverPairwiseContext), which the differential and fuzz suites
-// pin.
+// way. Discovery output is therefore identical to a pairwise od.Holds
+// check of every candidate, the test-only oracle the differential and
+// fuzz suites pin it against.
 
 // colOrder is one column's precomputed ordering: rows sorted ascending
 // by Compare, each row's dense rank in that order (Compare-equal values

@@ -70,7 +70,7 @@ func nastyRelation(rng *rand.Rand, rows, cols int) *relation.Relation {
 }
 
 // TestSetBasedMatchesPairwiseOracle is the property test pinning the
-// set-based core to the retained pairwise oracle: identical output on
+// set-based core to the pairwise oracle: identical output on
 // NaN/±Inf/null mixes, for every worker count, including the soundness
 // check that every reported OD actually holds.
 func TestSetBasedMatchesPairwiseOracle(t *testing.T) {
@@ -82,7 +82,7 @@ func TestSetBasedMatchesPairwiseOracle(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 7} {
 			opts := Options{Exec: engine.Exec{Workers: workers}}
 			set := DiscoverContext(context.Background(), r, opts)
-			pair := DiscoverPairwiseContext(context.Background(), r, opts)
+			pair := discoverPairwise(context.Background(), r, opts)
 			sameODs(t, fmt.Sprintf("trial %d workers %d", trial, workers), set, pair)
 			for _, o := range set.ODs {
 				if !o.Holds(r) {
@@ -104,7 +104,7 @@ func TestSetBasedMatchesPairwiseOnCorpora(t *testing.T) {
 	for name, r := range corpora {
 		for _, workers := range []int{1, 4} {
 			set := DiscoverContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
-			pair := DiscoverPairwiseContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
+			pair := discoverPairwise(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
 			sameODs(t, fmt.Sprintf("%s workers %d", name, workers), set, pair)
 		}
 	}
@@ -158,7 +158,7 @@ func FuzzSetODAgainstPairwise(f *testing.F) {
 		}
 		for _, workers := range []int{1, 3} {
 			set := DiscoverContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
-			pair := DiscoverPairwiseContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
+			pair := discoverPairwise(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}})
 			sameODs(t, fmt.Sprintf("workers %d", workers), set, pair)
 		}
 	})

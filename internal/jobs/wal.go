@@ -49,7 +49,6 @@ func (o WALOptions) withDefaults() WALOptions {
 // corruption, which surfaces as a typed *wal.ErrCorruptRecord instead
 // of silently truncating acknowledged records — unless Quarantine is
 // set, which sidecars the damage and keeps the verified prefix.
-// Pre-framing JSONL logs are migrated in place on first replay.
 type WALStore struct {
 	log  *wal.Log
 	opts WALOptions
@@ -227,9 +226,6 @@ func (w *WALStore) TruncatedTail() int { return w.log.TornTail() }
 // Quarantined reports how many corrupt suffixes replay sidecared
 // (always 0 unless the store was opened with Quarantine).
 func (w *WALStore) Quarantined() int { return w.log.Quarantined() }
-
-// Migrated reports whether Replay converted a pre-framing JSONL log.
-func (w *WALStore) Migrated() bool { return w.log.Migrated() }
 
 // Stats reports append/sync totals for observability.
 func (w *WALStore) Stats() (appends, syncs int64) {

@@ -183,52 +183,6 @@ func TestWALMidLogFlipDetected(t *testing.T) {
 	}
 }
 
-// TestWALLegacyJSONLMigrated: a pre-framing JSONL log is converted in
-// place on first replay; every valid line survives.
-func TestWALLegacyJSONLMigrated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.wal")
-	legacy := `{"type":"submit","id":"j1","seq":1,"spec":{"kind":"discover","algo":"tane","csv":"a,b\n1,2\n"},"fingerprint":"` + strings.Repeat("ab", 32) + `"}` + "\n" +
-		`{"type":"result","id":"j1","state":"done","result":{"lines":["[a]->[b]"]}}` + "\n" +
-		`{"type":"submit","id":"j2","seq":2` // torn legacy tail
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenWAL(path, WALOptions{SyncEvery: 1, SyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	recs, err := w.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].ID != "j1" || recs[1].State != StateDone {
-		t.Fatalf("migrated replay = %+v", recs)
-	}
-	if !w.Migrated() {
-		t.Fatal("migration not reported")
-	}
-	if err := w.Append(submitRec("j000003-abababab", 3)); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	w2, err := OpenWAL(path, WALOptions{SyncEvery: 1, SyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	recs, err = w2.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("post-migration replay = %d records", len(recs))
-	}
-	if w2.Migrated() {
-		t.Fatal("second open re-reported migration")
-	}
-}
-
 func TestWALBatchedSync(t *testing.T) {
 	w, _ := openTestWAL(t, WALOptions{SyncEvery: 4, SyncInterval: -1})
 	w.Replay()

@@ -13,6 +13,7 @@
 package partition
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"deptree/internal/attrset"
@@ -20,10 +21,11 @@ import (
 )
 
 // Refiner maintains the stripped partition of one attribute set under
-// appends. It holds the per-value dictionary (value key → code) plus
-// per-code counters (size, first row, class slot), which is O(|π_X|)
-// state — it does not retain per-row codes, so a refiner over a
-// low-cardinality column stays small no matter how many rows stream in.
+// appends. It holds one relation.Dict per column of X, the tuple table
+// from column codes to class codes when X has several columns, and
+// per-code counters (size, first row, class slot) — O(|π_X|) state that
+// retains no per-row codes, so a refiner over a low-cardinality column
+// stays small no matter how many rows stream in.
 //
 // Lifetime contract: AppendRefine returns a fresh *Partition backed by
 // the refiner's spare arena; the partition returned by the PREVIOUS
@@ -32,8 +34,12 @@ import (
 // caches on every batch, so nothing retains a two-generation-old
 // partition. A Refiner is not safe for concurrent use.
 type Refiner struct {
-	cols []int
-	dict map[string]int32
+	cols  []int
+	dicts []relation.Dict
+	// tuples maps the fixed-width tuple of column codes (4 bytes each) to
+	// its class code; nil for a single column, whose column code is the
+	// class code.
+	tuples map[string]int32
 	// Per-code state, indexed by code: class size, first (smallest) row,
 	// and the code's class index in the current partition (-1 while the
 	// code is a stripped singleton).
@@ -53,7 +59,7 @@ type Refiner struct {
 	spareRows []int32
 	spareOffs []int32
 	spareCode []int32
-	keyBuf    []byte
+	tupleBuf  []byte
 }
 
 // birth is a class entering the stripped cover this batch: either an old
@@ -66,7 +72,11 @@ type birth struct {
 // NewRefiner builds the partition of x over r from scratch and prepares
 // the incremental state for subsequent AppendRefine calls.
 func NewRefiner(r *relation.Relation, x attrset.Set) *Refiner {
-	f := &Refiner{cols: x.Cols(), dict: make(map[string]int32)}
+	cols := x.Cols()
+	f := &Refiner{cols: cols, dicts: make([]relation.Dict, len(cols))}
+	if len(cols) != 1 {
+		f.tuples = make(map[string]int32)
+	}
 	n := r.Rows()
 	checkRows(n)
 	codes := make([]int32, n)
@@ -89,33 +99,37 @@ func (f *Refiner) Touched() []int { return f.touched }
 // Cardinality returns |π_X| — maintained O(1), so cardinality-based
 // revalidation (an exact FD X→A holds iff |π_X| = |π_X∪A|) costs nothing
 // per rule beyond the shared delta coding.
-func (f *Refiner) Cardinality() int { return len(f.dict) }
+func (f *Refiner) Cardinality() int { return len(f.count) }
 
 // codeOfRow dictionary-codes one row, assigning fresh codes in first-
 // appearance order (which keeps code order equal to first-row order, the
 // invariant canonical CSR emission relies on).
 func (f *Refiner) codeOfRow(r *relation.Relation, row int) int32 {
-	f.keyBuf = f.keyBuf[:0]
-	for i, c := range f.cols {
-		if i > 0 {
-			f.keyBuf = append(f.keyBuf, '\x1f')
+	var code int32
+	if f.tuples == nil {
+		code = int32(f.dicts[0].Code(r.Value(row, f.cols[0])))
+	} else {
+		f.tupleBuf = f.tupleBuf[:0]
+		for i, c := range f.cols {
+			f.tupleBuf = binary.LittleEndian.AppendUint32(f.tupleBuf, uint32(f.dicts[i].Code(r.Value(row, c))))
 		}
-		f.keyBuf = append(f.keyBuf, r.Value(row, c).Key()...)
+		var ok bool
+		if code, ok = f.tuples[string(f.tupleBuf)]; !ok {
+			code = int32(len(f.tuples))
+			f.tuples[string(f.tupleBuf)] = code
+		}
 	}
-	if code, ok := f.dict[string(f.keyBuf)]; ok {
-		return code
+	if int(code) == len(f.count) {
+		f.count = append(f.count, 0)
+		f.first = append(f.first, int32(row))
+		f.classOf = append(f.classOf, -1)
 	}
-	code := int32(len(f.dict))
-	f.dict[string(f.keyBuf)] = code
-	f.count = append(f.count, 0)
-	f.first = append(f.first, int32(row))
-	f.classOf = append(f.classOf, -1)
 	return code
 }
 
 // buildInitial is FromCodes plus the classOf/codeOf bookkeeping.
 func (f *Refiner) buildInitial(codes []int32, n int) *Partition {
-	p := &Partition{n: n, card: len(f.dict)}
+	p := &Partition{n: n, card: len(f.count)}
 	for _, c := range codes {
 		f.count[c]++
 	}
@@ -199,7 +213,7 @@ func (f *Refiner) AppendRefine(r *relation.Relation, oldRows int) *Partition {
 	if growth == 0 {
 		// Every delta row started its own singleton: the stripped cover
 		// is unchanged and only n (and the cardinality) move.
-		p := &Partition{rows: old.rows, offsets: old.offsets, n: n, card: len(f.dict)}
+		p := &Partition{rows: old.rows, offsets: old.offsets, n: n, card: len(f.count)}
 		p.BuildBits()
 		f.part = p
 		return p
@@ -250,7 +264,7 @@ func (f *Refiner) AppendRefine(r *relation.Relation, oldRows int) *Partition {
 	for ci, code := range codeOf {
 		f.classOf[code] = int32(ci)
 	}
-	p := &Partition{rows: rows, offsets: offs, n: n, card: len(f.dict)}
+	p := &Partition{rows: rows, offsets: offs, n: n, card: len(f.count)}
 	p.BuildBits()
 	// Recycle the outgoing arrays as the next call's arena.
 	f.spareRows, f.spareOffs, f.spareCode = old.rows, old.offsets, f.codeOf

@@ -2,24 +2,50 @@ package relation
 
 import "math"
 
-// Dictionary encoding. Every equality-based measure (partitions, PFD
-// probability, SFD strength, FD validation) starts from per-row integer
-// codes in which equal cells share a code. The equivalence is exactly
-// Value.Key's: nulls of every kind share one code, strings compare by
-// payload, numerics by float bits (so -0 and +0 get distinct codes, as
-// their keys "n:-0" and "n:0" differ) except that every NaN payload
-// shares one code (every NaN formats as "n:NaN"). Codes are assigned in
-// first-appearance order, so code order is first-row order — the
-// canonical class order partition.FromCodes relies on.
+// Dictionary encoding: the one definition of cell equality. Every
+// equality-based measure and grouping (partitions, PFD probability, SFD
+// strength, FD validation and repair, CFD mining, imputation votes) reads
+// per-row integer codes in which equal cells share a code, or asks
+// SameKey. The equivalence is exactly Value.Key's: nulls of every kind
+// share one code, strings compare by payload, numerics by float bits (so
+// -0 and +0 get distinct codes, as their keys "n:-0" and "n:0" differ)
+// except that every NaN payload shares one code (every NaN formats as
+// "n:NaN"). Codes are assigned in first-appearance order, so code order
+// is first-row order — the canonical class order partition.FromCodes
+// relies on.
 
 // canonicalNaN is the float bit pattern every NaN payload is folded to.
 var canonicalNaN = math.Float64bits(math.NaN())
 
-// dictionary assigns first-appearance codes to cells of one column
-// without building per-cell key strings: string payloads index one map
-// and numeric bit patterns another, so the only allocations are the maps'
-// own tables.
-type dictionary struct {
+// numBits is a numeric payload's identity under the equivalence: its
+// float bits, with every NaN folded to one pattern.
+func numBits(f float64) uint64 {
+	if f != f {
+		return canonicalNaN
+	}
+	return math.Float64bits(f)
+}
+
+// SameKey reports whether v and w fall in one equivalence class — the
+// same answer as v.Key() == w.Key(), without building either string.
+// Unlike Value.Equal, NaN matches NaN and -0 does not match +0.
+func SameKey(v, w Value) bool {
+	switch {
+	case v.null || w.null:
+		return v.null && w.null
+	case v.kind == KindString || w.kind == KindString:
+		return v.kind == w.kind && v.str == w.str
+	default:
+		return numBits(v.num) == numBits(w.num)
+	}
+}
+
+// Dict assigns first-appearance codes to cells incrementally, without
+// building per-cell key strings: string payloads index one map and
+// numeric bit patterns another, so the only allocations are the maps'
+// own tables. The zero Dict is empty and ready to use. A Dict is not
+// safe for concurrent use.
+type Dict struct {
 	strs map[string]int
 	nums map[uint64]int
 	// null is the null code plus one; 0 means no null seen yet.
@@ -27,7 +53,8 @@ type dictionary struct {
 	n    int
 }
 
-func (d *dictionary) code(v Value) int {
+// Code returns v's code, assigning the next code if v's class is new.
+func (d *Dict) Code(v Value) int {
 	switch {
 	case v.null:
 		if d.null == 0 {
@@ -47,10 +74,7 @@ func (d *dictionary) code(v Value) int {
 		}
 		return c
 	default:
-		bits := math.Float64bits(v.num)
-		if v.num != v.num {
-			bits = canonicalNaN
-		}
+		bits := numBits(v.num)
 		c, ok := d.nums[bits]
 		if !ok {
 			if d.nums == nil {
@@ -64,6 +88,9 @@ func (d *dictionary) code(v Value) int {
 	}
 }
 
+// Len returns the number of codes assigned so far.
+func (d *Dict) Len() int { return d.n }
+
 // Codes dictionary-encodes a column: cells with equal Value.Key receive
 // equal small integer codes in first-appearance order. It returns the code
 // per row and the number of distinct codes. Partition construction (TANE
@@ -71,9 +98,9 @@ func (d *dictionary) code(v Value) int {
 // start from these codes.
 func (r *Relation) Codes(col int) (codes []int, card int) {
 	codes = make([]int, r.rows)
-	var d dictionary
+	var d Dict
 	for i, v := range r.cols[col] {
-		codes[i] = d.code(v)
+		codes[i] = d.Code(v)
 	}
 	return codes, d.n
 }

@@ -108,6 +108,7 @@ func TestCodesKeyEquivalence(t *testing.T) {
 		t.Fatalf("Codes = %v card %d, want %v card 5", codes, card, want)
 	}
 	checkAgainstKey(t, r)
+	checkDictAndSameKey(t, r)
 }
 
 // TestCodesMatchKeyOnHotels checks the typed encoding against the
@@ -187,8 +188,42 @@ func fuzzRelation(data []byte) *relation.Relation {
 	return r
 }
 
-// FuzzCodesMatchKey: the typed Codes/GroupCodes equal the string-keyed
-// reference encoding, codes and cardinality, on arbitrary relations.
+// checkDictAndSameKey feeds every cell, row-major across all columns, to
+// one Dict and checks its codes and Len against first-appearance codes of
+// Value.Key, and checks SameKey against key equality on every cell pair.
+func checkDictAndSameKey(t *testing.T, r *relation.Relation) {
+	t.Helper()
+	var cells []relation.Value
+	for i := 0; i < r.Rows(); i++ {
+		cells = append(cells, r.Tuple(i)...)
+	}
+	var d relation.Dict
+	ref := map[string]int{}
+	for _, v := range cells {
+		want, ok := ref[v.Key()]
+		if !ok {
+			want = len(ref)
+			ref[v.Key()] = want
+		}
+		if got := d.Code(v); got != want {
+			t.Fatalf("Dict.Code(%q) = %d, want %d", v.Key(), got, want)
+		}
+	}
+	if d.Len() != len(ref) {
+		t.Fatalf("Dict.Len() = %d, want %d", d.Len(), len(ref))
+	}
+	for _, v := range cells {
+		for _, w := range cells {
+			if got, want := relation.SameKey(v, w), v.Key() == w.Key(); got != want {
+				t.Fatalf("SameKey(%q, %q) = %v, want %v", v.Key(), w.Key(), got, want)
+			}
+		}
+	}
+}
+
+// FuzzCodesMatchKey: the typed Codes/GroupCodes, an incremental Dict and
+// SameKey all agree with the string-keyed reference encoding, codes and
+// cardinality, on arbitrary relations.
 func FuzzCodesMatchKey(f *testing.F) {
 	f.Add([]byte{0x07, 1, 0, 2, 5, 6, 1, 3})
 	f.Add([]byte{0x06, 4, 1, 3, 5, 4, 2, 1, 5, 3, 0, 3, 1, 3, 2})
@@ -200,5 +235,6 @@ func FuzzCodesMatchKey(f *testing.F) {
 			return
 		}
 		checkAgainstKey(t, r)
+		checkDictAndSameKey(t, r)
 	})
 }

@@ -57,23 +57,24 @@ func (s ColumnStats) String() string {
 }
 
 // Stats computes column statistics with up to topK most frequent values
-// per column (topK ≤ 0 keeps none).
+// per column (topK ≤ 0 keeps none). Frequency ties break on Value.Key
+// order; a top value is its class's last occurrence.
 func Stats(r *Relation, topK int) []ColumnStats {
 	out := make([]ColumnStats, r.Cols())
 	for c := 0; c < r.Cols(); c++ {
 		attr := r.Schema().Attr(c)
 		st := ColumnStats{Name: attr.Name, Kind: attr.Kind, Rows: r.Rows(), Min: math.NaN(), Max: math.NaN()}
-		counts := map[string]int{}
-		rep := map[string]Value{}
-		for row := 0; row < r.Rows(); row++ {
-			v := r.Value(row, c)
+		codes, card := r.Codes(c)
+		counts := make([]int, card)
+		rep := make([]Value, card)
+		for row, code := range codes {
+			v := r.cols[c][row]
 			if v.IsNull() {
 				st.Nulls++
 				continue
 			}
-			k := v.Key()
-			counts[k]++
-			rep[k] = v
+			counts[code]++
+			rep[code] = v
 			if v.IsNumeric() {
 				if math.IsNaN(st.Min) || v.Num() < st.Min {
 					st.Min = v.Num()
@@ -83,23 +84,26 @@ func Stats(r *Relation, topK int) []ColumnStats {
 				}
 			}
 		}
-		st.Distinct = len(counts)
+		var top []int
+		for code, n := range counts {
+			if n > 0 {
+				top = append(top, code)
+			}
+		}
+		st.Distinct = len(top)
 		if topK > 0 {
-			keys := make([]string, 0, len(counts))
-			for k := range counts {
-				keys = append(keys, k)
+			keys := make([]string, card)
+			for _, code := range top {
+				keys[code] = rep[code].Key()
 			}
-			sort.Slice(keys, func(i, j int) bool {
-				if counts[keys[i]] != counts[keys[j]] {
-					return counts[keys[i]] > counts[keys[j]]
+			sort.Slice(top, func(i, j int) bool {
+				if counts[top[i]] != counts[top[j]] {
+					return counts[top[i]] > counts[top[j]]
 				}
-				return keys[i] < keys[j]
+				return keys[top[i]] < keys[top[j]]
 			})
-			if len(keys) > topK {
-				keys = keys[:topK]
-			}
-			for _, k := range keys {
-				st.TopValues = append(st.TopValues, ValueCount{Value: rep[k], Count: counts[k]})
+			for _, code := range top[:min(topK, len(top))] {
+				st.TopValues = append(st.TopValues, ValueCount{Value: rep[code], Count: counts[code]})
 			}
 		}
 		out[c] = st

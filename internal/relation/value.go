@@ -80,8 +80,13 @@ func (v Value) Str() string { return v.str }
 // numeric kinds.
 func (v Value) Num() float64 { return v.num }
 
-// Equal reports value equality: same kind class (numerics compare across
-// KindInt/KindFloat), same payload. Nulls are equal only to nulls.
+// Equal is the `=` predicate of comparison-based rules (DCs, MDs, CFD
+// pattern constants): same kind class (numerics compare across
+// KindInt/KindFloat), same payload, with IEEE numeric equality — NaN is
+// unequal to everything, itself included, and -0 equals +0. Nulls are
+// equal only to nulls. Grouping cells into equivalence classes uses
+// SameKey and the dictionary codes instead, which differ on exactly those
+// two points.
 func (v Value) Equal(w Value) bool {
 	if v.null || w.null {
 		return v.null && w.null
@@ -134,9 +139,11 @@ func (v Value) Compare(w Value) int {
 	return 0
 }
 
-// Key returns a canonical string usable as a map key for grouping by equal
-// values (dictionary encoding). Distinct in the Equal sense implies distinct
-// keys and vice versa.
+// Key returns the canonical string of v's equivalence class: two values
+// have equal keys exactly when SameKey holds, so nulls of every kind share
+// one key, every NaN formats as "n:NaN", and -0 and +0 keys differ. It
+// serves encodings (fingerprints, the stream WAL) and string tie-breaks;
+// grouping cells goes through Dict, Codes or SameKey, never a map of keys.
 func (v Value) Key() string {
 	if v.null {
 		return "\x00null"

@@ -240,6 +240,46 @@ func TestSharedLHSDemotion(t *testing.T) {
 	}
 }
 
+// TestSeparatorPayloadsMatchScratch feeds cells that spell one another
+// once value keys are joined with a separator byte: ("x\x1fs:y", "z")
+// and ("x", "y\x1fs:z") are distinct (A, B) tuples, so the held
+// A,B -> C must survive the batch that brings the second one with a
+// different C.
+func TestSeparatorPayloadsMatchScratch(t *testing.T) {
+	schema := relation.Strings("A", "B", "C")
+	row := func(vs ...string) []relation.Value {
+		out := make([]relation.Value, len(vs))
+		for i, v := range vs {
+			out[i] = relation.String(v)
+		}
+		return out
+	}
+	for _, algo := range []string{"tane", "fastfd"} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", algo, workers), func(t *testing.T) {
+				sess, err := stream.NewSession(algo, schema, stream.Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				shadow := relation.New("shadow", schema)
+				// Neither A nor B determines C; A,B is a key.
+				feedAndCheck(t, sess, shadow, algo, workers, [][]relation.Value{
+					row("x\x1fs:y", "z", "c1"),
+					row("x\x1fs:y", "w", "c3"),
+					row("p", "z", "c4"),
+				}, "base")
+				feedAndCheck(t, sess, shadow, algo, workers, [][]relation.Value{
+					row("x", "y\x1fs:z", "c2"),
+				}, "colliding")
+				feedAndCheck(t, sess, shadow, algo, workers, [][]relation.Value{
+					row("x", "y\x1fs:z", "c2"),
+					row("x\x1fs:y", "z", "c1"),
+				}, "repeats")
+			})
+		}
+	}
+}
+
 // TestRegistryLockstep pins the registry's Incremental flags to the
 // stream package's engine set.
 func TestRegistryLockstep(t *testing.T) {

@@ -189,12 +189,12 @@ func uniformTails(r *relation.Relation, ref *partition.Refiner, a, oldRows int) 
 	p := ref.Partition()
 	for _, ci := range ref.Touched() {
 		rows := p.Class(ci)
-		rep := r.Value(int(rows[0]), a).Key()
+		rep := r.Value(int(rows[0]), a)
 		for k := len(rows) - 1; k >= 1; k-- {
 			if int(rows[k]) < oldRows {
 				break
 			}
-			if r.Value(int(rows[k]), a).Key() != rep {
+			if !relation.SameKey(r.Value(int(rows[k]), a), rep) {
 				return false
 			}
 		}
@@ -208,9 +208,9 @@ func uniformTails(r *relation.Relation, ref *partition.Refiner, a, oldRows int) 
 func uniformAll(r *relation.Relation, p *partition.Partition, a int) bool {
 	for ci := 0; ci < p.NumClasses(); ci++ {
 		rows := p.Class(ci)
-		rep := r.Value(int(rows[0]), a).Key()
+		rep := r.Value(int(rows[0]), a)
 		for k := 1; k < len(rows); k++ {
-			if r.Value(int(rows[k]), a).Key() != rep {
+			if !relation.SameKey(r.Value(int(rows[k]), a), rep) {
 				return false
 			}
 		}

@@ -8,7 +8,7 @@
 // *wal.ErrCorruptRecord instead of silently truncating acknowledged
 // batches, and records larger than bufio.Scanner's 64 MiB ceiling
 // round-trip instead of erroring at replay after being acknowledged at
-// append. Pre-framing JSONL logs migrate in place on first replay.
+// append. A pre-framing JSONL log is rejected as corrupt.
 //
 // Cells are encoded with relation.Value.Key — the injective canonical
 // form the dictionary coders and the chained fingerprint are built on.
@@ -87,7 +87,7 @@ func OpenWALWith(path string, opts WALOptions) (*WAL, error) {
 // clean torn tail, and arms the WAL for appends. Mid-log corruption
 // returns the typed *wal.ErrCorruptRecord (or is quarantined when the
 // WAL was opened with Quarantine); fn returning an error aborts the
-// replay. A pre-framing JSONL log is migrated first.
+// replay.
 func (w *WAL) Replay(fn func(rec WALRecord) error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -264,33 +264,6 @@ func TestWALOversizedRecordRoundTrips(t *testing.T) {
 	}
 }
 
-// TestWALLegacyJSONLMigrated: a pre-framing JSONL stream log converts in
-// place on first replay.
-func TestWALLegacyJSONLMigrated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.wal")
-	legacy := `{"op":"create","session":"s1","algo":"od","names":["n","s"],"kinds":[2,1]}` + "\n" +
-		`{"op":"batch","session":"s1","seq":1,"cells":[["n:1","s:x"]]}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	var ops []string
-	if err := w.Replay(func(rec WALRecord) error { ops = append(ops, rec.Op); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ops, []string{"create", "batch"}) {
-		t.Fatalf("migrated ops %v", ops)
-	}
-	data, _ := os.ReadFile(path)
-	if len(data) < 4 || string(data[:4]) != wal.Magic {
-		t.Fatalf("log not migrated to framed format: %q", data[:8])
-	}
-}
-
 // TestWALReopenRecovers: Reopen re-verifies the log from disk and arms
 // appends — the bounded recovery step the server tries before
 // poisoning the stream subsystem.

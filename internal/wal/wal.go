@@ -44,7 +44,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -131,17 +130,16 @@ type Log struct {
 	fs   fsx.FS
 	opts Options
 
-	mu           sync.Mutex
-	f            fsx.File
-	size         int64 // current file size including any unverified tail
-	lastGood     int64 // end offset of the last verified frame
-	pendingRepair bool // a failed append left bytes past lastGood
-	replayed     bool
-	closed       bool
-	tornTail     int
-	quarantined  int
-	migrated     bool
-	records      int
+	mu            sync.Mutex
+	f             fsx.File
+	size          int64 // current file size including any unverified tail
+	lastGood      int64 // end offset of the last verified frame
+	pendingRepair bool  // a failed append left bytes past lastGood
+	replayed      bool
+	closed        bool
+	tornTail      int
+	quarantined   int
+	records       int
 }
 
 // Open opens or creates the log at path. A new file gets the versioned
@@ -313,9 +311,6 @@ func Scan(fsys fsx.FS, path string, maxRecord int64, fn func(payload []byte, off
 		return 0, false, nil
 	}
 	if len(data) < HeaderSize || string(data[:4]) != Magic {
-		if looksLikeJSONL(data) {
-			return 0, false, fmt.Errorf("wal: %s is a legacy JSONL log (run with migration enabled, or fsck -repair)", path)
-		}
 		return 0, false, &ErrCorruptRecord{Path: path, Offset: 0, Reason: "bad magic"}
 	}
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
@@ -324,105 +319,15 @@ func Scan(fsys fsx.FS, path string, maxRecord int64, fn func(payload []byte, off
 	return scan(path, data[HeaderSize:], maxRecord, fn)
 }
 
-// looksLikeJSONL reports whether data is plausibly a legacy JSONL log:
-// first non-empty byte is '{'.
-func looksLikeJSONL(data []byte) bool {
-	for _, c := range data {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// MigrateJSONL converts a legacy JSONL log at path into the framed
-// format, atomically (temp file, rename, dir fsync). Each line must be
-// valid JSON; an invalid line ends the conversion there, mirroring the
-// old torn-tail semantics (legacy logs had no way to distinguish torn
-// from corrupt, so the pre-existing behaviour is preserved for them).
-// Returns the number of records migrated.
-func MigrateJSONL(fsys fsx.FS, path string) (int, error) {
-	if fsys == nil {
-		fsys = fsx.OS
-	}
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	tmp := path + ".migrate"
-	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("wal: migrate open %s: %w", tmp, err)
-	}
-	n := 0
-	write := func(b []byte) error {
-		_, werr := f.Write(b)
-		return werr
-	}
-	err = func() error {
-		if err := write(EncodeHeader()); err != nil {
-			return err
-		}
-		rest := data
-		for len(rest) > 0 {
-			nl := -1
-			for i, c := range rest {
-				if c == '\n' {
-					nl = i
-					break
-				}
-			}
-			var line []byte
-			if nl < 0 {
-				// Unterminated final line: the legacy torn tail. Drop it.
-				break
-			}
-			line, rest = rest[:nl], rest[nl+1:]
-			if len(line) == 0 {
-				continue
-			}
-			if !json.Valid(line) {
-				// Legacy logs cannot tell torn from corrupt; preserve the
-				// old truncate-at-first-bad-line behaviour.
-				break
-			}
-			if err := write(EncodeFrame(line)); err != nil {
-				return err
-			}
-			n++
-		}
-		return f.Sync()
-	}()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fsys.Remove(tmp)
-		return 0, fmt.Errorf("wal: migrate %s: %w", path, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return 0, fmt.Errorf("wal: migrate rename %s: %w", path, err)
-	}
-	if err := fsys.SyncDir(fsx.Dir(path)); err != nil {
-		return 0, fmt.Errorf("wal: migrate sync dir: %w", err)
-	}
-	return n, nil
-}
-
 // Replay verifies the log from the start, invoking fn for each valid
 // record payload. The payload slice is only valid during the callback.
 // On a clean torn tail the file is truncated to the verified prefix and
 // replay succeeds (TornTail reports it). On mid-log corruption replay
 // returns *ErrCorruptRecord — unless Quarantine is set, in which case
 // the damaged suffix is sidecared to <path>.quarantine, the log is
-// truncated to the verified prefix, and replay succeeds. A legacy JSONL
-// file is migrated to the framed format first (one-shot, atomic).
+// truncated to the verified prefix, and replay succeeds. A file without
+// the framed header (a JSONL log from before framing, for one) is
+// rejected as *ErrCorruptRecord.
 func (l *Log) Replay(fn func(payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -432,22 +337,6 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 	data, err := l.fs.ReadFile(l.path)
 	if err != nil {
 		return fmt.Errorf("wal: read %s: %w", l.path, err)
-	}
-	if looksLikeJSONL(data) {
-		// Legacy JSONL log: one-shot migration to the framed format. The
-		// open handle keeps pointing at the old inode, so reopen after
-		// the rename.
-		if _, err := MigrateJSONL(l.fs, l.path); err != nil {
-			return err
-		}
-		l.migrated = true
-		if err := l.reopenLocked(); err != nil {
-			return err
-		}
-		data, err = l.fs.ReadFile(l.path)
-		if err != nil {
-			return fmt.Errorf("wal: read %s: %w", l.path, err)
-		}
 	}
 	if len(data) < HeaderSize || string(data[:4]) != Magic {
 		if allZero(data) {
@@ -684,13 +573,6 @@ func (l *Log) Quarantined() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.quarantined
-}
-
-// Migrated reports whether Replay converted a legacy JSONL file.
-func (l *Log) Migrated() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.migrated
 }
 
 // Records reports the number of live records (replayed plus appended).

@@ -251,40 +251,38 @@ func TestOversizedFrameTypedRejection(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONLMigration: a pre-framing JSONL log is converted
-// one-shot on first replay, preserving every valid line.
-func TestLegacyJSONLMigration(t *testing.T) {
+// TestJSONLRejectedAsCorruption: a JSONL log from before framing has no
+// header, so replay (with or without quarantine) and Scan reject it as
+// typed corruption at offset 0, never panic, and leave the file as it
+// was.
+func TestJSONLRejectedAsCorruption(t *testing.T) {
 	m := fsx.NewMemFS()
 	m.MkdirAll("d", 0o755)
+	legacy := `{"type":"submit","id":"j1"}` + "\n" + `{"type":"done","id":"j1"}` + "\n"
 	f, _ := m.OpenFile("d/test.wal", os.O_RDWR|os.O_CREATE, 0o644)
-	f.Write([]byte(`{"type":"submit","id":"j1"}` + "\n" + `{"type":"done","id":"j1"}` + "\n" + `{"type":"submit","id":"j2"` /* torn */))
+	f.Write([]byte(legacy))
 	f.Sync()
 	f.Close()
 	m.SyncDir("d")
-
-	l := openMem(t, m, Options{})
-	got := replayAll(t, l)
-	if len(got) != 2 || got[0] != `{"type":"submit","id":"j1"}` {
-		t.Fatalf("migrated replay %v", got)
+	for _, opts := range []Options{{}, {Quarantine: true}} {
+		l := openMem(t, m, opts)
+		err := l.Replay(nil)
+		var corrupt *ErrCorruptRecord
+		if !errors.As(err, &corrupt) || corrupt.Offset != 0 {
+			t.Fatalf("replay(%+v) of a JSONL log = %v, want *ErrCorruptRecord at 0", opts, err)
+		}
+		if err := l.Append([]byte(`{}`), true); err == nil {
+			t.Fatalf("append after a rejected replay succeeded")
+		}
+		l.Close()
 	}
-	if !l.Migrated() {
-		t.Fatal("migration not reported")
+	_, _, err := Scan(m, "d/test.wal", 0, func([]byte, int64) error { return nil })
+	var corrupt *ErrCorruptRecord
+	if !errors.As(err, &corrupt) {
+		t.Fatalf("Scan of a JSONL log = %v, want *ErrCorruptRecord", err)
 	}
-	// Appends after migration land in the framed file.
-	if err := l.Append([]byte(`{"type":"done","id":"j2"}`), true); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	data, _ := m.ReadFile("d/test.wal")
-	if string(data[:4]) != Magic {
-		t.Fatalf("migrated file does not start with magic: %q", data[:8])
-	}
-	l2 := openMem(t, m, Options{})
-	if got := replayAll(t, l2); len(got) != 3 {
-		t.Fatalf("post-migration replay %v", got)
-	}
-	if l2.Migrated() {
-		t.Fatal("second open re-reported migration")
+	if data, _ := m.ReadFile("d/test.wal"); string(data) != legacy {
+		t.Fatalf("rejected log was rewritten: %q", data)
 	}
 }
 
