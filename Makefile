@@ -3,13 +3,18 @@
 
 GO ?= go
 
-.PHONY: build test race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke servebench-check verify
+.PHONY: build test fmt-check race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke servebench-check verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Fails, listing the offenders, when any Go file differs from gofmt's
+# formatting.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Race coverage for the worker pool, the shared partition cache, all
 # parallelized discovery algorithms (the differential harness runs both

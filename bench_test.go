@@ -52,6 +52,7 @@ import (
 	"deptree/internal/discovery/pfddisc"
 	"deptree/internal/discovery/sddisc"
 	"deptree/internal/discovery/tane"
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/partition"
 	"deptree/internal/relation"
@@ -625,8 +626,8 @@ func BenchmarkCORDSDiscover(b *testing.B) {
 // BenchmarkPartitionProduct measures the stripped-product hot path over
 // the class shapes that stress its different emit routes: small (a few
 // large classes), skewed (one dominant class plus a tail), and key-like
-// (mostly singletons). The scratch arena is held across iterations,
-// matching how the engine's partition cache drives the product.
+// (mostly singletons). Iterations reuse the pooled scratch arena, as the
+// engine's partition cache does.
 func BenchmarkPartitionProduct(b *testing.B) {
 	const n = 1000
 	rng := rand.New(rand.NewSource(43))
@@ -652,11 +653,10 @@ func BenchmarkPartitionProduct(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			p1 := partition.FromCodes(sh.c1, benchCard(sh.c1))
 			p2 := partition.FromCodes(sh.c2, benchCard(sh.c2))
-			s := partition.NewScratch()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p1.ProductScratch(p2, s)
+				p1.Product(p2)
 			}
 		})
 	}
@@ -664,13 +664,31 @@ func BenchmarkPartitionProduct(b *testing.B) {
 		r := gen.Hotels(gen.HotelConfig{Rows: 1000, Seed: 43})
 		p1 := partition.Build(r, attrset.Single(1))
 		p2 := partition.Build(r, attrset.Single(3))
-		s := partition.NewScratch()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p1.ProductScratch(p2, s)
+			p1.Product(p2)
 		}
 	})
+}
+
+// BenchmarkTaneServed is the partition product's served-shape layer
+// bench: exact tane over hotels decoded as the server decodes them, at
+// the sync-mix row counts and one and two workers. Each run builds its
+// own partition cache, so every product of the lattice walk is timed.
+func BenchmarkTaneServed(b *testing.B) {
+	for _, rows := range []int{500, 1500, 5000} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("rows=%d/workers=%d", rows, workers), func(b *testing.B) {
+				r := benchHotelsCSV(b, rows)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tane.Discover(r, tane.Options{Exec: engine.Exec{Workers: workers}})
+				}
+			})
+		}
+	}
 }
 
 // benchCodes draws n codes and remaps them to first-appearance order, the

@@ -524,7 +524,7 @@ func cmdProfile(args []string) error {
 	}
 	// The TANE passes share one partition cache: the approximate pass
 	// reuses every partition the exact pass already built.
-	cache := engine.NewPartitionCacheBudget(r, 0, x.Budget.MaxCacheBytes)
+	cache := engine.NewPartitionCache(r, x.Budget.MaxCacheBytes)
 	cache.SetObserver(reg)
 	fmt.Printf("%s: %d tuples x %d attributes\n\n", r.Name(), r.Rows(), r.Cols())
 

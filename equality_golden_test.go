@@ -2,6 +2,7 @@ package deptree
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -22,8 +23,10 @@ import (
 	"deptree/internal/deps/md"
 	"deptree/internal/deps/ned"
 	"deptree/internal/discovery/cfddisc"
+	"deptree/internal/discovery/registry"
 	"deptree/internal/gen"
 	"deptree/internal/relation"
+	"deptree/internal/stream"
 )
 
 // goldenEqualityDigests pins the output of every function that groups or
@@ -42,6 +45,14 @@ var goldenEqualityDigests = map[string]string{
 	"cfd-violations":     "9dc7de5cda907a1f8f064fe3134716652523b3d5bac3b36eb2c73c68845b53e0",
 	"constant-cfds":      "0bab36a87f21275129f5fa36aaf53f2bc6052230a9afac9ac4ca704767c1be80",
 	"ctane":              "aa87a5c5c70038da05591deabc7716e17248ce8150c4a2b54bc9aedf10f0fefc",
+	// The tane and stream-tane digests pin the partition product (tane's
+	// lattice walk, its sampled verifier and the stream refiner). They
+	// were computed while the product still had a bit-parallel staging
+	// path, which the 600-row hotels inputs (≥256 rows, ≤64-class
+	// columns) took.
+	"tane-w1":     "f1f13799c68dfdd9f05af88b78da86cd02de1bce51042c6bd35b733f23da4748",
+	"tane-w4":     "f1f13799c68dfdd9f05af88b78da86cd02de1bce51042c6bd35b733f23da4748",
+	"stream-tane": "0b85407bcd382acce67e8aab564e8bd1ae5e4fcb2b8b1b43d499896dc33a0368",
 }
 
 // goldenDataset is one input plus the columns the digests use: x is a
@@ -216,6 +227,29 @@ var goldenEqualityFuncs = map[string]func(h hash.Hash, d goldenDataset){
 			}
 		}
 	},
+	"tane-w1": func(h hash.Hash, d goldenDataset) { writeTane(h, d, 1) },
+	"tane-w4": func(h hash.Hash, d goldenDataset) { writeTane(h, d, 4) },
+	"stream-tane": func(h hash.Hash, d goldenDataset) {
+		// Half the rows as the base batch, the rest in eighths, hashing
+		// the session's ruleset after every batch.
+		sess, err := stream.NewSession("tane", d.r.Schema(), stream.Options{Workers: 2})
+		if err != nil {
+			panic(err)
+		}
+		n := d.r.Rows()
+		step := max(n/8, 1)
+		for lo, hi := 0, n/2; lo < n; lo, hi = hi, min(hi+step, n) {
+			rows := make([][]relation.Value, 0, hi-lo)
+			for row := lo; row < hi; row++ {
+				rows = append(rows, d.r.Tuple(row))
+			}
+			res, err := sess.AppendBatch(context.Background(), rows)
+			if err != nil {
+				panic(err)
+			}
+			fmt.Fprintln(h, res.TotalRows, res.Partial, res.Lines)
+		}
+	},
 	"ctane": func(h hash.Hash, d goldenDataset) {
 		opts := cfddisc.GeneralOptions{RHS: d.y, MinSupport: 3, MaxLHS: 2}
 		if d.small {
@@ -227,8 +261,22 @@ var goldenEqualityFuncs = map[string]func(h hash.Hash, d goldenDataset){
 	},
 }
 
-// TestEqualityGolden checks every value-equality consumer against the
-// digests pinned in goldenEqualityDigests.
+// writeTane hashes tane's output at the given worker count: exact,
+// approximate (g3 ≤ 0.05), and sample-then-verify over half the rows.
+func writeTane(h hash.Hash, d goldenDataset, workers int) {
+	a, _ := registry.Lookup("tane")
+	for _, o := range []registry.RunOptions{
+		{Workers: workers},
+		{Workers: workers, MaxErr: 0.05},
+		{Workers: workers, SampleRows: max(d.r.Rows()/2, 1), SampleSeed: 3},
+	} {
+		fmt.Fprintln(h, a.Run(context.Background(), d.r, o).Text())
+	}
+}
+
+// TestEqualityGolden checks every value-equality consumer, and tane and
+// stream tane over the partition product, against the digests pinned in
+// goldenEqualityDigests.
 func TestEqualityGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden digest sweep skipped in -short mode")

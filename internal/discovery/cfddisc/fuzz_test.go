@@ -16,14 +16,14 @@ import (
 func FuzzParseTableau(f *testing.F) {
 	f.Add("name,region->price: _,Boston->299; West Wood,_->499")
 	f.Add("name->price: _->299")
-	f.Add("name,region->price")                 // missing ':'
-	f.Add("name,region price: _,Boston 299")    // header missing '->'
-	f.Add("nope->price: _->299")                // unknown attribute
-	f.Add("name,region->price: _->299")         // wrong cell count
-	f.Add("name->price:")                       // zero rows
-	f.Add("name->price: ;;; ")                  // only empty rows
-	f.Add("name->price: _->notanumber")         // unparsable int literal
-	f.Add("region->name: Boston->_,_")          // extra cells
+	f.Add("name,region->price")              // missing ':'
+	f.Add("name,region price: _,Boston 299") // header missing '->'
+	f.Add("nope->price: _->299")             // unknown attribute
+	f.Add("name,region->price: _->299")      // wrong cell count
+	f.Add("name->price:")                    // zero rows
+	f.Add("name->price: ;;; ")               // only empty rows
+	f.Add("name->price: _->notanumber")      // unparsable int literal
+	f.Add("region->name: Boston->_,_")       // extra cells
 	f.Add("name , region -> price : _ , _ -> _")
 	f.Add(":")
 	f.Add("")

@@ -8,6 +8,8 @@ import (
 
 	"deptree/internal/engine"
 	"deptree/internal/gen"
+	"deptree/internal/obs"
+	"deptree/internal/relation"
 )
 
 // budgetSlack is how far past its Timeout a sampled run may return: the
@@ -48,6 +50,49 @@ func TestSampledRunSpendsOneBudget(t *testing.T) {
 		delay.Store(0)
 		if elapsed > o.Budget.Timeout+budgetSlack {
 			t.Errorf("%s: returned after %v under a %v Timeout", a.Name, elapsed, o.Budget.Timeout)
+		}
+	}
+}
+
+// TestSampledFDVerifierHonoursCacheBudget: the verification phase of a
+// sampled tane or fastfd run builds its partition cache under the run's
+// MaxCacheBytes and reports into its Obs registry. On the 50-row sample
+// a→b holds, and the sample's partitions fit the bound; the evictions
+// and the final cache.bytes reading come from refuting a→b on the full
+// 2,000 rows, where each partition is ~8 KiB.
+func TestSampledFDVerifierHonoursCacheBudget(t *testing.T) {
+	r := relation.New("near-fd", relation.NewSchema(
+		relation.Attribute{Name: "a", Kind: relation.KindInt},
+		relation.Attribute{Name: "b", Kind: relation.KindInt},
+		relation.Attribute{Name: "c", Kind: relation.KindInt}))
+	for i := 0; i < 2000; i++ {
+		b := i % 40 % 7
+		if i%500 == 499 {
+			b = 99
+		}
+		if err := r.Append([]relation.Value{relation.Int(i % 40), relation.Int(b), relation.Int(i / 40 % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bound = 20 << 10
+	for _, name := range []string{"tane", "fastfd"} {
+		a, _ := Lookup(name)
+		reg := obs.New()
+		o := RunOptions{Workers: 2, SampleRows: 50, SampleSeed: 5, Obs: reg}
+		want := a.Run(context.Background(), r, o).Text()
+		if reg.Counter("sampling.refuted").Value() == 0 {
+			t.Fatalf("%s: the sample refuted nothing; the verifier never ran", name)
+		}
+		reg = obs.New()
+		o.Budget, o.Obs = engine.Budget{MaxCacheBytes: bound}, reg
+		if got := a.Run(context.Background(), r, o).Text(); got != want {
+			t.Errorf("%s: output under MaxCacheBytes differs:\n%s\nwant:\n%s", name, got, want)
+		}
+		if got := reg.Gauge("cache.bytes").Value(); got <= 0 || got > bound {
+			t.Errorf("%s: cache.bytes = %d, want within (0, %d]", name, got, bound)
+		}
+		if reg.Counter("cache.evictions").Value() == 0 {
+			t.Errorf("%s: no evictions recorded under a %d-byte cache bound", name, bound)
 		}
 	}
 }

@@ -91,9 +91,12 @@ func sampled[T any](ctx context.Context, r *relation.Relation, o RunOptions,
 // full relation, so each attribute set is hashed from row values at most
 // once and multi-attribute partitions come from cached products; without
 // the cache every verified FD would rebuild its partitions from scratch,
-// which at a million rows costs more than full-mode discovery.
-func fdVerifier(r *relation.Relation, maxErr float64) func(*engine.Pool, fd.FD) bool {
-	cache := engine.NewPartitionCache(r, 0)
+// which at a million rows costs more than full-mode discovery. Like
+// tane's own cache, it is bounded by the run's Budget.MaxCacheBytes and
+// mirrored into its Obs registry.
+func fdVerifier(r *relation.Relation, maxErr float64, x engine.Exec) func(*engine.Pool, fd.FD) bool {
+	cache := engine.NewPartitionCache(r, x.Budget.MaxCacheBytes)
+	cache.SetObserver(x.Obs)
 	return func(_ *engine.Pool, f fd.FD) bool {
 		px := cache.Get(f.LHS)
 		if maxErr > 0 {
@@ -188,7 +191,7 @@ var algos = []Algo{
 					res := tane.DiscoverContext(ctx, r, tane.Options{MaxError: o.MaxErr, Exec: x})
 					return res.FDs, res.Partial, res.Reason
 				},
-				func() func(*engine.Pool, fd.FD) bool { return fdVerifier(r, o.MaxErr) }))
+				func() func(*engine.Pool, fd.FD) bool { return fdVerifier(r, o.MaxErr, o.Exec()) }))
 		},
 	},
 	{
@@ -201,7 +204,7 @@ var algos = []Algo{
 					res := fastfd.DiscoverContext(ctx, r, fastfd.Options{Exec: x})
 					return res.FDs, res.Partial, res.Reason
 				},
-				func() func(*engine.Pool, fd.FD) bool { return fdVerifier(r, 0) }))
+				func() func(*engine.Pool, fd.FD) bool { return fdVerifier(r, 0, o.Exec()) }))
 		},
 	},
 	{

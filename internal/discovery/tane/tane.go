@@ -87,7 +87,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	reg := opts.Obs
 	cache := opts.Cache
 	if cache == nil {
-		cache = engine.NewPartitionCacheBudget(r, 0, opts.Budget.MaxCacheBytes)
+		cache = engine.NewPartitionCache(r, opts.Budget.MaxCacheBytes)
 		cache.SetObserver(reg)
 	}
 	pool := opts.Pool(ctx)

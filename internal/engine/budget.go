@@ -31,7 +31,7 @@ type Budget struct {
 	// where it trips is independent of the worker count.
 	MaxTasks int64
 	// MaxCacheBytes bounds the resident bytes of the run's partition
-	// cache (0 = unlimited); see NewPartitionCacheBudget. Exceeding it
+	// cache (0 = unlimited); see NewPartitionCache. Exceeding it
 	// evicts, it never fails the run.
 	MaxCacheBytes int64
 }

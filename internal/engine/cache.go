@@ -45,11 +45,6 @@ type PartitionCache struct {
 	upgrades      uint64
 	upgradeEvicts uint64
 
-	// scratch pools partition arenas for product builds. sync.Pool's per-P
-	// free lists hand each engine worker an effectively private arena, so
-	// concurrent lattice walks build products contention-free.
-	scratch sync.Pool
-
 	// Optional live mirrors of the stats above in an obs registry
 	// (SetObserver); nil handles are no-ops.
 	cHits, cMisses, cEvictions *obs.Counter
@@ -86,39 +81,25 @@ type CacheStats struct {
 	UpgradeEvictions uint64
 }
 
-// DefaultCacheCapacity bounds a PartitionCache when the caller passes a
-// non-positive capacity. It comfortably holds the live frontier (two
-// lattice levels) of the widest benchmark relations.
-const DefaultCacheCapacity = 4096
+// maxCacheEntries bounds every PartitionCache's entry count. It
+// comfortably holds the live frontier (two lattice levels) of the widest
+// benchmark relations.
+const maxCacheEntries = 4096
 
-// NewPartitionCache creates a cache over r holding at most capacity
-// partitions (<= 0 selects DefaultCacheCapacity), with no byte bound.
-func NewPartitionCache(r *relation.Relation, capacity int) *PartitionCache {
-	return NewPartitionCacheBudget(r, capacity, 0)
-}
-
-// NewPartitionCacheBudget is NewPartitionCache with a bound on resident
-// bytes (<= 0 = unlimited): once the estimated footprint of the memoized
-// partitions exceeds maxBytes, least-recently-used entries are forgotten.
-// The most recently inserted entry is never evicted by the byte bound, so
-// a single oversized partition degrades to cache-of-one rather than
-// thrashing to zero.
-func NewPartitionCacheBudget(r *relation.Relation, capacity int, maxBytes int64) *PartitionCache {
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	c := &PartitionCache{
+// NewPartitionCache creates a cache over r with a bound on resident bytes
+// (<= 0 = unlimited): once the exact footprint of the memoized partitions
+// exceeds maxBytes, least-recently-used entries are forgotten. The most
+// recently inserted entry is never evicted by the byte bound, so a single
+// oversized partition degrades to cache-of-one rather than thrashing to
+// zero.
+func NewPartitionCache(r *relation.Relation, maxBytes int64) *PartitionCache {
+	return &PartitionCache{
 		r:        r,
-		cap:      capacity,
-		maxBytes: maxBytes,
+		cap:      maxCacheEntries,
+		maxBytes: max(maxBytes, 0),
 		entries:  make(map[attrset.Set]*list.Element),
 		lru:      list.New(),
 	}
-	c.scratch.New = func() any { return partition.NewScratch() }
-	return c
 }
 
 // Relation returns the relation the cache is built over.
@@ -212,29 +193,18 @@ func (c *PartitionCache) evictLocked() {
 }
 
 // build constructs π_X outside the cache lock. Singletons (and π_∅) come
-// straight from the relation; larger sets are products of cached parts,
-// computed on a pooled scratch arena so the hot path allocates nothing
-// beyond the result.
+// straight from the relation; larger sets are products of cached parts.
 func (c *PartitionCache) build(x attrset.Set) *partition.Partition {
 	if x.Len() <= 1 {
-		p := partition.Build(c.r, x)
-		// Bit-backing happens eagerly, before the caller credits
-		// MemBytes: a cached partition's footprint must never grow after
-		// the byte-bounded accounting has seen it. BuildBits gates
-		// itself on cardinality and row count.
-		p.BuildBits()
-		return p
+		return partition.Build(c.r, x)
 	}
 	a := x.First()
 	rest := c.Get(x.Remove(a))
 	single := c.Get(attrset.Single(a))
 	c.cProducts.Inc()
 	stop := c.hProduct.Start()
-	s := c.scratch.Get().(*partition.Scratch)
-	p := rest.ProductScratch(single, s)
-	c.scratch.Put(s)
+	p := rest.Product(single)
 	stop()
-	p.BuildBits()
 	return p
 }
 

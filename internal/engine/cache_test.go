@@ -33,7 +33,8 @@ func TestCacheMatchesDirectBuild(t *testing.T) {
 
 func TestCacheHits(t *testing.T) {
 	r := gen.Categorical(30, []int{3, 4, 5}, 7)
-	c := NewPartitionCache(r, 8)
+	c := NewPartitionCache(r, 0)
+	c.cap = 8
 	x := attrset.Of(0, 1)
 	c.Get(x)
 	c.Get(x)
@@ -50,7 +51,8 @@ func TestCacheBoundAndEviction(t *testing.T) {
 	r := gen.Categorical(30, []int{3, 4, 5}, 7)
 	// Capacity 2 cannot even hold one product chain: every Get thrashes.
 	// The cache must stay bounded and keep returning correct partitions.
-	c := NewPartitionCache(r, 2)
+	c := NewPartitionCache(r, 0)
+	c.cap = 2
 	x := attrset.Of(0, 1)
 	c.Get(x)
 	if c.Len() > 2 {
@@ -72,7 +74,8 @@ func TestCacheBoundAndEviction(t *testing.T) {
 // -race) and checks every result against a direct build.
 func TestCacheConcurrentGets(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 60, Seed: 13, ErrorRate: 0.05})
-	c := NewPartitionCache(r, 16) // small capacity forces eviction races
+	c := NewPartitionCache(r, 0)
+	c.cap = 16 // small capacity forces eviction races
 	var sets []attrset.Set
 	attrset.Full(6).Subsets(func(x attrset.Set) { sets = append(sets, x) })
 	want := make(map[attrset.Set]string, len(sets))

@@ -33,7 +33,7 @@ type Exec struct {
 // of twice that, a context that ends at Budget.Timeout, a MaxTasks cap
 // enforced through Reserve, and Obs's engine.* metrics. Budget's
 // MaxCacheBytes is not enforced by the pool; pass it to
-// NewPartitionCacheBudget. Observation never feeds back into scheduling,
+// NewPartitionCache. Observation never feeds back into scheduling,
 // so a pool with a registry runs the same task sequence as one without.
 // The caller must Close the pool.
 func (x Exec) Pool(ctx context.Context) *Pool {

@@ -28,7 +28,8 @@ func upgradeRelation(t *testing.T, rows int) *relation.Relation {
 // are evicted and rebuilt lazily, and the fingerprint advances.
 func TestCacheUpgrade(t *testing.T) {
 	r := upgradeRelation(t, 40)
-	c := NewPartitionCache(r, 8)
+	c := NewPartitionCache(r, 0)
+	c.cap = 8
 	c.SetFingerprint("fp-0")
 	if got := c.Fingerprint(); got != "fp-0" {
 		t.Fatalf("fingerprint %q", got)
@@ -106,7 +107,8 @@ func TestCacheUpgrade(t *testing.T) {
 // refiners" policy — and leaves an empty, fingerprint-advanced cache.
 func TestCacheUpgradeNilRefine(t *testing.T) {
 	r := upgradeRelation(t, 20)
-	c := NewPartitionCache(r, 8)
+	c := NewPartitionCache(r, 0)
+	c.cap = 8
 	c.Get(attrset.Single(0))
 	c.Get(attrset.Single(1))
 	c.Upgrade("fp-x", nil)

@@ -306,14 +306,12 @@ func SeriesRand(rng *rand.Rand, rows int, minStep, maxStep float64, violationRat
 //	seq    strictly increasing float derived from ts — ts≤→seq≤ and
 //	       seq≤→ts≤ both hold, the planted ODs
 //	load   uniform noise — participates in no dependency
-//	bucket low-cardinality int (8 values) — the bit-parallel partition
-//	       shape, and the LHS of the planted FD
+//	bucket low-cardinality int (8 values) — the LHS of the planted FD
 //	grp    bucket-derived (bucket mod 4) — FD bucket→grp holds
 //
 // The shape exercises exactly the million-row fast paths: set-based OD
-// discovery amortizes one sort per column across all candidates,
-// sample-then-verify proposes the planted structure from a small sample,
-// and the bucket/grp partitions stay within the bitset class cap.
+// discovery amortizes one sort per column across all candidates, and
+// sample-then-verify proposes the planted structure from a small sample.
 func LargeOrdered(rows int, seed int64) *relation.Relation {
 	return LargeOrderedRand(rand.New(rand.NewSource(seed)), rows)
 }

@@ -128,11 +128,12 @@ func classesEqual(a, b [][]int) bool {
 	return true
 }
 
-// checkProductAgainstOracle runs one CSR product (on a shared arena, so
-// arena-reset bugs surface across calls) and asserts byte-identical
-// classes, the cardinality identity |π_{X∪Y}| = n − covered + classes,
-// and agreement with the oracle's distinct-pair count.
-func checkProductAgainstOracle(t *testing.T, codes1, codes2 []int, s *Scratch) {
+// checkProductAgainstOracle runs one CSR product (on the pooled arena,
+// which sequential calls from one goroutine keep reusing, so arena-reset
+// bugs surface across calls) and asserts byte-identical classes, the
+// cardinality identity |π_{X∪Y}| = n − covered + classes, and agreement
+// with the oracle's distinct-pair count.
+func checkProductAgainstOracle(t *testing.T, codes1, codes2 []int) {
 	t.Helper()
 	c1, card1 := normalizeCodes(codes1)
 	c2, card2 := normalizeCodes(codes2)
@@ -143,23 +144,10 @@ func checkProductAgainstOracle(t *testing.T, codes1, codes2 []int, s *Scratch) {
 		t.Fatalf("FromCodes diverges from oracle:\n csr=%v\n map=%v", p.Classes(), op)
 	}
 
-	prod := p.ProductScratch(q, s)
+	prod := p.Product(q)
 	oracle := oracleProduct(op, oq)
 	if !classesEqual(prod.Classes(), oracle) {
 		t.Fatalf("product diverges from oracle:\n csr=%v\n map=%v\n x=%v y=%v", prod.Classes(), oracle, c1, c2)
-	}
-
-	// The bit-parallel staging must yield the byte-identical canonical
-	// partition. forceBitProduct bypasses the BuildBits profitability gate
-	// and the useBitProduct cost routing so small fuzz inputs still
-	// exercise the AND+popcount path.
-	bprod := forceBitProduct(p, q, s)
-	if !classesEqual(bprod.Classes(), oracle) {
-		t.Fatalf("bit product diverges from oracle:\n bit=%v\n map=%v\n x=%v y=%v", bprod.Classes(), oracle, c1, c2)
-	}
-	if bprod.Cardinality() != prod.Cardinality() || bprod.Size() != prod.Size() {
-		t.Fatalf("bit product card/size (%d,%d) != linear (%d,%d)",
-			bprod.Cardinality(), bprod.Size(), prod.Cardinality(), prod.Size())
 	}
 	if got, want := prod.Cardinality(), n-prod.Size()+prod.NumClasses(); got != want {
 		t.Fatalf("cardinality identity broken: card=%d, n-covered+classes=%d", got, want)
@@ -177,7 +165,7 @@ func checkProductAgainstOracle(t *testing.T, codes1, codes2 []int, s *Scratch) {
 
 	// G3 with every column of the pair as RHS, against the map oracle.
 	for _, codesA := range [][]int{c1, c2} {
-		if got, want := prod.G3Scratch(codesA, s), oracleG3(oracle, codesA, n); got != want {
+		if got, want := prod.G3(codesA), oracleG3(oracle, codesA, n); got != want {
 			t.Fatalf("g3 diverges: csr=%v map=%v", got, want)
 		}
 	}
@@ -186,7 +174,6 @@ func checkProductAgainstOracle(t *testing.T, codes1, codes2 []int, s *Scratch) {
 // TestProductOracleProperty is the satellite property test: random code
 // vectors through the full CSR pipeline vs the retained map oracle.
 func TestProductOracleProperty(t *testing.T) {
-	s := NewScratch()
 	f := func(raw1, raw2 []uint8, nCap uint8) bool {
 		n := int(nCap)%100 + 1
 		c1 := make([]int, n)
@@ -199,7 +186,7 @@ func TestProductOracleProperty(t *testing.T) {
 				c2[i] = int(raw2[i%len(raw2)]) % 5
 			}
 		}
-		checkProductAgainstOracle(t, c1, c2, s)
+		checkProductAgainstOracle(t, c1, c2)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -211,7 +198,6 @@ func TestProductOracleProperty(t *testing.T) {
 // paths care about: key-like (all singletons), constant (one class),
 // block-diagonal and interleaved classes.
 func TestProductOracleSkewed(t *testing.T) {
-	s := NewScratch()
 	rng := rand.New(rand.NewSource(7))
 	gens := map[string]func(n int) []int{
 		"key":      func(n int) []int { return seq(n) },
@@ -242,7 +228,7 @@ func TestProductOracleSkewed(t *testing.T) {
 		for name1, g1 := range gens {
 			for name2, g2 := range gens {
 				t.Run(fmt.Sprintf("n=%d/%s-%s", n, name1, name2), func(t *testing.T) {
-					checkProductAgainstOracle(t, g1(n), g2(n), s)
+					checkProductAgainstOracle(t, g1(n), g2(n))
 				})
 			}
 		}
@@ -270,7 +256,6 @@ func FuzzProductEquivalence(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
-	s := NewScratch()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := len(data) / 2
 		c1 := make([]int, n)
@@ -279,7 +264,7 @@ func FuzzProductEquivalence(f *testing.F) {
 			c1[i] = int(data[i])
 			c2[i] = int(data[n+i])
 		}
-		checkProductAgainstOracle(t, c1, c2, s)
+		checkProductAgainstOracle(t, c1, c2)
 	})
 }
 

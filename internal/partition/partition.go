@@ -30,10 +30,11 @@
 // # Scratch arenas
 //
 // The hot-path operations (Product, G3, ViolatingPairs) need relation-
-// sized probe and counting arrays. Those live in a Scratch arena, reused
-// across calls; parallel discovery hands each engine worker its own arena
-// (see engine.PartitionCache), so the hot path performs no allocation and
-// no synchronization beyond the arena handoff.
+// sized probe and counting arrays. Those live in scratch arenas drawn
+// from one package-level sync.Pool for the length of a call; its per-P
+// free lists give each engine worker an effectively private arena, so the
+// hot path allocates nothing beyond its result and synchronizes only on
+// the arena handoff. Callers never see an arena.
 package partition
 
 import (
@@ -59,11 +60,6 @@ type Partition struct {
 	// card is |π_X| counting stripped singletons, i.e. the number of
 	// distinct X-values.
 	card int
-	// bits is the optional bit-parallel position-list mirror built by
-	// BuildBits for low-cardinality partitions: one n-bit row mask per
-	// stripped class, enabling word-wise AND products. Nil when the
-	// partition is not bit-backed; MemBytes accounts for it exactly.
-	bits *bitClasses
 }
 
 // checkRows guards the int32 row representation. Relations beyond 2³¹−1
@@ -201,19 +197,13 @@ func (p *Partition) Classes() [][]int {
 // classes. O(1) in the CSR layout.
 func (p *Partition) Size() int { return len(p.rows) }
 
-// MemBytes returns the partition's exact resident memory: the struct, the
-// two int32 backing arrays, and the bit-parallel mirror when BuildBits
-// installed one. The engine's partition cache uses it for byte-bounded
-// eviction, which is why the bit words are counted exactly rather than
-// estimated.
+// MemBytes returns the partition's exact resident memory: the struct and
+// the two int32 backing arrays. The engine's partition cache uses it for
+// byte-bounded eviction.
 func (p *Partition) MemBytes() int64 {
-	// Struct: two slice headers (2×24), two ints (2×8), one pointer (8).
-	const structBytes = 72
-	b := structBytes + 4*int64(len(p.rows)) + 4*int64(len(p.offsets))
-	if p.bits != nil {
-		b += p.bits.memBytes()
-	}
-	return b
+	// Struct: two slice headers (2×24) and two ints (2×8).
+	const structBytes = 64
+	return structBytes + 4*int64(len(p.rows)) + 4*int64(len(p.offsets))
 }
 
 // Error returns e(X) = (||π|| − |stripped classes|) / n, TANE's measure of
@@ -229,33 +219,18 @@ func (p *Partition) Error() float64 {
 // IsKey reports whether X is a (super)key, i.e. no two rows agree on X.
 func (p *Partition) IsKey() bool { return p.NumClasses() == 0 }
 
-// Product computes π_{X∪Y} = π_X · π_Y using a pooled scratch arena. This
-// is the TANE refinement step: rows are in the same product class iff they
-// are in the same class in both operands. Callers on the discovery hot
-// path hold their own arena and use ProductScratch directly.
-func (p *Partition) Product(q *Partition) *Partition {
-	s := getScratch()
-	defer putScratch(s)
-	return p.ProductScratch(q, s)
-}
-
-// ProductScratch is Product with an explicit scratch arena, the
-// allocation-free hot path: the only allocations are the result's two
-// backing arrays. Both operands must partition the same relation.
+// Product computes π_{X∪Y} = π_X · π_Y, the TANE refinement step: rows
+// are in the same product class iff they are in the same class in both
+// operands. Both operands must partition the same relation. The only
+// allocations are the result's two backing arrays; every intermediate
+// lives in a pooled arena.
 //
-// Two staging strategies feed one shared canonical-emit step. The default
-// is the classic TANE linear product: a relation-sized probe array maps
-// rows to their class in p, then each class of q is split by probe value
-// with counting arrays — O(||π_p|| + ||π_q||). When both operands carry
-// bit-parallel position lists (BuildBits) and the pair-enumeration cost
-// pk·qk·(n/64) undercuts the linear walk, classes are intersected by
-// word-wise AND + popcount instead. Either way, a final counting pass
-// over the first-row range restores canonical class order without
-// sorting.
-func (p *Partition) ProductScratch(q *Partition, s *Scratch) *Partition {
-	if s == nil {
-		return p.Product(q)
-	}
+// This is the classic TANE linear product, O(||π_p|| + ||π_q||): a
+// relation-sized probe array maps rows to their class in p, then each
+// class of q is split by probe value with counting arrays. A final
+// counting pass over the first-row range restores canonical class order
+// without sorting.
+func (p *Partition) Product(q *Partition) *Partition {
 	out := &Partition{n: p.n}
 	pk, qk := p.NumClasses(), q.NumClasses()
 	if pk == 0 || qk == 0 {
@@ -264,22 +239,9 @@ func (p *Partition) ProductScratch(q *Partition, s *Scratch) *Partition {
 		out.card = p.n
 		return out
 	}
+	s := getScratch()
+	defer putScratch(s)
 	s.ensureProduct(p.n, pk)
-
-	var stagedRows, stagedOffs []int32
-	if p.useBitProduct(q) {
-		stagedRows, stagedOffs = p.stageBits(q, s)
-	} else {
-		stagedRows, stagedOffs = p.stageLinear(q, s)
-	}
-	return p.finishProduct(out, stagedRows, stagedOffs, s)
-}
-
-// stageLinear is the probe-and-split staging pass of the linear product.
-// Staged classes are ascending inside and first-row-ordered per q-class;
-// global order is restored by finishProduct.
-func (p *Partition) stageLinear(q *Partition, s *Scratch) (stagedRowsOut, stagedOffsOut []int32) {
-	pk, qk := p.NumClasses(), q.NumClasses()
 
 	// 1. Probe: row → class index in p, -1 elsewhere (the arena keeps the
 	// array at -1 between calls).
@@ -338,13 +300,14 @@ func (p *Partition) stageLinear(q *Partition, s *Scratch) (stagedRowsOut, staged
 			s.probe[row] = -1
 		}
 	}
-	return stagedRows, stagedOffs
+	return p.finishProduct(out, stagedRows, stagedOffs, s)
 }
 
-// finishProduct turns a staged CSR (any class order, rows ascending
-// within each class) into the canonical product partition: cardinality
-// from the covered-row identity, then classes emitted in first-row order.
-func (p *Partition) finishProduct(out *Partition, stagedRows, stagedOffs []int32, s *Scratch) *Partition {
+// finishProduct turns the staged CSR (classes ordered per q-class, rows
+// ascending within each class) into the canonical product partition:
+// cardinality from the covered-row identity, then classes emitted in
+// first-row order.
+func (p *Partition) finishProduct(out *Partition, stagedRows, stagedOffs []int32, s *scratch) *Partition {
 	k := len(stagedOffs)
 	covered := len(stagedRows)
 	// Distinct values of X∪Y = singletons + stripped classes. Rows covered
@@ -418,22 +381,11 @@ func Refines(px, pxa *Partition) bool {
 // majority A-value must go. Counting runs over a pooled arena array
 // indexed by code — no hash map, no per-class allocation.
 func (p *Partition) G3(codesA []int) float64 {
-	return p.G3Scratch(codesA, nil)
-}
-
-// G3Scratch is G3 with an explicit scratch arena for hot loops that
-// already hold one. A nil arena borrows from the package pool.
-func (p *Partition) G3Scratch(codesA []int, s *Scratch) float64 {
-	if p.n == 0 {
-		return 0
-	}
 	if len(p.rows) == 0 {
 		return 0
 	}
-	if s == nil {
-		s = getScratch()
-		defer putScratch(s)
-	}
+	s := getScratch()
+	defer putScratch(s)
 	violating := 0
 	for ci := 0; ci < p.NumClasses(); ci++ {
 		class := p.Class(ci)

@@ -157,6 +157,35 @@ func TestG3(t *testing.T) {
 	}
 }
 
+// TestCountGrowthOnKeyLikeRHS pins the counting array's growth on the
+// shape that made G3 and ViolatingPairs quadratic: four LHS classes over
+// distinct ascending RHS codes, counted on a fresh arena. Growing by one
+// slot per new maximum code allocated (and copied) once per row.
+func TestCountGrowthOnKeyLikeRHS(t *testing.T) {
+	const n = 10000
+	lhs, rhs := make([]int, n), make([]int, n)
+	for i := range lhs {
+		lhs[i], rhs[i] = i%4, i
+	}
+	p := FromCodes(lhs, 4)
+	allocs := testing.AllocsPerRun(3, func() {
+		s := new(scratch)
+		for ci := 0; ci < p.NumClasses(); ci++ {
+			class := p.Class(ci)
+			for _, row := range class {
+				s.count(rhs[row])
+			}
+			s.resetCounts(rhs, class)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("counting %d ascending codes on a fresh arena: %.0f allocs, want O(log n)", n, allocs)
+	}
+	if got, want := p.G3(rhs), float64(n-4)/n; got != want {
+		t.Fatalf("g3 = %v, want %v", got, want)
+	}
+}
+
 func TestG3ZeroIffFDHolds(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) < 2 {

@@ -84,7 +84,6 @@ func NewRefiner(r *relation.Relation, x attrset.Set) *Refiner {
 		codes[row] = f.codeOfRow(r, row)
 	}
 	f.part = f.buildInitial(codes, n)
-	f.part.BuildBits()
 	return f
 }
 
@@ -173,9 +172,7 @@ func (f *Refiner) buildInitial(codes []int32, n int) *Partition {
 // AppendRefine folds rows [oldRows, r.Rows()) of r into the partition
 // and returns the refined partition. Only delta rows are coded; the CSR
 // arrays are rebuilt by a single merge of the surviving class order with
-// the (first-row-sorted) promoted and newborn classes, and the
-// bit-parallel mirror is rebuilt when the refined partition still
-// qualifies for it.
+// the (first-row-sorted) promoted and newborn classes.
 func (f *Refiner) AppendRefine(r *relation.Relation, oldRows int) *Partition {
 	n := r.Rows()
 	checkRows(n)
@@ -214,7 +211,6 @@ func (f *Refiner) AppendRefine(r *relation.Relation, oldRows int) *Partition {
 		// Every delta row started its own singleton: the stripped cover
 		// is unchanged and only n (and the cardinality) move.
 		p := &Partition{rows: old.rows, offsets: old.offsets, n: n, card: len(f.count)}
-		p.BuildBits()
 		f.part = p
 		return p
 	}
@@ -265,7 +261,6 @@ func (f *Refiner) AppendRefine(r *relation.Relation, oldRows int) *Partition {
 		f.classOf[code] = int32(ci)
 	}
 	p := &Partition{rows: rows, offsets: offs, n: n, card: len(f.count)}
-	p.BuildBits()
 	// Recycle the outgoing arrays as the next call's arena.
 	f.spareRows, f.spareOffs, f.spareCode = old.rows, old.offsets, f.codeOf
 	f.part, f.codeOf = p, codeOf

@@ -2,21 +2,18 @@ package partition
 
 import "sync"
 
-// Scratch is a reusable workspace for the partition hot path: the
-// relation-sized probe and ordering arrays of ProductScratch plus the
-// code-counting array of G3/ViolatingPairs. A Scratch eliminates every
-// intermediate allocation from those operations; only the product's
-// result arrays are heap-allocated.
+// scratch is the reusable workspace of the partition hot path: the
+// relation-sized probe and ordering arrays of Product plus the
+// code-counting array of G3/ViolatingPairs. With an arena in hand those
+// operations make no intermediate allocation; only the product's result
+// arrays are heap-allocated.
 //
-// Ownership rules: a Scratch is single-goroutine state. Parallel
-// discovery gives each concurrently-building worker its own arena — the
-// engine's PartitionCache keeps a sync.Pool of arenas, which in steady
-// state hands every pool worker a private one with no contention (see
-// DESIGN.md "Partition layout & scratch arenas"). Between calls every
-// array is back in its idle state (probe all −1, counts and order all 0),
-// so arenas can be shared across relations of the same size without
-// re-clearing.
-type Scratch struct {
+// Ownership rules: an arena is single-goroutine state, borrowed from
+// scratchPool for the length of one call and returned before the call
+// ends. Between calls every array is back in its idle state (probe all
+// −1, counts and order all 0), so arenas are shared across relations of
+// any size without re-clearing.
+type scratch struct {
 	// probe maps row → class index in the product's left operand; −1 when
 	// the row is in no stripped class. Idle state: all −1.
 	probe []int32
@@ -35,18 +32,11 @@ type Scratch struct {
 	// counts is the code-counting array of G3 and ViolatingPairs, indexed
 	// by attribute code. Idle state: all 0.
 	counts []int32
-	// bitWords holds one class-pair intersection (⌈n/64⌉ words) during
-	// the bit-parallel product staging. Write-before-read.
-	bitWords []uint64
 }
-
-// NewScratch returns an empty arena; arrays grow on first use and are
-// retained across calls.
-func NewScratch() *Scratch { return &Scratch{} }
 
 // ensureProduct sizes the arena for a product over an n-row relation
 // whose left operand has classes stripped classes.
-func (s *Scratch) ensureProduct(n, classes int) {
+func (s *scratch) ensureProduct(n, classes int) {
 	if len(s.probe) < n {
 		s.probe = make([]int32, n)
 		for i := range s.probe {
@@ -65,19 +55,12 @@ func (s *Scratch) ensureProduct(n, classes int) {
 	}
 }
 
-// ensureBitWords sizes the intersection buffer for the bit-parallel
-// product staging.
-func (s *Scratch) ensureBitWords(nw int) {
-	if len(s.bitWords) < nw {
-		s.bitWords = make([]uint64, nw)
-	}
-}
-
-// count bumps the counting slot for code, growing the array on demand,
-// and returns the new count.
-func (s *Scratch) count(code int) int32 {
+// count bumps the counting slot for code and returns the new count. The
+// array at least doubles whenever it grows, so a key-like column of
+// ascending codes costs O(log n) growths rather than one per new code.
+func (s *scratch) count(code int) int32 {
 	if code >= len(s.counts) {
-		grown := make([]int32, code+1)
+		grown := make([]int32, max(code+1, 2*len(s.counts)))
 		copy(grown, s.counts)
 		s.counts = grown
 	}
@@ -87,17 +70,16 @@ func (s *Scratch) count(code int) int32 {
 
 // resetCounts restores the counting array's idle state by zeroing exactly
 // the slots the class touched.
-func (s *Scratch) resetCounts(codes []int, class []int32) {
+func (s *scratch) resetCounts(codes []int, class []int32) {
 	for _, row := range class {
 		s.counts[codes[row]] = 0
 	}
 }
 
-// scratchPool backs Product/G3/ViolatingPairs calls made without an
-// explicit arena. sync.Pool keeps per-P free lists, so under the engine's
-// bounded worker pools each worker effectively reuses one private arena
-// with no cross-worker contention.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+// scratchPool is the one arena source. sync.Pool keeps per-P free lists,
+// so under the engine's bounded worker pools each worker effectively
+// reuses one private arena with no cross-worker contention.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch() *Scratch  { return scratchPool.Get().(*Scratch) }
-func putScratch(s *Scratch) { scratchPool.Put(s) }
+func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
+func putScratch(s *scratch) { scratchPool.Put(s) }

@@ -368,21 +368,21 @@ func TestParseWaitMalformedAndOverflow(t *testing.T) {
 		{"-0", 0},
 		{"5", 5 * time.Second},
 		{"30", maxJobWait},
-		{"31", maxJobWait},                      // clamp above the cap
-		{"9223372036854775807", maxJobWait},     // MaxInt64 secs: naive multiply wraps negative
-		{"9223372036854", maxJobWait},           // ~MaxInt64/1e9 secs: wraps past the cap
-		{"99999999999999999999999999", 0},       // Atoi range error, ParseDuration error -> no-wait
+		{"31", maxJobWait},                  // clamp above the cap
+		{"9223372036854775807", maxJobWait}, // MaxInt64 secs: naive multiply wraps negative
+		{"9223372036854", maxJobWait},       // ~MaxInt64/1e9 secs: wraps past the cap
+		{"99999999999999999999999999", 0},   // Atoi range error, ParseDuration error -> no-wait
 		{"2s", 2 * time.Second},
 		{"-2s", 0},
 		{"0s", 0},
 		{"500ms", 500 * time.Millisecond},
 		{"0.5s", 500 * time.Millisecond},
 		{"1h", maxJobWait},
-		{"2540400h", maxJobWait},                // ParseDuration caps at MaxInt64 ns internally
+		{"2540400h", maxJobWait}, // ParseDuration caps at MaxInt64 ns internally
 		{"abc", 0},
 		{"5x", 0},
-		{" 5", 0},                               // no trimming: not a valid int or duration
-		{"+5", 5 * time.Second},                 // Atoi accepts an explicit sign
+		{" 5", 0},               // no trimming: not a valid int or duration
+		{"+5", 5 * time.Second}, // Atoi accepts an explicit sign
 	}
 	for _, tc := range cases {
 		if got := parseWait(tc.in); got != tc.want {

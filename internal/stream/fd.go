@@ -87,7 +87,7 @@ func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, fp string, op
 		return false, ""
 	}
 	e.colRef = make([]*partition.Refiner, r.Cols())
-	e.cache = engine.NewPartitionCacheBudget(r, 0, opts.Budget.MaxCacheBytes)
+	e.cache = engine.NewPartitionCache(r, opts.Budget.MaxCacheBytes)
 	e.cache.SetObserver(opts.Obs)
 	e.cache.SetFingerprint(fp)
 	for c := 0; c < r.Cols(); c++ {
