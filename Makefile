@@ -1,12 +1,16 @@
-# Verify flow for deptree. `make verify` is the tier-1 gate plus the race
-# pass over the parallel discovery engine and every discovery package.
+# Verify flow for deptree. `make verify` is the tier-1 gate plus vet, the
+# gofmt check and the race pass over the parallel discovery engine and
+# every discovery package: the first steps of CI's test job.
 
 GO ?= go
 
-.PHONY: build test fmt-check race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke servebench-check verify
+.PHONY: build vet test fmt-check race chaos recover torture fuzz bench bench-large bench-stream serve-smoke servebench-check verify
 
 build:
 	$(GO) build ./...
+
+vet:
+	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -86,40 +90,33 @@ servebench-check:
 	cd servebench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) vet ./...
 	cd servebench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test ./...
 
-# Benchmark pass: every benchmark runs once (-benchtime=1x keeps CI
-# cheap), the text output lands in BENCH_4.txt and cmd/benchjson converts
-# it to BENCH_4.json. No pipes: if the benchmarks error the first command
-# fails the target, and benchjson refuses an input with no results.
+# Layer benchmarks: every go-test benchmark over ./..., five repeats of
+# 100ms each, with allocation counts. cmd/benchjson groups the repeats
+# into one report, bench-report.json (per benchmark: the median and
+# quartiles of ns/op, the medians of B/op, allocs/op and custom metrics),
+# and compares it with the tracked baseline BENCH.json: it prints
+# "compared k of n", the benchmarks on one side only, allocs/op
+# regressions above 20% and ns/op medians that moved by more than the
+# baseline's interquartile range. No pipes: a failed benchmark fails the
+# first command, and benchjson fails on a FAIL line, on empty input and
+# when no benchmark matches the baseline. Promoting a run to the
+# baseline is `cp bench-report.json BENCH.json`. The million-row
+# benchmarks skip unless DEPTREE_BENCH_LARGE=1 or DEPTREE_BENCH_STREAM=1
+# is set, and join the grid when it is.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./... > BENCH_4.txt
-	$(GO) run ./cmd/benchjson -in BENCH_4.txt -out BENCH_4.json
-	$(MAKE) benchdiff
+	$(GO) test -run='^$$' -bench=. -benchmem -count 5 -benchtime 100ms -timeout 30m ./... > bench.out
+	$(GO) run ./cmd/benchjson -in bench.out -out bench-report.json -base BENCH.json
 
-# Warn (never fail: 1x runs are noisy) when allocs/op regressed >20%
-# against the previous in-tree benchmark report.
-benchdiff:
-	$(GO) run ./cmd/benchjson -diff -old BENCH_3.json -new BENCH_4.json
-
-# Million-row pass (opt-in; several GB of relation data, minutes of
-# wall-clock): the set-based OD core vs the pairwise oracle (the latter
-# in internal/discovery/oddisc, beside its test-only implementation),
-# full-mode vs sample-then-verify discovery, and the budget-vs-sampling
-# claim, plus the partiality pin test. Results land in BENCH_8.json and
-# the alloc diff is reported against the standard pass's BENCH_4.json.
+# Million-row partiality pin (opt-in; several GB of relation data):
+# on a wide million-row relation, a budgeted full-mode OD run comes back
+# partial while the sample-then-verify run completes.
 bench-large:
-	DEPTREE_BENCH_LARGE=1 $(GO) test -run 'TestLarge' -bench 'BenchmarkLarge' -benchmem -benchtime=1x . ./internal/discovery/oddisc/ > BENCH_8.txt
-	$(GO) run ./cmd/benchjson -in BENCH_8.txt -out BENCH_8.json
-	$(GO) run ./cmd/benchjson -diff -old BENCH_4.json -new BENCH_8.json
+	DEPTREE_BENCH_LARGE=1 $(GO) test -count=1 -run 'TestLarge' .
 
-# Streaming pass (opt-in; seeds million-row sessions, so each benchmark
-# pays one full discovery run untimed): incremental revalidation of a 1%
-# append for tane and od vs from-scratch discovery over the same rows,
-# with the cache-upgrade hit rate reported inline, plus the ≥5x speedup
-# pin test. Results land in BENCH_9.json and the alloc diff is reported
-# against the standard pass's BENCH_4.json.
+# Streaming speedup pin (opt-in; seeds million-row sessions): incremental
+# revalidation of a 1% append must beat from-scratch discovery over the
+# same rows by at least 5x for tane and od.
 bench-stream:
-	DEPTREE_BENCH_STREAM=1 $(GO) test -timeout 30m -run 'TestStreamSpeedup' -bench 'BenchmarkStream' -benchmem -benchtime=1x . > BENCH_9.txt
-	$(GO) run ./cmd/benchjson -in BENCH_9.txt -out BENCH_9.json
-	$(GO) run ./cmd/benchjson -diff -old BENCH_4.json -new BENCH_9.json
+	DEPTREE_BENCH_STREAM=1 $(GO) test -count=1 -timeout 30m -run 'TestStreamSpeedup' .
 
-verify: build test race
+verify: build vet fmt-check test race

@@ -1,11 +1,13 @@
-// Million-row benchmark pass (make bench-large → BENCH_8.json): the
-// set-based OD core, full-relation discovery against sample-then-verify,
-// and the budget-vs-sampling trade the sampling driver exists for. The
-// set-based core's pairwise baseline, BenchmarkLargeODPairwise, lives
-// beside the test-only oracle in internal/discovery/oddisc. The pass is opt-in — it
-// allocates hundreds of MB and runs for minutes — so every entry point
-// skips unless DEPTREE_BENCH_LARGE=1 is set (and always skips under
-// -short), keeping the tier-1 `go test ./...` gate fast.
+// Million-row benchmark pass: the set-based OD core, full-relation
+// discovery against sample-then-verify, and the budget-vs-sampling trade
+// the sampling driver exists for. The set-based core's pairwise
+// baseline, BenchmarkLargeODPairwise, lives beside the test-only oracle
+// in internal/discovery/oddisc. The pass is opt-in — it allocates
+// hundreds of MB and runs for minutes — so every entry point skips
+// unless DEPTREE_BENCH_LARGE=1 is set (and always skips under -short),
+// keeping the tier-1 `go test ./...` gate fast. With it set, the
+// benchmarks join `make bench` and `make bench-large` runs the
+// partiality pin test.
 package deptree
 
 import (

@@ -1,11 +1,12 @@
-// Streaming benchmark pass (make bench-stream → BENCH_9.json): the
-// incremental session against from-scratch discovery on the same rows.
+// Streaming benchmark pass: the incremental session against
+// from-scratch discovery on the same rows.
 // Each incremental benchmark seeds a session with the million-row base
 // (untimed), then times the revalidation of one 1% append batch; the
 // FromScratch counterparts time full discovery over base+batch, which is
 // exactly the work the incremental path avoids. The pass is opt-in like
 // the large pass — set DEPTREE_BENCH_STREAM=1 — since seeding the
-// sessions costs a full discovery run each.
+// sessions costs a full discovery run each. With it set, the benchmarks
+// join `make bench` and `make bench-stream` runs the speedup pin test.
 package deptree
 
 import (
@@ -117,7 +118,7 @@ func benchStreamAppend(b *testing.B, algo string) {
 	}
 }
 
-// The million-row pass covers tane and od, the same pair bench-large
+// The million-row pass covers tane and od, the same pair the large pass
 // headlines: fastfd's difference-set seed and lexod's pairwise demotion
 // probes cost minutes at this scale, and their incremental paths are
 // already pinned batch-by-batch by the differential suite.

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -135,5 +138,87 @@ func TestCmdJobErrors(t *testing.T) {
 func TestCmdServeJobsDirRejectsBadPath(t *testing.T) {
 	if err := cmdServe([]string{"-addr", "127.0.0.1:0", "-jobs-dir", "/proc/definitely/not/writable"}); err == nil {
 		t.Error("unwritable -jobs-dir accepted")
+	}
+}
+
+// TestJobTextMatchesSyncAndCLI is the three-way text differential: for
+// discover, validate and repair, complete and truncated by a one-task
+// budget, a job's text (as `deptool job submit -wait` prints it) equals
+// the sync endpoint's ?format=text reply and the CLI's stdout.
+func TestJobTextMatchesSyncAndCLI(t *testing.T) {
+	url := newJobTestServer(t)
+	path := writeHotelsCSV(t)
+	csvBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fds = "name->region;address->region;region->star"
+	cases := []struct {
+		name  string
+		cli   func(args []string) error
+		flags []string // shared by the CLI command and `job submit`
+		kind  []string // `job submit` flags selecting the run
+		route string
+		body  map[string]any
+	}{
+		{"discover", cmdDiscover, []string{"-algo", "tane"}, nil,
+			"/v1/discover/tane", map[string]any{}},
+		{"validate", cmdValidate, []string{"-fd", fds}, []string{"-kind", "validate", "-fds", fds},
+			"/v1/validate", map[string]any{"fds": fds}},
+		{"repair", cmdRepair, []string{"-fd", "region->star"}, []string{"-kind", "repair", "-fd", "region->star"},
+			"/v1/repair", map[string]any{"fd": "region->star"}},
+	}
+	for _, c := range cases {
+		for _, partial := range []bool{true, false} { // partial first: complete results are cached
+			t.Run(fmt.Sprintf("%s/partial=%v", c.name, partial), func(t *testing.T) {
+				budget := []string{"-workers", "2"}
+				body := map[string]any{"csv": string(csvBytes), "workers": 2}
+				if partial {
+					budget = append(budget, "-max-tasks", "1")
+					body["max_tasks"] = 1
+				}
+				for k, v := range c.body {
+					body[k] = v
+				}
+				wantErr := error(nil)
+				if partial {
+					wantErr = errPartial
+				}
+				cliOut, cliErr := capture(t, func() error {
+					return c.cli(append(append([]string{"-in", path}, c.flags...), budget...))
+				})
+				if cliErr != wantErr {
+					t.Fatalf("cli %s: err %v, want %v", c.name, cliErr, wantErr)
+				}
+				if n := strings.Count(cliOut, "PARTIAL:"); n != map[bool]int{false: 0, true: 1}[partial] {
+					t.Errorf("cli output carries %d PARTIAL markers:\n%s", n, cliOut)
+				}
+				data, err := json.Marshal(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				status, syncOut := postText(t, url+c.route+"?format=text", string(data))
+				if status != 200 {
+					t.Fatalf("sync status %d: %s", status, syncOut)
+				}
+				kind := c.kind
+				if kind == nil {
+					kind = c.flags
+				}
+				jobOut, jobErr := capture(t, func() error {
+					args := append([]string{"submit", "-addr", url, "-in", path, "-wait"}, kind...)
+					return cmdJob(append(args, budget...))
+				})
+				if jobErr != wantErr {
+					t.Fatalf("job %s: err %v, want %v", c.name, jobErr, wantErr)
+				}
+				if syncOut != cliOut {
+					t.Errorf("sync text diverges from CLI:\nsync:\n%q\ncli:\n%q", syncOut, cliOut)
+				}
+				if jobOut != cliOut {
+					t.Errorf("job text diverges from CLI:\njob:\n%q\ncli:\n%q", jobOut, cliOut)
+				}
+			})
+		}
 	}
 }

@@ -161,9 +161,12 @@ type Result struct {
 	Reason  string   `json:"reason,omitempty"`
 }
 
-// Text renders the result as the CLI renders the same run: one
+// Text renders the result as the CLI writes the same run to stdout: one
 // dependency per line (discover), the validation report, or the
-// repaired CSV, with the PARTIAL marker line when truncated.
+// repaired CSV, with the PARTIAL marker line when truncated. Repair
+// changes are not part of it: the CLI logs them to stderr. A partial
+// validation report already ends in its own marker, which names the
+// rules it checked.
 func (r Result) Text() string {
 	var b strings.Builder
 	for _, line := range r.Lines {
@@ -172,11 +175,7 @@ func (r Result) Text() string {
 	}
 	b.WriteString(r.Report)
 	b.WriteString(r.CSV)
-	for _, ch := range r.Changes {
-		b.WriteString(ch)
-		b.WriteByte('\n')
-	}
-	if r.Partial {
+	if r.Partial && r.Report == "" {
 		fmt.Fprintf(&b, "PARTIAL: %s\n", r.Reason)
 	}
 	return b.String()

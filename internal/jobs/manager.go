@@ -252,51 +252,16 @@ func (m *Manager) replay() error {
 	if w, ok := m.store.(*WALStore); ok {
 		m.cTruncatedTail.Add(int64(w.TruncatedTail()))
 	}
-	for _, rec := range recs {
-		j := m.jobs[rec.ID]
-		switch rec.Type {
-		case RecSubmit:
-			if j != nil || rec.Spec == nil {
-				continue // duplicate or malformed: first submit wins
-			}
-			j = &job{
-				id: rec.ID, seq: rec.Seq, spec: *rec.Spec,
-				fingerprint: rec.Fingerprint, idemKey: rec.IdemKey,
-				cacheHit: rec.CacheHit, state: StateQueued,
-				done: make(chan struct{}), submittedAt: time.Now(),
-			}
-			m.jobs[j.id] = j
-			m.order = append(m.order, j)
-			if j.idemKey != "" {
-				m.byIdem[j.idemKey] = j
-			}
-			if rec.Seq > m.seq {
-				m.seq = rec.Seq
-			}
-		case RecStart:
-			if j != nil {
-				j.attempts = rec.Attempt
-				j.state = StateRunning
-			}
-		case RecRetry:
-			if j != nil {
-				j.retries = rec.Attempt
-			}
-		case RecResult:
-			if j != nil && !j.state.Terminal() {
-				j.state = rec.State
-				j.result = rec.Result
-				j.reason = rec.Reason
-			}
-		case RecCancel:
-			if j != nil && !j.state.Terminal() {
-				j.state = StateCancelled
-			}
-		}
-	}
-	// Fold complete: finalize terminal jobs, re-enqueue the rest in
-	// submission order.
+	// Finalize terminal jobs, re-enqueue the rest in submission order.
+	m.order = fold(recs)
 	for _, j := range m.order {
+		j.done = make(chan struct{})
+		j.submittedAt = time.Now()
+		m.jobs[j.id] = j
+		if j.idemKey != "" {
+			m.byIdem[j.idemKey] = j
+		}
+		m.seq = max(m.seq, j.seq)
 		if j.state.Terminal() {
 			close(j.done)
 			if j.state == StateDone && j.result != nil && !j.result.Partial {
@@ -498,6 +463,7 @@ func (m *Manager) Cancel(id string) (View, error) {
 	j.cancelRequested = true
 	if j.state == StateQueued {
 		j.state = StateCancelled
+		j.reason = cancelReason
 		j.rel = nil
 		m.nQueued--
 		m.gQueued.Set(int64(m.nQueued))
@@ -600,7 +566,7 @@ func (m *Manager) classify(j *job, res Result, runErr error) (action, string) {
 	cancelled := j.cancelRequested
 	m.mu.Unlock()
 	if cancelled {
-		return actCancelled, "cancelled by client"
+		return actCancelled, cancelReason
 	}
 	if runErr != nil {
 		if m.isDraining() {
@@ -843,41 +809,14 @@ func (m *Manager) maybeCompact() {
 	// fresh log, instead of in the file the rename just discarded. m.mu
 	// is released before the (slow) rewrite so only appenders wait.
 	m.storeMu.Lock()
-	snapshot := m.snapshotLocked()
+	snap := snapshot(m.order)
 	m.appends = 0
 	m.mu.Unlock()
-	err := m.store.Compact(snapshot)
+	err := m.store.Compact(snap)
 	m.storeMu.Unlock()
 	if err == nil {
 		m.cCompactions.Inc()
 	}
-}
-
-// snapshotLocked derives the minimal record set reproducing current
-// state. Caller holds m.mu.
-func (m *Manager) snapshotLocked() []Record {
-	var out []Record
-	for _, j := range m.order {
-		out = append(out, Record{
-			Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &j.spec,
-			Fingerprint: j.fingerprint, IdemKey: j.idemKey, CacheHit: j.cacheHit,
-		})
-		if j.attempts > 0 && !j.state.Terminal() {
-			out = append(out, Record{Type: RecStart, ID: j.id, Attempt: j.attempts})
-		}
-		if j.retries > 0 {
-			out = append(out, Record{Type: RecRetry, ID: j.id, Attempt: j.retries})
-		}
-		if j.cancelRequested && !j.state.Terminal() {
-			// A cancel whose record may still be in flight: carry the
-			// request so a replay cancels instead of re-running.
-			out = append(out, Record{Type: RecCancel, ID: j.id})
-		}
-		if j.state.Terminal() {
-			out = append(out, Record{Type: RecResult, ID: j.id, State: j.state, Result: j.result, Reason: j.reason})
-		}
-	}
-	return out
 }
 
 // Drain stops the job service for shutdown: no new submissions, running
