@@ -52,7 +52,9 @@ recover:
 torture:
 	DEPTREE_TORTURE=1 $(GO) test -race -count=1 -run 'Torture' ./internal/engine/chaos/
 
-# Short fuzz passes: the CSV codec round trip, the typed dictionary
+# Short fuzz passes: the CSV codec round trip, the one-pass CSV decoder
+# (ReadCSVAuto, ReadCSVLimits with string and fixed kinds) against the
+# retained two-stage reader under random Limits, the typed dictionary
 # encoding (Codes/GroupCodes/Dict/SameKey) vs a Value.Key string
 # reference, the CSR partition product vs the retained map-based oracle,
 # the append refiner vs a from-scratch Build after every batch, the server's
@@ -65,6 +67,7 @@ torture:
 # arbitrary damage, and the stream cell codec's inversion.
 fuzz:
 	$(GO) test -run=X -fuzz=FuzzCSVRoundTrip -fuzztime=30s ./internal/relation/
+	$(GO) test -run=X -fuzz=FuzzCSVMatchesOracle -fuzztime=30s ./internal/relation/
 	$(GO) test -run=X -fuzz=FuzzCodesMatchKey -fuzztime=30s ./internal/relation/
 	$(GO) test -run=X -fuzz=FuzzProductEquivalence -fuzztime=30s ./internal/partition/
 	$(GO) test -run=X -fuzz=FuzzRefinerMatchesBuild -fuzztime=30s ./internal/partition/

@@ -89,9 +89,12 @@ func (a *Appender) AppendBatch(rows [][]Value) (string, error) {
 				i, len(row), schema.Len())
 		}
 		for c, v := range row {
-			if a.lim.MaxFieldBytes > 0 && len(v.Key()) > a.lim.MaxFieldBytes+2 {
+			// Bound field text as the CSV readers do: a string cell holds
+			// its field's text (CRLF folding only shortens it), while a
+			// number or a null carries no text to bound.
+			if a.lim.MaxFieldBytes > 0 && v.kind == KindString && len(v.str) > a.lim.MaxFieldBytes {
 				return "", fmt.Errorf("relation: batch row %d: %w", i,
-					&ErrInputTooLarge{What: "field bytes", Limit: int64(a.lim.MaxFieldBytes), Got: int64(len(v.Key()))})
+					&ErrInputTooLarge{What: "field bytes", Limit: int64(a.lim.MaxFieldBytes), Got: int64(len(v.str))})
 			}
 			want := schema.Attr(c).Kind
 			if !v.IsNull() && v.Kind() != want && !(v.IsNumeric() && (want == KindFloat || want == KindInt)) {

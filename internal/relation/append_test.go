@@ -132,6 +132,24 @@ func TestAppenderLimits(t *testing.T) {
 	}
 }
 
+// TestAppenderAcceptsWhatReadersAccept: AppendBatch bounds field bytes
+// as the CSV readers do, so every relation a reader accepts under some
+// Limits appends whole under the same Limits — numbers whose rendering
+// outgrows their text and nulls included.
+func TestAppenderAcceptsWhatReadersAccept(t *testing.T) {
+	inputs := []string{hotelsCSV, "x,y\n1e5,\n", "a,b\n0.000001,\"\"\n,NaN\n", "s\n\"ab\r\ncd\"\n"}
+	for _, data := range inputs {
+		for _, lim := range []Limits{{}, {MaxFieldBytes: 2}, {MaxFieldBytes: 3}, {MaxFieldBytes: 5}, {MaxRows: 3, MaxFieldBytes: 7}} {
+			if r, err := ReadCSVAuto("r", []byte(data), lim); err == nil {
+				checkAppenderAccepts(t, r, lim)
+			}
+			if r, err := ReadCSVLimits("r", strings.NewReader(data), nil, lim); err == nil {
+				checkAppenderAccepts(t, r, lim)
+			}
+		}
+	}
+}
+
 // TestAppenderEmptyBatch: a no-op returning the current fingerprint.
 func TestAppenderEmptyBatch(t *testing.T) {
 	a := NewAppender(New("x", appendSchema()), Limits{})

@@ -3,7 +3,6 @@ package relation
 import (
 	"bytes"
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -109,13 +108,55 @@ func ReadCSV(name string, src io.Reader, kinds []Kind) (*Relation, error) {
 
 // ReadCSVLimits is ReadCSV under ingestion Limits: exceeding any bound
 // stops the read with a wrapped *ErrInputTooLarge instead of allocating
-// without bound.
+// without bound. The source is read into memory (at most MaxBytes+1
+// bytes when MaxBytes is set) and decoded by the same one-pass decoder
+// as ReadCSVAuto.
 func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relation, error) {
 	if lim.MaxBytes > 0 {
 		src = &limitedReader{src: src, max: lim.MaxBytes}
 	}
+	data, err := io.ReadAll(src)
+	return decodeCSV(name, data, err, kinds, false, lim)
+}
+
+// ReadCSVAuto decodes a relation from in-memory CSV bytes under Limits,
+// inferring column kinds: a column whose every non-null value parses as
+// numeric becomes KindFloat, everything else stays KindString. It is the
+// single type-inference path shared by the deptool CLI and the server's
+// request decoder, so a relation posted to the server types identically
+// to the same bytes read from a file.
+func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
+	if lim.MaxBytes > 0 && int64(len(data)) > lim.MaxBytes {
+		return nil, fmt.Errorf("relation: read CSV: %w",
+			&ErrInputTooLarge{What: "bytes", Limit: lim.MaxBytes, Got: int64(len(data))})
+	}
+	return decodeCSV(name, data, nil, nil, true, lim)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeCSV is the one CSV decoder. It decodes data, then fails with
+// readErr (nil: data is the whole input) where the source did, in one
+// pass that writes every cell straight into its column. Kinds fixes the
+// column types; when it is nil, every column is read as a string, or,
+// with infer, typed as ReadCSVAuto documents: each cell keeps its string
+// payload plus its float while its column still parses, and the columns
+// that parsed throughout become KindFloat at the end.
+//
+// Every column is pre-sized to rowBound rows, so a decode that ends
+// without error grows no column (see rowBound for why that cannot
+// over-allocate).
+func decodeCSV(name string, data []byte, readErr error, kinds []Kind, infer bool, lim Limits) (*Relation, error) {
+	var src io.Reader = bytes.NewReader(data)
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
 	cr := csv.NewReader(src)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: read CSV header: %w", err)
@@ -123,11 +164,12 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 	if err := checkFields(header, lim); err != nil {
 		return nil, err
 	}
-	foldCRLF(header)
-	if kinds == nil {
-		kinds = make([]Kind, len(header))
+	// csv.Reader only yields a '\r' the input holds.
+	fold := bytes.IndexByte(data, '\r') >= 0
+	if fold {
+		foldCRLF(header)
 	}
-	if len(kinds) != len(header) {
+	if kinds != nil && len(kinds) != len(header) {
 		return nil, fmt.Errorf("relation: %d kinds for %d header columns", len(kinds), len(header))
 	}
 	attrs := make([]Attribute, len(header))
@@ -140,45 +182,150 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 			return nil, fmt.Errorf("relation: duplicate CSV header column %q", h)
 		}
 		seen[h] = true
-		attrs[i] = Attribute{Name: h, Kind: kinds[i]}
+		attrs[i] = Attribute{Name: h}
+		if kinds != nil {
+			attrs[i].Kind = kinds[i]
+		}
 	}
-	r := New(name, NewSchema(attrs...))
-	row := make([]Value, len(header))
+	maxRows := lim.effectiveMaxRows()
+	bound := rowBound(data, len(attrs), maxRows)
+	cols := make([][]Value, len(attrs))
+	for c := range cols {
+		cols[c] = make([]Value, bound)
+	}
+	// numeric[c]: with infer, column c has parsed as floats so far.
+	numeric := make([]bool, len(attrs))
+	for c := range numeric {
+		numeric[c] = infer
+	}
+	rows := 0
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			var tooLarge *ErrInputTooLarge
-			if errors.As(err, &tooLarge) {
-				return nil, fmt.Errorf("relation: read CSV line %d: %w", line, tooLarge)
-			}
 			return nil, fmt.Errorf("relation: read CSV line %d: %w", line, err)
 		}
-		if maxRows := lim.effectiveMaxRows(); line-1 > maxRows {
+		if line-1 > maxRows {
 			return nil, fmt.Errorf("relation: read CSV: %w",
 				&ErrInputTooLarge{What: "rows", Limit: int64(maxRows), Got: int64(line - 1)})
 		}
 		if err := checkFields(rec, lim); err != nil {
 			return nil, err
 		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("relation: CSV line %d has %d fields, want %d", line, len(rec), len(header))
+		if len(rec) != len(attrs) {
+			return nil, fmt.Errorf("relation: CSV line %d has %d fields, want %d", line, len(rec), len(attrs))
 		}
-		foldCRLF(rec)
-		for c, field := range rec {
-			v, err := Parse(field, kinds[c])
-			if err != nil {
-				return nil, fmt.Errorf("relation: CSV line %d column %s: %w", line, header[c], err)
+		if fold {
+			foldCRLF(rec)
+		}
+		if rows == len(cols[0]) {
+			// Past rowBound, which CSV that decodes cannot reach: grow
+			// rather than index out of range.
+			for c := range cols {
+				cols[c] = append(cols[c], Value{})
 			}
-			row[c] = v
 		}
-		if err := r.Append(row); err != nil {
-			return nil, err
+		for c, field := range rec {
+			// Cells start as the zero Value, a non-null empty string:
+			// set only what differs.
+			cell := &cols[c][rows]
+			if kinds != nil {
+				if *cell, err = Parse(field, kinds[c]); err != nil {
+					return nil, fmt.Errorf("relation: CSV line %d column %s: %w", line, attrs[c].Name, err)
+				}
+				continue
+			}
+			cell.str = field
+			switch {
+			case field == "":
+				cell.null = true
+			case numeric[c]:
+				if f, ok := parseFloat(field); ok {
+					cell.num = f
+				} else {
+					// The column is strings after all: drop the floats
+					// its earlier cells carry.
+					numeric[c] = false
+					for i := range cols[c][:rows] {
+						cols[c][i].num = 0
+					}
+				}
+			}
+		}
+		rows++
+	}
+	for c, col := range cols {
+		col = col[:rows]
+		cols[c] = col
+		if !numeric[c] {
+			continue
+		}
+		attrs[c].Kind = KindFloat
+		for i := range col {
+			col[i].kind, col[i].str = KindFloat, ""
 		}
 	}
-	return r, nil
+	return &Relation{name: name, schema: NewSchema(attrs...), cols: cols, rows: rows}, nil
+}
+
+// parseFloat is strconv.ParseFloat(s, 64) reporting only success, with
+// a fast path for the short unsigned decimal integers numeric columns
+// mostly hold: up to 15 digits, every such value is an exact float64.
+func parseFloat(s string) (float64, bool) {
+	if len(s) <= 15 {
+		n := 0
+		for i := 0; i < len(s); i++ {
+			d := s[i] - '0'
+			if d > 9 {
+				n = -1
+				break
+			}
+			n = n*10 + int(d)
+		}
+		if n >= 0 {
+			return float64(n), true
+		}
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+// rowBound bounds the data rows a CSV input can hold, so columns can be
+// pre-sized without ever allocating more than a legitimate input of the
+// same length would. It is the least of
+//
+//   - the newlines outside quoted fields, plus one, less the header: a
+//     newline inside a quoted field ends no record, and counting quote
+//     parity keeps a field of a million quoted newlines from sizing a
+//     million rows (in valid CSV a quote opens or closes a quoted field
+//     or comes in an escaped pair, so parity is odd exactly inside one);
+//   - len(data)/max(cols, 2): every data row of cols ≥ 2 columns holds
+//     cols-1 commas and a newline (the last row at least its commas,
+//     after a header of at least cols bytes), and a one-column row holds
+//     a byte and a newline, since blank lines are skipped;
+//   - maxRows, past which the decoder fails.
+//
+// So a legitimate input of this length can hold the rows the bound
+// sizes, while a malformed one (say, blank lines) sizes no more.
+func rowBound(data []byte, cols, maxRows int) int {
+	newlines, quoted := 0, false
+	for rest := data; len(rest) > 0; {
+		i := bytes.IndexByte(rest, '"')
+		if i < 0 {
+			i = len(rest)
+		}
+		if !quoted {
+			newlines += bytes.Count(rest[:i], []byte{'\n'})
+		}
+		if i < len(rest) {
+			quoted = !quoted
+			i++
+		}
+		rest = rest[i:]
+	}
+	return max(0, min(newlines, len(data)/max(cols, 2), maxRows))
 }
 
 // foldCRLF rewrites every run of "\r" that ends a field's "\r\n" to a
@@ -222,53 +369,6 @@ func checkFields(rec []string, lim Limits) error {
 		}
 	}
 	return nil
-}
-
-// ReadCSVAuto decodes a relation from in-memory CSV bytes under Limits,
-// inferring column kinds: a column whose every non-null value parses as
-// numeric becomes KindFloat, everything else stays KindString. It is the
-// single type-inference path shared by the deptool CLI and the server's
-// request decoder, so a relation posted to the server types identically
-// to the same bytes read from a file. The CSV is decoded once, as
-// strings; the numeric columns are then converted in place from the
-// floats the inference pass already parsed, so no cell parses twice.
-func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
-	if lim.MaxBytes > 0 && int64(len(data)) > lim.MaxBytes {
-		return nil, fmt.Errorf("relation: read CSV: %w",
-			&ErrInputTooLarge{What: "bytes", Limit: lim.MaxBytes, Got: int64(len(data))})
-	}
-	raw, err := ReadCSVLimits(name, bytes.NewReader(data), nil, lim)
-	if err != nil {
-		return nil, err
-	}
-	attrs := make([]Attribute, raw.Cols())
-	nums := make([]float64, raw.Rows()) // one column's parsed floats
-	for c := range attrs {
-		attrs[c] = Attribute{Name: raw.schema.Attr(c).Name, Kind: KindFloat}
-		col := raw.cols[c]
-		for row, v := range col {
-			if v.IsNull() {
-				continue
-			}
-			f, err := strconv.ParseFloat(v.Str(), 64)
-			if err != nil {
-				attrs[c].Kind = KindString
-				break
-			}
-			nums[row] = f
-		}
-		if attrs[c].Kind == KindFloat {
-			for row, v := range col {
-				if v.IsNull() {
-					col[row] = Null(KindFloat)
-				} else {
-					col[row] = Float(nums[row])
-				}
-			}
-		}
-	}
-	raw.schema = NewSchema(attrs...)
-	return raw, nil
 }
 
 // WriteCSV encodes the relation as CSV with a header record.

@@ -1,9 +1,7 @@
 package relation
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -127,37 +125,10 @@ func TestReadCSVAutoInfersKinds(t *testing.T) {
 	}
 }
 
-// readCSVAutoTwoPass is the two-decode reference for ReadCSVAuto: read
-// every column as a string, infer kinds, then decode the bytes again
-// typed.
-func readCSVAutoTwoPass(name string, data []byte, lim Limits) (*Relation, error) {
-	if lim.MaxBytes > 0 && int64(len(data)) > lim.MaxBytes {
-		return nil, fmt.Errorf("relation: read CSV: %w",
-			&ErrInputTooLarge{What: "bytes", Limit: lim.MaxBytes, Got: int64(len(data))})
-	}
-	raw, err := ReadCSVLimits(name, bytes.NewReader(data), nil, lim)
-	if err != nil {
-		return nil, err
-	}
-	kinds := make([]Kind, raw.Cols())
-	for c := range kinds {
-		kinds[c] = KindFloat
-		for row := 0; row < raw.Rows(); row++ {
-			if v := raw.Value(row, c); !v.IsNull() {
-				if _, err := Parse(v.Str(), KindFloat); err != nil {
-					kinds[c] = KindString
-					break
-				}
-			}
-		}
-	}
-	return ReadCSVLimits(name, bytes.NewReader(data), kinds, lim)
-}
-
-// TestReadCSVAutoMatchesTwoPass pins the single-decode ReadCSVAuto to the
-// two-decode reference: identical errors (text, and for oversized input
-// the typed bound, limit and observed value) on malformed and oversized
-// input, and identical kinds and cells otherwise.
+// TestReadCSVAutoMatchesTwoPass pins the one-pass ReadCSVAuto to the
+// oracle's two-pass inference: identical errors (text, and for oversized
+// input the typed bound, limit and observed value) on malformed and
+// oversized input, and identical kinds and cells otherwise.
 func TestReadCSVAutoMatchesTwoPass(t *testing.T) {
 	cases := []struct {
 		name string
@@ -181,34 +152,13 @@ func TestReadCSVAutoMatchesTwoPass(t *testing.T) {
 		{"inference", "s,f,n,m\nx,1,,NaN\ny,2.5,,-0\n,1e3,,inf\nz,-4,,0x1p-2\n", Limits{}},
 		{"numeric then string", "a,b\n1,2\n3,x\n", Limits{}},
 		{"quoted CR before LF", "a\n\"x\r\r\ny\"\n", Limits{}},
+		{"CRLF line ends and blank lines", "a,b\r\n\r\n1,x\r\n\n2,\r\n", Limits{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, gotErr := ReadCSVAuto("r", []byte(tc.data), tc.lim)
-			want, wantErr := readCSVAutoTwoPass("r", []byte(tc.data), tc.lim)
-			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-				t.Fatalf("err = %v, want %v", gotErr, wantErr)
-			}
-			if wantErr != nil {
-				var g, w *ErrInputTooLarge
-				if errors.As(gotErr, &g) != errors.As(wantErr, &w) || g != nil && *g != *w {
-					t.Fatalf("typed error = %#v, want %#v", g, w)
-				}
-				return
-			}
-			if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
-				t.Fatalf("shape %dx%d, want %dx%d", got.Rows(), got.Cols(), want.Rows(), want.Cols())
-			}
-			for c := 0; c < want.Cols(); c++ {
-				if g, w := got.Schema().Attr(c), want.Schema().Attr(c); g != w {
-					t.Fatalf("attr %d = %+v, want %+v", c, g, w)
-				}
-				for row := 0; row < want.Rows(); row++ {
-					if g, w := got.Value(row, c), want.Value(row, c); g.Key() != w.Key() || g.Kind() != w.Kind() {
-						t.Fatalf("cell (%d,%d) = %v, want %v", row, c, g, w)
-					}
-				}
-			}
+			want, wantErr := oracleReadCSVAuto("r", []byte(tc.data), tc.lim)
+			checkMatchesOracle(t, got, gotErr, want, wantErr)
 		})
 	}
 }
