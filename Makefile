@@ -65,19 +65,24 @@ torture:
 # map-deduplicated oracle, CORDS' per-column statistics and stamp-array
 # pair counting against the sort-based oracle, the WAL frame codec under
 # arbitrary damage, and the stream cell codec's inversion.
+# Each pass runs 30 s. Minimizing a new interesting input is capped at
+# 2000 executions: Go's default (60 s) could spend most of a pass at
+# 0 execs/s while it shrank one input.
+FUZZ = $(GO) test -run=X -fuzztime=30s -fuzzminimizetime=2000x
+
 fuzz:
-	$(GO) test -run=X -fuzz=FuzzCSVRoundTrip -fuzztime=30s ./internal/relation/
-	$(GO) test -run=X -fuzz=FuzzCSVMatchesOracle -fuzztime=30s ./internal/relation/
-	$(GO) test -run=X -fuzz=FuzzCodesMatchKey -fuzztime=30s ./internal/relation/
-	$(GO) test -run=X -fuzz=FuzzProductEquivalence -fuzztime=30s ./internal/partition/
-	$(GO) test -run=X -fuzz=FuzzRefinerMatchesBuild -fuzztime=30s ./internal/partition/
-	$(GO) test -run=X -fuzz=FuzzDiscoverRequest -fuzztime=30s ./internal/server/
-	$(GO) test -run=X -fuzz=FuzzParseTableau -fuzztime=30s ./internal/discovery/cfddisc/
-	$(GO) test -run=X -fuzz=FuzzSetODAgainstPairwise -fuzztime=30s ./internal/discovery/oddisc/
-	$(GO) test -run=X -fuzz=FuzzAgreeSetsMatchOracle -fuzztime=30s ./internal/discovery/fastfd/
-	$(GO) test -run=X -fuzz=FuzzCORDSMatchOracle -fuzztime=30s ./internal/discovery/cords/
-	$(GO) test -run=X -fuzz=FuzzWALFrameRoundTrip -fuzztime=30s ./internal/wal/
-	$(GO) test -run=X -fuzz=FuzzStreamKeyRoundTrip -fuzztime=30s ./internal/stream/
+	$(FUZZ) -fuzz=FuzzCSVRoundTrip ./internal/relation/
+	$(FUZZ) -fuzz=FuzzCSVMatchesOracle ./internal/relation/
+	$(FUZZ) -fuzz=FuzzCodesMatchKey ./internal/relation/
+	$(FUZZ) -fuzz=FuzzProductEquivalence ./internal/partition/
+	$(FUZZ) -fuzz=FuzzRefinerMatchesBuild ./internal/partition/
+	$(FUZZ) -fuzz=FuzzDiscoverRequest ./internal/server/
+	$(FUZZ) -fuzz=FuzzParseTableau ./internal/discovery/cfddisc/
+	$(FUZZ) -fuzz=FuzzSetODAgainstPairwise ./internal/discovery/oddisc/
+	$(FUZZ) -fuzz=FuzzAgreeSetsMatchOracle ./internal/discovery/fastfd/
+	$(FUZZ) -fuzz=FuzzCORDSMatchOracle ./internal/discovery/cords/
+	$(FUZZ) -fuzz=FuzzWALFrameRoundTrip ./internal/wal/
+	$(FUZZ) -fuzz=FuzzStreamKeyRoundTrip ./internal/stream/
 
 # Boots `deptool serve` on a real socket, exercises health/readiness/
 # metrics/discover/validate plus a malformed-body rejection, then

@@ -15,6 +15,7 @@ package deptree
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -126,32 +127,32 @@ func BenchmarkTable2Discovery(b *testing.B) {
 
 	b.Run("FD/TANE", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tane.Discover(cat, tane.Options{})
+			tane.DiscoverContext(context.Background(), cat, tane.Options{})
 		}
 	})
 	b.Run("FD/FastFD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fastfd.Discover(cat)
+			fastfd.DiscoverContext(context.Background(), cat, fastfd.Options{})
 		}
 	})
 	b.Run("AFD/TANE-g3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tane.Discover(cat, tane.Options{MaxError: 0.05})
+			tane.DiscoverContext(context.Background(), cat, tane.Options{MaxError: 0.05})
 		}
 	})
 	b.Run("SFD/CORDS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cords.Discover(hotels, cords.Options{SampleSize: 100})
+			cords.DiscoverContext(context.Background(), hotels, cords.Options{SampleSize: 100})
 		}
 	})
 	b.Run("PFD/counting", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pfddisc.Discover(cat, pfddisc.Options{MinProb: 0.8})
+			pfddisc.DiscoverContext(context.Background(), cat, pfddisc.Options{MinProb: 0.8})
 		}
 	})
 	b.Run("CFD/CFDMiner-const", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cfddisc.ConstantCFDs(hotels, cfddisc.Options{MinSupport: 5, MaxLHS: 2})
+			cfddisc.DiscoverContext(context.Background(), hotels, cfddisc.Options{MinSupport: 5, MaxLHS: 2})
 		}
 	})
 	b.Run("CFD/greedy-tableau", func(b *testing.B) {
@@ -164,19 +165,19 @@ func BenchmarkTable2Discovery(b *testing.B) {
 	b.Run("MVD/levelwise", func(b *testing.B) {
 		mv := gen.Categorical(60, []int{2, 3, 3}, 7)
 		for i := 0; i < b.N; i++ {
-			mvddisc.Discover(mv, mvddisc.Options{MaxLHS: 1})
+			mvddisc.DiscoverContext(context.Background(), mv, mvddisc.Options{MaxLHS: 1})
 		}
 	})
 	b.Run("DD/threshold-search", func(b *testing.B) {
 		opts := dddisc.Options{RHS: dd.F(small.Schema(), "region", dd.OpLe, 6)}
 		for i := 0; i < b.N; i++ {
-			dddisc.Discover(small, opts)
+			dddisc.DiscoverContext(context.Background(), small, opts)
 		}
 	})
 	b.Run("MD/support-confidence", func(b *testing.B) {
 		opts := mddisc.Options{RHS: []int{small.Schema().MustIndex("region")}, MinConfidence: 0.9}
 		for i := 0; i < b.N; i++ {
-			mddisc.Discover(small, opts)
+			mddisc.DiscoverContext(context.Background(), small, opts)
 		}
 	})
 	b.Run("NED/predicate-search", func(b *testing.B) {
@@ -185,12 +186,12 @@ func BenchmarkTable2Discovery(b *testing.B) {
 			LHSCols: []int{small.Schema().MustIndex("address"), small.Schema().MustIndex("name")},
 		}
 		for i := 0; i < b.N; i++ {
-			nedisc.Discover(small, opts)
+			nedisc.DiscoverContext(context.Background(), small, opts)
 		}
 	})
 	b.Run("FFD/pairwise", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ffddisc.Discover(small, ffddisc.Options{MaxLHS: 1})
+			ffddisc.DiscoverContext(context.Background(), small, ffddisc.Options{MaxLHS: 1})
 		}
 	})
 	b.Run("CD/pay-as-you-go", func(b *testing.B) {
@@ -204,17 +205,17 @@ func BenchmarkTable2Discovery(b *testing.B) {
 	b.Run("AMVD/levelwise", func(b *testing.B) {
 		mv := gen.Categorical(60, []int{2, 3, 3}, 7)
 		for i := 0; i < b.N; i++ {
-			mvddisc.Discover(mv, mvddisc.Options{MaxLHS: 1, MaxSpurious: 0.1})
+			mvddisc.DiscoverContext(context.Background(), mv, mvddisc.Options{MaxLHS: 1, MaxSpurious: 0.1})
 		}
 	})
 	b.Run("DC/FASTDC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fastdc.Discover(small, fastdc.Options{MaxPredicates: 2})
+			fastdc.DiscoverContext(context.Background(), small, fastdc.Options{MaxPredicates: 2})
 		}
 	})
 	b.Run("OD/pairwise", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			oddisc.Discover(hotels, oddisc.Options{})
+			oddisc.DiscoverContext(context.Background(), hotels, oddisc.Options{})
 		}
 	})
 	b.Run("SD/interval-fit", func(b *testing.B) {
@@ -362,7 +363,7 @@ func BenchmarkFig3ScalingTANE(b *testing.B) {
 		r := gen.Categorical(100, cards, 11)
 		b.Run(fmt.Sprintf("attrs=%d", cols), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tane.Discover(r, tane.Options{})
+				tane.DiscoverContext(context.Background(), r, tane.Options{})
 			}
 		})
 	}
@@ -438,22 +439,22 @@ func BenchmarkAblationTANEvsFastFD(b *testing.B) {
 	long := gen.Categorical(800, []int{4, 4, 4}, 23)
 	b.Run("wide/TANE", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tane.Discover(wide, tane.Options{})
+			tane.DiscoverContext(context.Background(), wide, tane.Options{})
 		}
 	})
 	b.Run("wide/FastFD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fastfd.Discover(wide)
+			fastfd.DiscoverContext(context.Background(), wide, fastfd.Options{})
 		}
 	})
 	b.Run("long/TANE", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tane.Discover(long, tane.Options{})
+			tane.DiscoverContext(context.Background(), long, tane.Options{})
 		}
 	})
 	b.Run("long/FastFD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fastfd.Discover(long)
+			fastfd.DiscoverContext(context.Background(), long, fastfd.Options{})
 		}
 	})
 }
@@ -470,14 +471,14 @@ func BenchmarkAblationMDApprox(b *testing.B) {
 	}
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mddisc.Discover(r, opts)
+			mddisc.DiscoverContext(context.Background(), r, opts)
 		}
 	})
 	b.Run("first-k=100", func(b *testing.B) {
 		o := opts
 		o.FirstK = 100
 		for i := 0; i < b.N; i++ {
-			mddisc.Discover(r, o)
+			mddisc.DiscoverContext(context.Background(), r, o)
 		}
 	})
 }
@@ -591,7 +592,7 @@ func BenchmarkPFDDiscover(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pfddisc.Discover(r, pfddisc.Options{})
+				pfddisc.DiscoverContext(context.Background(), r, pfddisc.Options{})
 			}
 		})
 	}
@@ -604,7 +605,7 @@ func BenchmarkFastFDDiscover(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fastfd.Discover(r)
+		fastfd.DiscoverContext(context.Background(), r, fastfd.Options{})
 	}
 }
 
@@ -617,7 +618,7 @@ func BenchmarkCORDSDiscover(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cords.Discover(r, cords.Options{})
+				cords.DiscoverContext(context.Background(), r, cords.Options{})
 			}
 		})
 	}
@@ -684,7 +685,7 @@ func BenchmarkTaneServed(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tane.Discover(r, tane.Options{Exec: engine.Exec{Workers: workers}})
+					tane.DiscoverContext(context.Background(), r, tane.Options{Exec: engine.Exec{Workers: workers}})
 				}
 			})
 		}

@@ -561,8 +561,9 @@ func cmdProfile(args []string) error {
 	}
 	fmt.Printf("soft FDs (CORDS, s >= 0.9): %d; chi-square-correlated pairs: %d%s\n", len(soft.SFDs), flagged, note("CORDS", soft.Partial, soft.Reason))
 
-	consts := cfddisc.ConstantCFDs(r, cfddisc.Options{MinSupport: max(2, r.Rows()/20), MaxLHS: 1})
-	fmt.Printf("constant CFDs (support >= %d): %d\n", max(2, r.Rows()/20), len(consts))
+	minSupport := max(2, r.Rows()/20)
+	constRes := cfddisc.DiscoverContext(ctx, r, cfddisc.Options{MinSupport: minSupport, MaxLHS: 1, Exec: x})
+	fmt.Printf("constant CFDs (support >= %d): %d%s\n", minSupport, len(constRes.CFDs), note("constant CFDs", constRes.Partial, constRes.Reason))
 
 	odRes := oddisc.DiscoverContext(ctx, r, oddisc.Options{Exec: x})
 	ods := oddisc.Minimal(odRes.ODs)
@@ -599,11 +600,4 @@ func cmdProfile(args []string) error {
 		runErr = errPartial
 	}
 	return finishObs(obsDone, runErr)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -222,6 +222,10 @@ func TestCmdProfilePartialBudget(t *testing.T) {
 	if !strings.Contains(out, "PARTIAL:") || !strings.Contains(out, "[partial: max-tasks]") {
 		t.Fatalf("missing partial markers:\n%s", out)
 	}
+	// The constant-CFD section runs under the same per-section budget.
+	if !strings.Contains(out, "constant CFDs: max-tasks") {
+		t.Fatalf("constant-CFD section ignored the budget:\n%s", out)
+	}
 }
 
 func TestCmdProfileVerboseCacheStats(t *testing.T) {

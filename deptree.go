@@ -19,6 +19,7 @@
 package deptree
 
 import (
+	"context"
 	"io"
 
 	"deptree/internal/apps/detect"
@@ -87,16 +88,20 @@ func Detect(r *Relation, rules []Dependency) []detect.Report {
 func RepairFDs(r *Relation, fds []FD) repair.Result { return repair.FDRepair(r, fds) }
 
 // DiscoverFDs finds all minimal exact FDs with TANE.
-func DiscoverFDs(r *Relation) []FD { return tane.Discover(r, tane.Options{}) }
+func DiscoverFDs(r *Relation) []FD {
+	return tane.DiscoverContext(context.Background(), r, tane.Options{}).FDs
+}
 
 // DiscoverAFDs finds minimal approximate FDs with g3 error ≤ maxError.
 func DiscoverAFDs(r *Relation, maxError float64) []FD {
-	return tane.Discover(r, tane.Options{MaxError: maxError})
+	return tane.DiscoverContext(context.Background(), r, tane.Options{MaxError: maxError}).FDs
 }
 
 // DiscoverFDsFastFD finds all minimal exact FDs with FastFD (identical
 // results to DiscoverFDs by construction; different complexity profile).
-func DiscoverFDsFastFD(r *Relation) []FD { return fastfd.Discover(r) }
+func DiscoverFDsFastFD(r *Relation) []FD {
+	return fastfd.DiscoverContext(context.Background(), r, fastfd.Options{}).FDs
+}
 
 // Profile summarizes a relation: discovered exact FDs, soft dependencies
 // and denial constraints — the "profiling" entry point.
@@ -109,14 +114,16 @@ type Profile struct {
 // ProfileRelation runs the standard profiling pipeline.
 func ProfileRelation(r *Relation) Profile {
 	return Profile{
-		FDs:  tane.Discover(r, tane.Options{MaxLHS: 2}),
-		SFDs: cords.Discover(r, cords.Options{}),
-		DCs:  len(fastdc.Discover(r, fastdc.Options{MaxPredicates: 2})),
+		FDs:  tane.DiscoverContext(context.Background(), r, tane.Options{MaxLHS: 2}).FDs,
+		SFDs: cords.DiscoverContext(context.Background(), r, cords.Options{}),
+		DCs:  len(fastdc.DiscoverContext(context.Background(), r, fastdc.Options{MaxPredicates: 2}).DCs),
 	}
 }
 
 // DiscoverODs finds single-attribute order dependencies.
-func DiscoverODs(r *Relation) int { return len(oddisc.Discover(r, oddisc.Options{})) }
+func DiscoverODs(r *Relation) int {
+	return len(oddisc.DiscoverContext(context.Background(), r, oddisc.Options{}).ODs)
+}
 
 // The paper's running-example fixtures.
 var (

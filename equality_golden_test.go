@@ -222,7 +222,7 @@ var goldenEqualityFuncs = map[string]func(h hash.Hash, d goldenDataset){
 			if d.r.Rows() > 100 && opts.MaxLHS > 2 {
 				continue
 			}
-			for _, c := range cfddisc.ConstantCFDs(d.r, opts) {
+			for _, c := range cfddisc.DiscoverContext(context.Background(), d.r, opts).CFDs {
 				fmt.Fprintln(h, c.String())
 			}
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"deptree/internal/discovery/cfddisc"
@@ -21,14 +22,15 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	r := gen.Hotels(gen.HotelConfig{
 		Rows: 120, Seed: 7,
 		ErrorRate: 0.05, VarietyRate: 0.1, DuplicateRate: 0.1,
 	})
 	fmt.Printf("profiling %d tuples x %d attributes of dirty hotel data\n\n", r.Rows(), r.Cols())
 
-	exact := tane.Discover(r, tane.Options{MaxLHS: 2})
-	cross := fastfd.Discover(r)
+	exact := tane.DiscoverContext(ctx, r, tane.Options{MaxLHS: 2}).FDs
+	cross := fastfd.DiscoverContext(ctx, r, fastfd.Options{}).FDs
 	fmt.Printf("== exact minimal FDs: TANE found %d (FastFD agrees on the full lattice: %d) ==\n",
 		len(exact), len(cross))
 	for i, f := range exact {
@@ -39,7 +41,7 @@ func main() {
 		fmt.Printf("  %s\n", f)
 	}
 
-	approx := tane.Discover(r, tane.Options{MaxError: 0.05, MaxLHS: 1})
+	approx := tane.DiscoverContext(ctx, r, tane.Options{MaxError: 0.05, MaxLHS: 1}).FDs
 	fmt.Printf("\n== approximate FDs (g3 <= 0.05): %d ==\n", len(approx))
 	for i, f := range approx {
 		if i == 5 {
@@ -49,7 +51,7 @@ func main() {
 		fmt.Printf("  %s  (g3=%.3f)\n", f, f.G3(r))
 	}
 
-	soft := cords.Discover(r, cords.Options{MinStrength: 0.9, SampleSize: 80})
+	soft := cords.DiscoverContext(ctx, r, cords.Options{MinStrength: 0.9, SampleSize: 80})
 	fmt.Printf("\n== CORDS soft FDs (strength >= 0.9, 80-row sample): %d ==\n", len(soft.SFDs))
 	flagged := 0
 	for _, c := range soft.Correlations {
@@ -59,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("  chi-square flagged %d correlated column pairs\n", flagged)
 
-	consts := cfddisc.ConstantCFDs(r, cfddisc.Options{MinSupport: 5, MaxLHS: 1})
+	consts := cfddisc.DiscoverContext(ctx, r, cfddisc.Options{MinSupport: 5, MaxLHS: 1}).CFDs
 	fmt.Printf("\n== constant CFDs (support >= 5): %d ==\n", len(consts))
 	for i, c := range consts {
 		if i == 5 {
@@ -69,7 +71,7 @@ func main() {
 		fmt.Printf("  %s  (support %d)\n", c, c.Support(r))
 	}
 
-	ods := oddisc.Minimal(oddisc.Discover(r, oddisc.Options{}))
+	ods := oddisc.Minimal(oddisc.DiscoverContext(ctx, r, oddisc.Options{}).ODs)
 	fmt.Printf("\n== minimal order dependencies: %d ==\n", len(ods))
 	for i, o := range ods {
 		if i == 5 {
@@ -79,7 +81,7 @@ func main() {
 		fmt.Printf("  %s\n", o)
 	}
 
-	dcs := fastdc.Discover(r.Select(func(i int) bool { return i < 60 }), fastdc.Options{MaxPredicates: 2})
+	dcs := fastdc.DiscoverContext(ctx, r.Select(func(i int) bool { return i < 60 }), fastdc.Options{MaxPredicates: 2}).DCs
 	fmt.Printf("\n== FASTDC denial constraints (60-row sample, <= 2 predicates): %d ==\n", len(dcs))
 	for i, d := range dcs {
 		if i == 5 {

@@ -5,6 +5,7 @@
 package deptree
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -42,7 +43,7 @@ func BenchmarkLexODDiscovery(b *testing.B) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 80, Seed: 71})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		oddisc.DiscoverLex(r, oddisc.LexOptions{MaxWidth: 2})
+		oddisc.DiscoverLexContext(context.Background(), r, oddisc.LexOptions{MaxWidth: 2})
 	}
 }
 
@@ -61,25 +62,6 @@ func BenchmarkInteractiveClean(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBFASTDC compares the bool-slice FASTDC search against
-// the BFASTDC bitwise variant [78] — same minimal DCs, different inner
-// loop and memory profile.
-func BenchmarkAblationBFASTDC(b *testing.B) {
-	r := gen.Hotels(gen.HotelConfig{Rows: 60, Seed: 77, ErrorRate: 0.1})
-	b.Run("bool", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fastdc.Discover(r, fastdc.Options{MaxPredicates: 2})
-		}
-	})
-	b.Run("bitset", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fastdc.DiscoverBitset(r, fastdc.Options{MaxPredicates: 2})
-		}
-	})
-}
-
 // BenchmarkEngineWorkers captures the speedup curve of the parallel
 // discovery engine over TANE and FASTDC: the same workload at 1, 2, 4 and
 // 8 workers (1 is the sequential legacy path). BENCH json diffs across
@@ -91,7 +73,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("tane/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tane.Discover(taneRel, tane.Options{Exec: engine.Exec{Workers: w}})
+				tane.DiscoverContext(context.Background(), taneRel, tane.Options{Exec: engine.Exec{Workers: w}})
 			}
 		})
 	}
@@ -99,7 +81,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("fastdc/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fastdc.Discover(dcRel, fastdc.Options{MaxPredicates: 2, Exec: engine.Exec{Workers: w}})
+				fastdc.DiscoverContext(context.Background(), dcRel, fastdc.Options{MaxPredicates: 2, Exec: engine.Exec{Workers: w}})
 			}
 		})
 	}

@@ -86,19 +86,16 @@ type Result struct {
 // the truncation point is worker-independent.
 const batch = 8
 
-// ConstantCFDs mines minimal constant CFDs (X = t_p → A = a): patterns of
-// constants whose matching tuples all share one A value, with support ≥
+// DiscoverContext mines minimal constant CFDs (X = t_p → A = a): patterns
+// of constants whose matching tuples all share one A value, with support ≥
 // MinSupport, and no sub-pattern already implying the same conclusion.
-func ConstantCFDs(r *relation.Relation, opts Options) []cfd.CFD {
-	return DiscoverContext(context.Background(), r, opts).CFDs
-}
-
-// DiscoverContext is ConstantCFDs under a context and Options.Budget.
-// Within one level the per-node conclusion scans are independent and fan
-// out; the minimality bookkeeping then replays the completed node prefix
-// in the sequential order, so results are byte-identical to the
-// sequential miner at any worker count. Growing the next level stays
-// sequential (it needs the full current level).
+//
+// It runs under a context and Options.Budget. Within one level the
+// per-node conclusion scans are independent and fan out; the minimality
+// bookkeeping then replays the completed node prefix in the sequential
+// order, so results are byte-identical to the sequential miner at any
+// worker count. Growing the next level stays sequential (it needs the full
+// current level).
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	n := r.Cols()

@@ -1,6 +1,7 @@
 package cfddisc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/deps/cfd"
@@ -10,7 +11,7 @@ import (
 
 func TestConstantCFDsOnTable5(t *testing.T) {
 	r := gen.Table5()
-	cfds := ConstantCFDs(r, Options{MinSupport: 2})
+	cfds := DiscoverContext(context.Background(), r, Options{MinSupport: 2}).CFDs
 	if len(cfds) == 0 {
 		t.Fatal("no constant CFDs mined")
 	}
@@ -42,7 +43,7 @@ func TestConstantCFDsOnTable5(t *testing.T) {
 
 func TestConstantCFDsMinimality(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 80, Seed: 9})
-	cfds := ConstantCFDs(r, Options{MinSupport: 3, MaxLHS: 2})
+	cfds := DiscoverContext(context.Background(), r, Options{MinSupport: 3, MaxLHS: 2}).CFDs
 	// No rule's LHS pattern may contain another rule with the same
 	// conclusion.
 	for i, a := range cfds {
@@ -108,18 +109,18 @@ func TestGreedyTableauEmpty(t *testing.T) {
 
 func TestConstantCFDsEmptyAndSmall(t *testing.T) {
 	r := relation.New("e", relation.Strings("a", "b"))
-	if got := ConstantCFDs(r, Options{}); got != nil {
+	if got := DiscoverContext(context.Background(), r, Options{}).CFDs; got != nil {
 		t.Errorf("empty relation: %v", got)
 	}
 	_ = r.Append([]relation.Value{relation.String("x"), relation.String("y")})
-	if got := ConstantCFDs(r, Options{MinSupport: 2}); got != nil {
+	if got := DiscoverContext(context.Background(), r, Options{MinSupport: 2}).CFDs; got != nil {
 		t.Errorf("single row with support 2: %v", got)
 	}
 }
 
 func TestConstantCFDsSupportThreshold(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 120, Seed: 10})
-	for _, c := range ConstantCFDs(r, Options{MinSupport: 5, MaxLHS: 1}) {
+	for _, c := range DiscoverContext(context.Background(), r, Options{MinSupport: 5, MaxLHS: 1}).CFDs {
 		if got := c.Support(r); got < 5 {
 			t.Errorf("rule %v support %d < 5", c, got)
 		}
@@ -153,7 +154,7 @@ func TestConstantCFDsSeparatorPayloads(t *testing.T) {
 	ab := cfdString(s, []string{"c0", "c1"}, rows[0][:2], "c3", rows[0][3])
 	ac := cfdString(s, []string{"c0", "c2"}, []relation.Value{rows[6][0], rows[6][2]}, "c3", rows[6][3])
 	want := map[string]bool{ab: false, ac: false}
-	for _, c := range ConstantCFDs(r, Options{MinSupport: 2, MaxLHS: 2}) {
+	for _, c := range DiscoverContext(context.Background(), r, Options{MinSupport: 2, MaxLHS: 2}).CFDs {
 		if _, ok := want[c.String()]; ok {
 			want[c.String()] = true
 		}

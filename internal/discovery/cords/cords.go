@@ -85,12 +85,8 @@ type Result struct {
 	Completed int
 }
 
-// Discover runs CORDS over all column pairs.
-func Discover(r *relation.Relation, opts Options) Result {
-	return DiscoverContext(context.Background(), r, opts)
-}
-
-// DiscoverContext is Discover under a context and Options.Budget.
+// DiscoverContext runs CORDS over all column pairs under a context and
+// Options.Budget.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	sample := sampleRows(r, opts.SampleSize, opts.Seed)

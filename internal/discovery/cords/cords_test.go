@@ -1,6 +1,7 @@
 package cords
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/gen"
@@ -10,7 +11,7 @@ import (
 func TestDiscoverFindsPlantedSFD(t *testing.T) {
 	// address → region holds exactly on clean hotels: strength 1.
 	r := gen.Hotels(gen.HotelConfig{Rows: 400, Seed: 1})
-	res := Discover(r, Options{MinStrength: 0.95})
+	res := DiscoverContext(context.Background(), r, Options{MinStrength: 0.95})
 	addr := r.Schema().MustIndex("address")
 	region := r.Schema().MustIndex("region")
 	found := false
@@ -27,7 +28,7 @@ func TestDiscoverFindsPlantedSFD(t *testing.T) {
 func TestSoftDependencySurvivesNoise(t *testing.T) {
 	// With a small error rate the FD breaks but the SFD remains.
 	r := gen.Hotels(gen.HotelConfig{Rows: 400, Seed: 2, ErrorRate: 0.02})
-	res := Discover(r, Options{MinStrength: 0.9})
+	res := DiscoverContext(context.Background(), r, Options{MinStrength: 0.9})
 	addr := r.Schema().MustIndex("address")
 	region := r.Schema().MustIndex("region")
 	found := false
@@ -46,7 +47,7 @@ func TestChiSquareFlagsCorrelation(t *testing.T) {
 	// on star: the (star, price-band) pair must be flagged; two independent
 	// random columns must not.
 	r := gen.Hotels(gen.HotelConfig{Rows: 500, Seed: 3})
-	res := Discover(r, Options{})
+	res := DiscoverContext(context.Background(), r, Options{})
 	star := r.Schema().MustIndex("star")
 	price := r.Schema().MustIndex("price")
 	nights := r.Schema().MustIndex("nights")
@@ -75,7 +76,7 @@ func TestSamplingIsScalable(t *testing.T) {
 	// The sample bound caps work: results from a 200-row sample of a large
 	// relation still find the planted SFD.
 	r := gen.Hotels(gen.HotelConfig{Rows: 3000, Seed: 4})
-	res := Discover(r, Options{SampleSize: 200, Seed: 7})
+	res := DiscoverContext(context.Background(), r, Options{SampleSize: 200, Seed: 7})
 	addr := r.Schema().MustIndex("address")
 	region := r.Schema().MustIndex("region")
 	found := false
@@ -91,7 +92,7 @@ func TestSamplingIsScalable(t *testing.T) {
 
 func TestEmptyRelation(t *testing.T) {
 	r := relation.New("e", relation.Strings("a", "b"))
-	res := Discover(r, Options{})
+	res := DiscoverContext(context.Background(), r, Options{})
 	if len(res.SFDs) == 0 {
 		// Vacuous strength 1 admits everything; either behaviour is
 		// acceptable as long as it does not panic. Nothing to assert

@@ -1,6 +1,7 @@
 package cords
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -124,7 +125,7 @@ func oracleAnalyze(sample []int, d1, d2 *oracleCol, c1, c2 int, opts Options) Co
 }
 
 // oracleCorrelations runs oracleAnalyze over every ordered column pair of
-// the sample Discover draws, in Discover's pair order.
+// the sample DiscoverContext draws, in its pair order.
 func oracleCorrelations(r *relation.Relation, opts Options) []Correlation {
 	opts = opts.withDefaults()
 	sample := sampleRows(r, opts.SampleSize, opts.Seed)
@@ -211,7 +212,7 @@ func differentialRelations() []*relation.Relation {
 func checkCorrelations(t *testing.T, r *relation.Relation, opts Options) {
 	t.Helper()
 	want := oracleCorrelations(r, opts)
-	got := Discover(r, opts)
+	got := DiscoverContext(context.Background(), r, opts)
 	if len(got.Correlations) != len(want) || got.Partial {
 		t.Fatalf("%d×%d %+v: %d correlations (partial %v), oracle %d", r.Rows(), r.Cols(), opts, len(got.Correlations), got.Partial, len(want))
 	}

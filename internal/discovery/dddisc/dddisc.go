@@ -65,20 +65,17 @@ type Result struct {
 // narrow. Fixed so the truncation point is worker-independent.
 const batch = 2
 
-// Discover returns DDs φ[X] → φ[Y] with confidence 1 and support ≥
-// MinSupport, where every LHS function is of the "similar" form
-// A(≤ threshold) and thresholds are maximal: raising any threshold to the
-// next candidate would break the dependency or its confidence. Maximal
+// DiscoverContext returns DDs φ[X] → φ[Y] with confidence 1 and support ≥
+// MinSupport, where every LHS function is of the "similar" form A(≤
+// threshold) and thresholds are maximal: raising any threshold to the next
+// candidate would break the dependency or its confidence. Maximal
 // thresholds make the DD most general, mirroring the minimality notion of
 // [86] (a DD with looser LHS subsumes tighter ones).
-func Discover(r *relation.Relation, opts Options) []dd.DD {
-	return DiscoverContext(context.Background(), r, opts).DDs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget. Each
-// candidate attribute is one pool task computing its pairwise distances,
-// candidate thresholds and maximal admissible threshold; the shared RHS
-// compatibility vector is computed once up front.
+//
+// It runs under a context and Options.Budget. Each candidate attribute is
+// one pool task computing its pairwise distances, candidate thresholds and
+// maximal admissible threshold; the shared RHS compatibility vector is
+// computed once up front.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	n := r.Rows()
@@ -208,11 +205,4 @@ func quantileThresholds(dist []float64, k int) []float64 {
 	}
 	sort.Float64s(out)
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package dddisc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/deps/dd"
@@ -14,7 +15,7 @@ func TestDiscoverOnTable6(t *testing.T) {
 	r := gen.Table6()
 	s := r.Schema()
 	opts := Options{RHS: dd.F(s, "address", dd.OpLe, 5)}
-	dds := Discover(r, opts)
+	dds := DiscoverContext(context.Background(), r, opts).DDs
 	if len(dds) == 0 {
 		t.Fatal("no DDs discovered")
 	}
@@ -32,7 +33,7 @@ func TestThresholdsAreMaximal(t *testing.T) {
 	r := gen.Table6()
 	s := r.Schema()
 	opts := Options{RHS: dd.F(s, "address", dd.OpLe, 5), MaxThresholds: 16}
-	for _, d := range Discover(r, opts) {
+	for _, d := range DiscoverContext(context.Background(), r, opts).DDs {
 		// Raising the threshold to the next candidate must break validity
 		// or the DD was not maximal. Compare against a DD with a slightly
 		// larger threshold from the candidate pool: simply check +1.
@@ -61,7 +62,7 @@ func TestMinSupport(t *testing.T) {
 	r := gen.Table6()
 	s := r.Schema()
 	opts := Options{RHS: dd.F(s, "address", dd.OpLe, 5), MinSupport: 3}
-	for _, d := range Discover(r, opts) {
+	for _, d := range DiscoverContext(context.Background(), r, opts).DDs {
 		if support, _ := d.SupportConfidence(r); support < 3 {
 			t.Errorf("DD %v support %d < 3", d, support)
 		}
@@ -87,7 +88,7 @@ func TestParameterFreeThresholds(t *testing.T) {
 func TestTinyRelation(t *testing.T) {
 	r := gen.Table6().Select(func(i int) bool { return i == 0 })
 	opts := Options{RHS: dd.F(gen.Table6().Schema(), "address", dd.OpLe, 5)}
-	if got := Discover(r, opts); got != nil {
+	if got := DiscoverContext(context.Background(), r, opts).DDs; got != nil {
 		t.Errorf("single row: %v", got)
 	}
 }
@@ -101,7 +102,7 @@ func TestSyntheticDuplicates(t *testing.T) {
 		RHS:     dd.F(s, "region", dd.OpLe, 6),
 		LHSCols: []int{s.MustIndex("address")},
 	}
-	dds := Discover(r, opts)
+	dds := DiscoverContext(context.Background(), r, opts).DDs
 	if len(dds) == 0 {
 		t.Fatal("no DD for address → region similarity")
 	}

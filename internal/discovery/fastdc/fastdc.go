@@ -63,13 +63,8 @@ type Result struct {
 	RowsCovered int
 }
 
-// Discover runs FASTDC and returns minimal valid DCs, sorted by rendered
-// form for determinism.
-func Discover(r *relation.Relation, opts Options) []dc.DC {
-	return DiscoverContext(context.Background(), r, opts).DCs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget.
+// DiscoverContext runs FASTDC and returns minimal valid DCs, sorted by
+// rendered form for determinism, under a context and Options.Budget.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	if r.Rows() < 2 {

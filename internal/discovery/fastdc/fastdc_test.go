@@ -1,6 +1,7 @@
 package fastdc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/deps/dc"
@@ -49,7 +50,7 @@ func TestEvidenceSets(t *testing.T) {
 
 func TestDiscoveredDCsHold(t *testing.T) {
 	r := gen.Table7()
-	dcs := Discover(r, Options{MaxPredicates: 2})
+	dcs := DiscoverContext(context.Background(), r, Options{MaxPredicates: 2}).DCs
 	if len(dcs) == 0 {
 		t.Fatal("no DCs discovered on the monotone Table 7")
 	}
@@ -64,7 +65,7 @@ func TestDiscoversOrderDC(t *testing.T) {
 	// Table 7 satisfies dc1: ¬(tα.subtotal < tβ.subtotal ∧ tα.taxes >
 	// tβ.taxes). FASTDC must find it (or a stronger minimal form).
 	r := gen.Table7()
-	dcs := Discover(r, Options{MaxPredicates: 2})
+	dcs := DiscoverContext(context.Background(), r, Options{MaxPredicates: 2}).DCs
 	want := dc.DC{
 		Predicates: []dc.Predicate{
 			dc.P(dc.Attr(dc.Alpha, 2), dc.OpLt, dc.Attr(dc.Beta, 2)),
@@ -93,7 +94,7 @@ func TestDiscoversOrderDC(t *testing.T) {
 
 func TestMinimality(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 40, Seed: 21})
-	dcs := Discover(r, Options{MaxPredicates: 2})
+	dcs := DiscoverContext(context.Background(), r, Options{MaxPredicates: 2}).DCs
 	// No DC's predicate set strictly contains another's.
 	for i, a := range dcs {
 		for j, b := range dcs {
@@ -128,7 +129,7 @@ func TestApproximateDiscovery(t *testing.T) {
 	r := gen.Table7().Clone()
 	// One corrupted pair breaks exact dc1.
 	r.SetValue(0, r.Schema().MustIndex("taxes"), relation.Int(100))
-	exact := Discover(r, Options{MaxPredicates: 2})
+	exact := DiscoverContext(context.Background(), r, Options{MaxPredicates: 2}).DCs
 	cnt := func(dcs []dc.DC, s string) bool {
 		for _, d := range dcs {
 			if d.String() == s {
@@ -141,7 +142,7 @@ func TestApproximateDiscovery(t *testing.T) {
 	if cnt(exact, target) {
 		t.Error("exact FASTDC must reject the corrupted order DC")
 	}
-	approx := Discover(r, Options{MaxPredicates: 2, MaxViolations: 0.2})
+	approx := DiscoverContext(context.Background(), r, Options{MaxPredicates: 2, MaxViolations: 0.2}).DCs
 	if !cnt(approx, target) {
 		t.Errorf("A-FASTDC with 20%% budget should keep the order DC; got %v", approx)
 	}
@@ -173,7 +174,7 @@ func TestConstantPredicates(t *testing.T) {
 
 func TestTinyRelation(t *testing.T) {
 	r := relation.New("e", relation.Strings("a"))
-	if got := Discover(r, Options{}); got != nil {
+	if got := DiscoverContext(context.Background(), r, Options{}).DCs; got != nil {
 		t.Errorf("empty: %v", got)
 	}
 }

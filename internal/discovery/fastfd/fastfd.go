@@ -50,19 +50,10 @@ const rhsBatch = 4
 // stop condition.
 const stopCheckEvery = 1024
 
-// Discover returns the minimal exact FDs with singleton RHS. Results agree
-// with TANE on every instance (a property the test suite checks).
-func Discover(r *relation.Relation) []fd.FD {
-	return DiscoverOpts(r, Options{})
-}
-
-// DiscoverOpts is Discover with explicit options.
-func DiscoverOpts(r *relation.Relation, opts Options) []fd.FD {
-	return DiscoverContext(context.Background(), r, opts).FDs
-}
-
-// DiscoverContext is DiscoverOpts under a context and Options.Budget,
-// reporting budget-truncated runs as a Partial prefix instead of failing.
+// DiscoverContext returns the minimal exact FDs with singleton RHS.
+// Results agree with TANE on every instance (a property the test suite
+// checks). It runs under a context and Options.Budget, reporting
+// budget-truncated runs as a Partial prefix instead of failing.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	n := r.Cols()
 	if n == 0 || n > attrset.MaxAttrs {

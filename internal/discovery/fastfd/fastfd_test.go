@@ -1,6 +1,7 @@
 package fastfd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,8 +26,8 @@ func TestAgreesWithTANE(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		r := gen.Categorical(25, []int{2, 3, 2, 3}, rng.Int63())
-		got := asSet(Discover(r))
-		want := asSet(tane.Discover(r, tane.Options{}))
+		got := asSet(DiscoverContext(context.Background(), r, Options{}).FDs)
+		want := asSet(tane.DiscoverContext(context.Background(), r, tane.Options{}).FDs)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: FastFD %d FDs, TANE %d\n fastfd: %v\n tane: %v",
 				trial, len(got), len(want), got, want)
@@ -41,8 +42,8 @@ func TestAgreesWithTANE(t *testing.T) {
 
 func TestAgreesWithTANEOnFixtures(t *testing.T) {
 	for _, r := range []*relation.Relation{gen.Table1(), gen.Table5(), gen.Table6(), gen.Table7()} {
-		got := asSet(Discover(r))
-		want := asSet(tane.Discover(r, tane.Options{}))
+		got := asSet(DiscoverContext(context.Background(), r, Options{}).FDs)
+		want := asSet(tane.DiscoverContext(context.Background(), r, tane.Options{}).FDs)
 		if len(got) != len(want) {
 			t.Fatalf("%s: FastFD %v != TANE %v", r.Name(), got, want)
 		}
@@ -56,7 +57,7 @@ func TestAgreesWithTANEOnFixtures(t *testing.T) {
 
 func TestDiscoveredFDsHold(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 60, Seed: 5, VarietyRate: 0.2})
-	for _, f := range Discover(r) {
+	for _, f := range DiscoverContext(context.Background(), r, Options{}).FDs {
 		if !f.Holds(r) {
 			t.Errorf("discovered FD %v does not hold", f)
 		}
@@ -67,7 +68,7 @@ func TestDiscoveredFDsAreMinimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		r := gen.Categorical(20, []int{2, 2, 3}, rng.Int63())
-		for _, f := range Discover(r) {
+		for _, f := range DiscoverContext(context.Background(), r, Options{}).FDs {
 			f := f
 			f.LHS.ImmediateSubsets(func(sub attrset.Set) {
 				smaller := fd.FD{LHS: sub, RHS: f.RHS, Schema: f.Schema}
@@ -87,7 +88,7 @@ func TestNoAgreementCase(t *testing.T) {
 		{relation.String("2"), relation.String("y")},
 		{relation.String("3"), relation.String("z")},
 	})
-	got := asSet(Discover(r))
+	got := asSet(DiscoverContext(context.Background(), r, Options{}).FDs)
 	if !got[[2]attrset.Set{attrset.Of(0), attrset.Of(1)}] || !got[[2]attrset.Set{attrset.Of(1), attrset.Of(0)}] {
 		t.Errorf("pairwise-distinct relation: %v", got)
 	}
@@ -99,7 +100,7 @@ func TestConstantColumn(t *testing.T) {
 		{relation.String("x"), relation.String("k")},
 		{relation.String("y"), relation.String("k")},
 	})
-	got := asSet(Discover(r))
+	got := asSet(DiscoverContext(context.Background(), r, Options{}).FDs)
 	if !got[[2]attrset.Set{attrset.Empty, attrset.Of(1)}] {
 		t.Errorf("∅ → c missing: %v", got)
 	}
@@ -107,11 +108,11 @@ func TestConstantColumn(t *testing.T) {
 
 func TestEmptyAndSingleRow(t *testing.T) {
 	r := relation.New("e", relation.Strings("a", "b"))
-	if fds := Discover(r); len(fds) != 0 {
+	if fds := DiscoverContext(context.Background(), r, Options{}).FDs; len(fds) != 0 {
 		t.Errorf("empty relation: %v", fds)
 	}
 	_ = r.Append([]relation.Value{relation.String("x"), relation.String("y")})
-	fds := Discover(r)
+	fds := DiscoverContext(context.Background(), r, Options{}).FDs
 	// Single row: every column is constant; ∅ → a and ∅ → b.
 	got := asSet(fds)
 	if !got[[2]attrset.Set{attrset.Empty, attrset.Of(0)}] || !got[[2]attrset.Set{attrset.Empty, attrset.Of(1)}] {

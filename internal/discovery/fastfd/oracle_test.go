@@ -188,7 +188,7 @@ func TestDiscoverMatchesOracle(t *testing.T) {
 	for ri, r := range differentialRelations() {
 		want := oracleFDs(r)
 		for _, workers := range []int{1, 4} {
-			got := DiscoverOpts(r, Options{Exec: engine.Exec{Workers: workers}})
+			got := DiscoverContext(context.Background(), r, Options{Exec: engine.Exec{Workers: workers}}).FDs
 			if len(got) != len(want) {
 				t.Fatalf("relation %d workers %d: %d FDs, oracle %d\n got: %v\nwant: %v", ri, workers, len(got), len(want), got, want)
 			}

@@ -67,20 +67,17 @@ type Result struct {
 // truncation point is worker-independent.
 const batch = 8
 
-// Discover returns the minimal valid FFDs with ≤ MaxLHS determinant
+// DiscoverContext returns the minimal valid FFDs with ≤ MaxLHS determinant
 // attributes and a single dependent attribute, checking every tuple pair
 // (the [109] small-to-large strategy: an FFD with a sub-LHS already valid
 // is pruned as non-minimal, since adding determinant attributes can only
 // lower µ_EQ(X) and weaken the constraint).
-func Discover(r *relation.Relation, opts Options) []ffd.FFD {
-	return DiscoverContext(context.Background(), r, opts).FFDs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget. Level-1
-// candidates are mutually independent and validate in parallel; level-2
-// minimality pruning consults only the complete level-1 result, so a
-// budget that trips during level 1 ends the run there (running level 2
-// against a partial level-1 key set would not be prefix-deterministic).
+//
+// It runs under a context and Options.Budget. Level-1 candidates are
+// mutually independent and validate in parallel; level-2 minimality
+// pruning consults only the complete level-1 result, so a budget that
+// trips during level 1 ends the run there (running level 2 against a
+// partial level-1 key set would not be prefix-deterministic).
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults(r)
 	n := r.Cols()

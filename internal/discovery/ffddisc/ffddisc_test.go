@@ -1,6 +1,7 @@
 package ffddisc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/gen"
@@ -17,7 +18,7 @@ func TestDiscoverFindsCrispFDs(t *testing.T) {
 	for c := 0; c < s.Len(); c++ {
 		res[c] = metric.CrispEqual{}
 	}
-	ffds := Discover(r, Options{Resemblances: res, MaxLHS: 1})
+	ffds := DiscoverContext(context.Background(), r, Options{Resemblances: res, MaxLHS: 1}).FFDs
 	found := false
 	for _, f := range ffds {
 		if !f.Holds(r) {
@@ -41,7 +42,7 @@ func TestDiscoverFuzzyOnTable6(t *testing.T) {
 		s.MustIndex("price"): metric.InverseNumeric{Beta: 1},
 		s.MustIndex("tax"):   metric.InverseNumeric{Beta: 10},
 	}
-	ffds := Discover(r, Options{Resemblances: res, MaxLHS: 2})
+	ffds := DiscoverContext(context.Background(), r, Options{Resemblances: res, MaxLHS: 2}).FFDs
 	for _, f := range ffds {
 		if !f.Holds(r) {
 			t.Errorf("discovered FFD %v does not hold", f)
@@ -54,7 +55,7 @@ func TestDiscoverFuzzyOnTable6(t *testing.T) {
 
 func TestDiscoverMinimality(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 30, Seed: 93})
-	ffds := Discover(r, Options{MaxLHS: 2})
+	ffds := DiscoverContext(context.Background(), r, Options{MaxLHS: 2}).FFDs
 	// No 2-attribute FFD may coexist with a valid 1-attribute sub-FFD on
 	// the same RHS (pruning guarantee).
 	single := map[[2]int]bool{}
@@ -83,7 +84,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch := Discover(r, Options{MaxLHS: 1})
+	batch := DiscoverContext(context.Background(), r, Options{MaxLHS: 1}).FFDs
 	got := map[string]bool{}
 	for _, f := range inc.Current() {
 		got[f.String()] = true
@@ -114,7 +115,7 @@ func TestIncrementalErrors(t *testing.T) {
 
 func TestTinyRelation(t *testing.T) {
 	r := gen.Table6().Select(func(i int) bool { return i == 0 })
-	if got := Discover(r, Options{}); got != nil {
+	if got := DiscoverContext(context.Background(), r, Options{}).FFDs; got != nil {
 		t.Errorf("single row: %v", got)
 	}
 }

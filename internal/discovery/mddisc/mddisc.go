@@ -75,14 +75,9 @@ type Result struct {
 // point is worker-independent.
 const batch = 4
 
-// Discover returns single-attribute-LHS MDs meeting the support and
-// confidence requirements, each with the maximal admissible threshold (the
-// most general matching rule).
-func Discover(r *relation.Relation, opts Options) []md.MD {
-	return DiscoverContext(context.Background(), r, opts).MDs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget.
+// DiscoverContext returns single-attribute-LHS MDs meeting the support
+// and confidence requirements, each with the maximal admissible threshold
+// (the most general matching rule), under a context and Options.Budget.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	eval := r

@@ -1,6 +1,7 @@
 package mddisc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/attrset"
@@ -18,7 +19,7 @@ func TestDiscoverOnTable6(t *testing.T) {
 		MinConfidence: 1,
 		Thresholds:    []float64{0, 1, 2, 3, 4, 5},
 	}
-	mds := Discover(r, opts)
+	mds := DiscoverContext(context.Background(), r, opts).MDs
 	if len(mds) == 0 {
 		t.Fatal("no MDs discovered")
 	}
@@ -39,9 +40,9 @@ func TestFirstKApproximation(t *testing.T) {
 		MinSupport:    0.0001,
 		MinConfidence: 0.95,
 	}
-	exact := Discover(r, opts)
+	exact := DiscoverContext(context.Background(), r, opts).MDs
 	opts.FirstK = 150
-	approx := Discover(r, opts)
+	approx := DiscoverContext(context.Background(), r, opts).MDs
 	// The approximation evaluates on a prefix; for stationary synthetic
 	// data it should find the same LHS attributes.
 	if len(exact) != len(approx) {
@@ -110,7 +111,7 @@ func TestDiscoveredThresholdIsMaximal(t *testing.T) {
 		MinConfidence: 1,
 		Thresholds:    []float64{0, 1, 2, 3, 4, 5},
 	}
-	mds := Discover(r, opts)
+	mds := DiscoverContext(context.Background(), r, opts).MDs
 	if len(mds) != 1 {
 		t.Fatalf("mds = %v", mds)
 	}
@@ -127,7 +128,7 @@ func TestDefaultLHSColumns(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 40, Seed: 16})
 	s := r.Schema()
 	opts := Options{RHS: []int{s.MustIndex("region")}, MinSupport: 0.0001, MinConfidence: 1}
-	mds := Discover(r, opts)
+	mds := DiscoverContext(context.Background(), r, opts).MDs
 	for _, m := range mds {
 		if m.LHS[0].Col == s.MustIndex("region") {
 			t.Errorf("RHS column leaked into LHS: %v", m)

@@ -54,23 +54,20 @@ type Result struct {
 // LHS group. Fixed so the truncation point is worker-independent.
 const batch = 8
 
-// Discover returns valid, non-trivial MVDs X ↠ Y with |X| ≤ MaxLHS,
+// DiscoverContext returns valid, non-trivial MVDs X ↠ Y with |X| ≤ MaxLHS,
 // reporting only the most general ones: an MVD is skipped when it is
-// implied by reflexivity/augmentation from a smaller found one
-// (X' ⊆ X with Y equal modulo the extra X attributes), or when its
-// complement form was already reported (X ↠ Y ≡ X ↠ R−X−Y).
-func Discover(r *relation.Relation, opts Options) []mvd.MVD {
-	return DiscoverContext(context.Background(), r, opts).MVDs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget. LHS
-// groups run sequentially (found MVDs prune later, more specific
-// candidates) while validation within one group fans out: the canonical-Y
-// form (Y always contains rest.First()) means no same-group candidate can
-// imply another — the complement Z lacks rest.First() and is never
-// enumerated, and augmentation from a same-X find reduces to the
-// identical candidate — so the parallel filter-then-validate pass is
-// output-identical to the sequential scan.
+// implied by reflexivity/augmentation from a smaller found one (X' ⊆ X
+// with Y equal modulo the extra X attributes), or when its complement form
+// was already reported (X ↠ Y ≡ X ↠ R−X−Y).
+//
+// It runs under a context and Options.Budget. LHS groups run sequentially
+// (found MVDs prune later, more specific candidates) while validation
+// within one group fans out: the canonical-Y form (Y always contains
+// rest.First()) means no same-group candidate can imply another — the
+// complement Z lacks rest.First() and is never enumerated, and
+// augmentation from a same-X find reduces to the identical candidate — so
+// the parallel filter-then-validate pass is output-identical to the
+// sequential scan.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	n := r.Cols()

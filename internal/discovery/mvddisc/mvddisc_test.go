@@ -1,6 +1,7 @@
 package mvddisc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/gen"
@@ -20,7 +21,7 @@ func TestDiscoverTextbookMVD(t *testing.T) {
 			}
 		}
 	}
-	mvds := Discover(r, Options{MaxLHS: 1})
+	mvds := DiscoverContext(context.Background(), r, Options{MaxLHS: 1}).MVDs
 	found := false
 	for _, m := range mvds {
 		if m.LHS == 1 && (m.RHS == 2 || m.RHS == 4) { // course ->> book (or lecturer)
@@ -38,7 +39,7 @@ func TestDiscoverTextbookMVD(t *testing.T) {
 func TestDiscoverOnTable5(t *testing.T) {
 	// mvd1: address, rate ->> region holds on r5 (paper §2.6.1).
 	r := gen.Table5()
-	mvds := Discover(r, Options{MaxLHS: 2})
+	mvds := DiscoverContext(context.Background(), r, Options{MaxLHS: 2}).MVDs
 	for _, m := range mvds {
 		if !m.Holds(r) {
 			t.Errorf("discovered MVD %v does not hold", m)
@@ -49,7 +50,7 @@ func TestDiscoverOnTable5(t *testing.T) {
 func TestAllDiscoveredHold(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := gen.Categorical(20, []int{2, 2, 2, 2}, seed)
-		for _, m := range Discover(r, Options{MaxLHS: 2}) {
+		for _, m := range DiscoverContext(context.Background(), r, Options{MaxLHS: 2}).MVDs {
 			if !m.Holds(r) {
 				t.Fatalf("seed %d: MVD %v does not hold", seed, m)
 			}
@@ -65,7 +66,7 @@ func TestComplementNotDoubleReported(t *testing.T) {
 		{relation.String("a"), relation.String("1"), relation.String("q")},
 		{relation.String("a"), relation.String("2"), relation.String("q")},
 	})
-	mvds := Discover(r, Options{MaxLHS: 1})
+	mvds := DiscoverContext(context.Background(), r, Options{MaxLHS: 1}).MVDs
 	// x ->> y and x ->> z are the same MVD; only one form is reported.
 	count := 0
 	for _, m := range mvds {
@@ -80,7 +81,7 @@ func TestComplementNotDoubleReported(t *testing.T) {
 
 func TestTooFewAttributes(t *testing.T) {
 	r := gen.Categorical(10, []int{2, 2}, 1)
-	if got := Discover(r, Options{}); got != nil {
+	if got := DiscoverContext(context.Background(), r, Options{}).MVDs; got != nil {
 		t.Errorf("2-attribute relation has no interesting MVDs: %v", got)
 	}
 }
@@ -94,13 +95,13 @@ func TestAMVDDiscoveryOption(t *testing.T) {
 		{relation.String("a"), relation.String("2"), relation.String("p")},
 		{relation.String("a"), relation.String("1"), relation.String("q")},
 	})
-	exact := Discover(r, Options{MaxLHS: 1})
+	exact := DiscoverContext(context.Background(), r, Options{MaxLHS: 1}).MVDs
 	for _, m := range exact {
 		if m.LHS == 1 {
 			t.Errorf("exact discovery accepted %v on the incomplete product", m)
 		}
 	}
-	approx := Discover(r, Options{MaxLHS: 1, MaxSpurious: 0.25})
+	approx := DiscoverContext(context.Background(), r, Options{MaxLHS: 1, MaxSpurious: 0.25}).MVDs
 	found := false
 	for _, m := range approx {
 		if m.LHS == 1 {

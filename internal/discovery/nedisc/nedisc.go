@@ -70,20 +70,16 @@ type Result struct {
 // Fixed so the truncation point is worker-independent.
 const batch = 8
 
-// Discover searches LHS predicates for the target RHS and returns NEDs
-// meeting the support and confidence requirements. For each attribute
+// DiscoverContext searches LHS predicates for the target RHS and returns
+// NEDs meeting the support and confidence requirements. For each attribute
 // combination only the loosest admissible thresholds are kept (maximal
 // generality, as in P-neighborhood prediction where wider neighborhoods
 // mean more usable neighbors).
-func Discover(r *relation.Relation, opts Options) []ned.NED {
-	return DiscoverContext(context.Background(), r, opts).NEDs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget. The
-// pairwise distance precompute fans out per column; the threshold search
-// fans out per attribute combination. Combinations never prune each
-// other, so any prefix of the combination order is a prefix of the full
-// output.
+//
+// It runs under a context and Options.Budget. The pairwise distance
+// precompute fans out per column; the threshold search fans out per
+// attribute combination. Combinations never prune each other, so any
+// prefix of the combination order is a prefix of the full output.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	n := r.Rows()

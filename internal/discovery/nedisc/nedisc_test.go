@@ -1,6 +1,7 @@
 package nedisc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/deps/ned"
@@ -16,7 +17,7 @@ func TestDiscoverOnTable6(t *testing.T) {
 		LHSCols:       []int{s.MustIndex("name"), s.MustIndex("address")},
 		MinConfidence: 1,
 	}
-	neds := Discover(r, opts)
+	neds := DiscoverContext(context.Background(), r, opts).NEDs
 	if len(neds) == 0 {
 		t.Fatal("no NEDs discovered")
 	}
@@ -48,7 +49,7 @@ func TestMinSupportRespected(t *testing.T) {
 		LHSCols:    []int{s.MustIndex("name")},
 		MinSupport: 2,
 	}
-	for _, n := range Discover(r, opts) {
+	for _, n := range DiscoverContext(context.Background(), r, opts).NEDs {
 		if support, _ := n.SupportConfidence(r); support < 2 {
 			t.Errorf("NED %v support %d < 2", n, support)
 		}
@@ -63,7 +64,7 @@ func TestMaxLHSOne(t *testing.T) {
 		LHSCols: []int{s.MustIndex("name"), s.MustIndex("address")},
 		MaxLHS:  1,
 	}
-	for _, n := range Discover(r, opts) {
+	for _, n := range DiscoverContext(context.Background(), r, opts).NEDs {
 		if len(n.LHS) != 1 {
 			t.Errorf("NED %v wider than MaxLHS=1", n)
 		}
@@ -80,7 +81,7 @@ func TestPNeighborhoodImputation(t *testing.T) {
 		LHSCols:       []int{s.MustIndex("address")},
 		MinConfidence: 1,
 	}
-	neds := Discover(r, opts)
+	neds := DiscoverContext(context.Background(), r, opts).NEDs
 	if len(neds) == 0 {
 		t.Fatal("no address-based NED for region")
 	}
@@ -89,7 +90,7 @@ func TestPNeighborhoodImputation(t *testing.T) {
 func TestTinyRelation(t *testing.T) {
 	r := gen.Table6().Select(func(i int) bool { return i == 0 })
 	opts := Options{RHS: ned.Predicate{ned.T(gen.Table6().Schema(), "street", 5)}}
-	if got := Discover(r, opts); got != nil {
+	if got := DiscoverContext(context.Background(), r, opts).NEDs; got != nil {
 		t.Errorf("single row: %v", got)
 	}
 }

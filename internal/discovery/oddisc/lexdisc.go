@@ -49,22 +49,19 @@ func LexHolds(pool *engine.Pool, r *relation.Relation, o od.LexOD) bool {
 	})
 }
 
-// DiscoverLex finds valid lexicographic ODs X̄ ~> Ȳ with list widths up
-// to MaxWidth, in the level-wise spirit of Langer & Naumann [67]: lists
-// grow by appending attributes, and a candidate is pruned when a prefix
-// pair is already valid (a valid X̄ ~> Ȳ implies validity of every
-// extension of X̄ with the same Ȳ — appending to the LHS only refines
-// ties). Only ascending LHS lists are enumerated (descending LHS mirrors
-// to the swapped pair); RHS attributes carry either mark.
-func DiscoverLex(r *relation.Relation, opts LexOptions) []od.LexOD {
-	return DiscoverLexContext(context.Background(), r, opts).ODs
-}
-
-// DiscoverLexContext is DiscoverLex under a context and LexOptions.Budget.
-// Prefix pruning only ever consults strictly shorter LHS lists, so
-// candidates sharing an LHS width never prune each other: each width
-// level fans its validity checks out in parallel and replays the
-// completed prefix in the sequential order before the next width starts.
+// DiscoverLexContext finds valid lexicographic ODs X̄ ~> Ȳ with list
+// widths up to MaxWidth, in the level-wise spirit of Langer & Naumann
+// [67]: lists grow by appending attributes, and a candidate is pruned when
+// a prefix pair is already valid (a valid X̄ ~> Ȳ implies validity of
+// every extension of X̄ with the same Ȳ — appending to the LHS only
+// refines ties). Only ascending LHS lists are enumerated (descending LHS
+// mirrors to the swapped pair); RHS attributes carry either mark.
+//
+// It runs under a context and LexOptions.Budget. Prefix pruning only ever
+// consults strictly shorter LHS lists, so candidates sharing an LHS width
+// never prune each other: each width level fans its validity checks out in
+// parallel and replays the completed prefix in the sequential order before
+// the next width starts.
 func DiscoverLexContext(ctx context.Context, r *relation.Relation, opts LexOptions) LexResult {
 	cols := opts.Columns
 	if cols == nil {

@@ -13,7 +13,7 @@ import (
 
 func TestDiscoverLexOnTable7(t *testing.T) {
 	r := gen.Table7()
-	ods := DiscoverLex(r, LexOptions{MaxWidth: 2})
+	ods := DiscoverLexContext(context.Background(), r, LexOptions{MaxWidth: 2}).ODs
 	if len(ods) == 0 {
 		t.Fatal("no lexicographic ODs discovered")
 	}
@@ -38,7 +38,7 @@ func TestDiscoverLexPrefixPruning(t *testing.T) {
 	// On Table 7 [nights≤] already orders subtotal; the 2-wide extensions
 	// [nights≤, X] ~> [subtotal≤] are implied and must not be re-reported.
 	r := gen.Table7()
-	for _, o := range DiscoverLex(r, LexOptions{MaxWidth: 2}) {
+	for _, o := range DiscoverLexContext(context.Background(), r, LexOptions{MaxWidth: 2}).ODs {
 		if len(o.LHS) == 2 && o.LHS[0].Col == r.Schema().MustIndex("nights") &&
 			strings.Contains(o.String(), "~> [subtotal≤]") {
 			t.Errorf("implied extension reported: %v", o)
@@ -59,7 +59,7 @@ func TestDiscoverLexNeedsCompositeLHS(t *testing.T) {
 		{relation.Int(2), relation.Int(1), relation.Int(30)},
 		{relation.Int(2), relation.Int(4), relation.Int(40)},
 	})
-	ods := DiscoverLex(r, LexOptions{MaxWidth: 2})
+	ods := DiscoverLexContext(context.Background(), r, LexOptions{MaxWidth: 2}).ODs
 	found := false
 	for _, o := range ods {
 		if o.String() == "[a≤,b≤] ~> [y≤]" {

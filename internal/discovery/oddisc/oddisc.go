@@ -43,22 +43,16 @@ type Result struct {
 	Completed int
 }
 
-// Discover returns the valid ODs of the forms A≤ → B≤ and A≤ → B≥ over
-// the candidate columns (the A≥ variants are mirror images — t_α and t_β
-// swap — and are omitted as implied).
-func Discover(r *relation.Relation, opts Options) []od.OD {
-	return DiscoverContext(context.Background(), r, opts).ODs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget. It
-// runs the set-based core (setod.go): an O(n) neighbor fail-fast
-// pre-pass per candidate, then — for survivors — a linear
+// DiscoverContext returns the valid ODs of the forms A≤ → B≤ and A≤ → B≥
+// over the candidate columns (the A≥ variants are mirror images — t_α and
+// t_β swap — and are omitted as implied), under a context and
+// Options.Budget. It runs the set-based core (setod.go): an O(n) neighbor
+// fail-fast pre-pass per candidate, then — for survivors — a linear
 // order-compatibility scan over lazily built per-column orders (at most
 // one ascending sort per column for the whole run), with the exact
 // od.Holds pair logic as the fallback for columns where a NaN breaks
 // Compare totality. Output is identical to a pairwise od.Holds check of
-// every candidate (the test-only oracle) for every input and worker
-// count.
+// every candidate (the test-only oracle) for every input and worker count.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	cols, cands := candidates(r, opts)
 	reg := opts.Obs
@@ -136,8 +130,8 @@ func candidates(r *relation.Relation, opts Options) (cols []int, cands []od.OD) 
 // same transitive closure (A≤→B≤ and B≤→C≤ imply A≤→C≤) from which no
 // further OD can be dropped. Axiomatic implication for ODs is
 // co-NP-complete in general [101]; for the single-attribute ODs produced
-// by Discover, transitive closure over the two mark polarities is sound
-// and complete.
+// by DiscoverContext, transitive closure over the two mark polarities is
+// sound and complete.
 //
 // Redundant ODs are removed greedily, one at a time, re-checking
 // implication against the REMAINING graph after each removal. Checking

@@ -1,6 +1,7 @@
 package oddisc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/gen"
@@ -8,7 +9,7 @@ import (
 
 func TestDiscoverOnTable7(t *testing.T) {
 	r := gen.Table7()
-	ods := Discover(r, Options{})
+	ods := DiscoverContext(context.Background(), r, Options{}).ODs
 	if len(ods) == 0 {
 		t.Fatal("no ODs discovered on the monotone Table 7")
 	}
@@ -35,7 +36,7 @@ func TestDiscoverOnTable7(t *testing.T) {
 func TestDiscoverRejectsNonOrder(t *testing.T) {
 	// Random series with violations: seq → value must not be reported.
 	r := gen.Series(50, -5, 5, 0.5, 77)
-	for _, o := range Discover(r, Options{}) {
+	for _, o := range DiscoverContext(context.Background(), r, Options{}).ODs {
 		if o.String() == "seq≤ -> value≤" || o.String() == "seq≤ -> value≥" {
 			t.Errorf("non-monotone OD reported: %v", o)
 		}
@@ -44,7 +45,7 @@ func TestDiscoverRejectsNonOrder(t *testing.T) {
 
 func TestMinimalPrunesTransitive(t *testing.T) {
 	r := gen.Table7()
-	ods := Discover(r, Options{})
+	ods := DiscoverContext(context.Background(), r, Options{}).ODs
 	minimal := Minimal(ods)
 	if len(minimal) >= len(ods) {
 		t.Errorf("Minimal did not prune: %d -> %d", len(ods), len(minimal))
@@ -65,7 +66,7 @@ func TestMinimalPrunesTransitive(t *testing.T) {
 func TestMinimalKeepsCliqueClosure(t *testing.T) {
 	// Three mutually order-equivalent columns (ord=3, no tail noise).
 	r := gen.LargeWide(300, 3, 0, 1)
-	ods := Discover(r, Options{})
+	ods := DiscoverContext(context.Background(), r, Options{}).ODs
 	if len(ods) != 6 {
 		t.Fatalf("expected the 6 ODs of a 3-clique, got %v", ods)
 	}
@@ -114,7 +115,7 @@ func TestMinimalKeepsCliqueClosure(t *testing.T) {
 func TestColumnsOption(t *testing.T) {
 	r := gen.Table7()
 	s := r.Schema()
-	ods := Discover(r, Options{Columns: []int{s.MustIndex("nights"), s.MustIndex("subtotal")}})
+	ods := DiscoverContext(context.Background(), r, Options{Columns: []int{s.MustIndex("nights"), s.MustIndex("subtotal")}}).ODs
 	for _, o := range ods {
 		for _, m := range append(o.LHS, o.RHS...) {
 			if m.Col != s.MustIndex("nights") && m.Col != s.MustIndex("subtotal") {

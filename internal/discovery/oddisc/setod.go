@@ -233,7 +233,7 @@ type Verifier struct {
 }
 
 // NewVerifier prepares lazy column orders for every non-string column
-// of r (the same candidate space Discover searches by default).
+// of r (the same candidate space DiscoverContext searches by default).
 func NewVerifier(r *relation.Relation) *Verifier {
 	var cols []int
 	for c := 0; c < r.Cols(); c++ {

@@ -1,6 +1,7 @@
 package pfddisc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -178,7 +179,7 @@ func TestDiscoverMatchesOracle(t *testing.T) {
 			for _, minProb := range []float64{0.5, 0.75, 0.9, 1} {
 				for _, workers := range []int{1, 4} {
 					got := map[[2]attrset.Set]bool{}
-					for _, p := range Discover(r, Options{MinProb: minProb, MaxLHS: maxLHS, Exec: engine.Exec{Workers: workers}}) {
+					for _, p := range DiscoverContext(context.Background(), r, Options{MinProb: minProb, MaxLHS: maxLHS, Exec: engine.Exec{Workers: workers}}).PFDs {
 						got[[2]attrset.Set{p.LHS, p.RHS}] = true
 					}
 					for i, c := range cands {

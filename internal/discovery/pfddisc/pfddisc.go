@@ -65,16 +65,12 @@ type Result struct {
 // truncation point is worker-independent.
 const batch = 8
 
-// Discover returns the PFDs X →_p Y with P(X → Y, r) ≥ p, X limited to
-// MaxLHS attributes, Y a single attribute, sorted deterministically.
-func Discover(r *relation.Relation, opts Options) []pfd.PFD {
-	return DiscoverContext(context.Background(), r, opts).PFDs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget. The
-// level-wise enumeration has no cross-candidate pruning (levels expand
-// unconditionally), so the whole candidate list is enumerated up front
-// and checked in one deterministic fan-out.
+// DiscoverContext returns the PFDs X →_p Y with P(X → Y, r) ≥ p, X limited
+// to MaxLHS attributes, Y a single attribute, sorted deterministically. It
+// runs under a context and Options.Budget. The level-wise enumeration has
+// no cross-candidate pruning (levels expand unconditionally), so the whole
+// candidate list is enumerated up front and checked in one deterministic
+// fan-out.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	n := r.Cols()

@@ -1,6 +1,7 @@
 package pfddisc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestDiscoverOnTable5(t *testing.T) {
 	r := gen.Table5()
 	addr := r.Schema().MustIndex("address")
 	region := r.Schema().MustIndex("region")
-	got := Discover(r, Options{MinProb: 0.75})
+	got := DiscoverContext(context.Background(), r, Options{MinProb: 0.75}).PFDs
 	found := false
 	for _, p := range got {
 		if p.LHS.Has(addr) && p.RHS.Has(region) {
@@ -23,7 +24,7 @@ func TestDiscoverOnTable5(t *testing.T) {
 	if !found {
 		t.Errorf("address →_0.75 region not discovered: %v", got)
 	}
-	got = Discover(r, Options{MinProb: 0.8})
+	got = DiscoverContext(context.Background(), r, Options{MinProb: 0.8}).PFDs
 	for _, p := range got {
 		if p.LHS.Has(addr) && p.RHS.Has(region) {
 			t.Error("address → region must not pass p=0.8")
@@ -33,7 +34,7 @@ func TestDiscoverOnTable5(t *testing.T) {
 
 func TestDiscoveredPFDsMeetThreshold(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 200, Seed: 3, ErrorRate: 0.1})
-	for _, p := range Discover(r, Options{MinProb: 0.9}) {
+	for _, p := range DiscoverContext(context.Background(), r, Options{MinProb: 0.9}).PFDs {
 		if got := p.Probability(r); got < 0.9 {
 			t.Errorf("PFD %v has P=%v < 0.9", p, got)
 		}
@@ -42,7 +43,7 @@ func TestDiscoveredPFDsMeetThreshold(t *testing.T) {
 
 func TestMaxLHSLattice(t *testing.T) {
 	r := gen.Hotels(gen.HotelConfig{Rows: 100, Seed: 4})
-	for _, p := range Discover(r, Options{MinProb: 0.99, MaxLHS: 2}) {
+	for _, p := range DiscoverContext(context.Background(), r, Options{MinProb: 0.99, MaxLHS: 2}).PFDs {
 		if p.LHS.Len() > 2 {
 			t.Errorf("PFD %v exceeds MaxLHS", p)
 		}
@@ -93,7 +94,7 @@ func TestDiscoverMultiSource(t *testing.T) {
 
 func TestEmptyRelation(t *testing.T) {
 	r := relation.New("e", relation.Strings("a", "b"))
-	if got := Discover(r, Options{}); got != nil {
+	if got := DiscoverContext(context.Background(), r, Options{}).PFDs; got != nil {
 		t.Errorf("empty relation: %v", got)
 	}
 	if got := DiscoverMultiSource(r, 0, Options{}); got != nil {

@@ -45,16 +45,12 @@ type Result struct {
 // point is worker-independent.
 const batch = 4
 
-// Discover fits gap intervals over every ordered pair of distinct numeric
-// columns (X orders, Y measures) and reports the SDs whose fitted interval
-// reaches MinConfidence — the single-attribute-X instantiation of Golab et
-// al.'s discovery problem, with the interval chosen by FitInterval's
-// central-quantile heuristic.
-func Discover(r *relation.Relation, opts Options) []sd.SD {
-	return DiscoverContext(context.Background(), r, opts).SDs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget.
+// DiscoverContext fits gap intervals over every ordered pair of distinct
+// numeric columns (X orders, Y measures) and reports the SDs whose fitted
+// interval reaches MinConfidence — the single-attribute-X instantiation
+// of Golab et al.'s discovery problem, with the interval chosen by
+// FitInterval's central-quantile heuristic. It runs under a context and
+// Options.Budget.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	if opts.MinConfidence == 0 {
 		opts.MinConfidence = 0.9

@@ -1,6 +1,7 @@
 package tane
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -29,11 +30,11 @@ func TestDiscoveryRecoversArmstrongCover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		discovered := Discover(r, Options{})
+		discovered := DiscoverContext(context.Background(), r, Options{}).FDs
 		if !fd.Equivalent(discovered, sigma) {
 			t.Fatalf("trial %d: TANE cover %v not equivalent to Σ %v", trial, discovered, sigma)
 		}
-		discovered2 := fastfd.Discover(r)
+		discovered2 := fastfd.DiscoverContext(context.Background(), r, fastfd.Options{}).FDs
 		if !fd.Equivalent(discovered2, sigma) {
 			t.Fatalf("trial %d: FastFD cover %v not equivalent to Σ %v", trial, discovered2, sigma)
 		}

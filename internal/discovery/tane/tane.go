@@ -39,7 +39,7 @@ type Options struct {
 	// reuse partitions across several discovery runs over the same
 	// relation). When nil a private cache is used, byte-bounded by
 	// Budget.MaxCacheBytes. The cache must have been built over the same
-	// relation passed to Discover.
+	// relation passed to DiscoverContext.
 	Cache *engine.PartitionCache
 }
 
@@ -67,15 +67,9 @@ type node struct {
 	cand attrset.Set
 }
 
-// Discover runs TANE over the relation and returns the minimal
+// DiscoverContext runs TANE over the relation and returns the minimal
 // (approximate) FDs with singleton right-hand sides, sorted for
-// deterministic output. It runs without a context; budget-aware callers
-// use DiscoverContext.
-func Discover(r *relation.Relation, opts Options) []fd.FD {
-	return DiscoverContext(context.Background(), r, opts).FDs
-}
-
-// DiscoverContext is Discover under a context and Options.Budget: the
+// deterministic output. It runs under a context and Options.Budget: the
 // lattice walk stops as soon as the context is cancelled, the deadline
 // fires, the task budget runs out, or a worker panics, and the Result
 // reports the FDs of the completed levels with Partial set.

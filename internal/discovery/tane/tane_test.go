@@ -1,6 +1,7 @@
 package tane
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestDiscoverMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
 		r := gen.Categorical(20, []int{2, 3, 2, 4}, rng.Int63())
-		got := asSet(Discover(r, Options{}))
+		got := asSet(DiscoverContext(context.Background(), r, Options{}).FDs)
 		want := bruteForceMinimalFDs(r)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d FDs found, want %d\n got: %v\nwant: %v",
@@ -77,7 +78,7 @@ func TestDiscoverWithKeyColumn(t *testing.T) {
 		{relation.String("2"), relation.String("x"), relation.String("q")},
 		{relation.String("3"), relation.String("y"), relation.String("p")},
 	})
-	got := asSet(Discover(r, Options{}))
+	got := asSet(DiscoverContext(context.Background(), r, Options{}).FDs)
 	want := bruteForceMinimalFDs(r)
 	if len(got) != len(want) {
 		t.Fatalf("got %v\nwant %v", got, want)
@@ -94,7 +95,7 @@ func TestDiscoverConstantColumn(t *testing.T) {
 		{relation.String("x"), relation.String("k")},
 		{relation.String("y"), relation.String("k")},
 	})
-	got := asSet(Discover(r, Options{}))
+	got := asSet(DiscoverContext(context.Background(), r, Options{}).FDs)
 	if !got[[2]attrset.Set{attrset.Empty, attrset.Of(1)}] {
 		t.Errorf("∅ → c missing: %v", got)
 	}
@@ -102,7 +103,7 @@ func TestDiscoverConstantColumn(t *testing.T) {
 
 func TestDiscoverOnTable1(t *testing.T) {
 	r := gen.Table1()
-	fds := Discover(r, Options{})
+	fds := DiscoverContext(context.Background(), r, Options{}).FDs
 	// fd1 address → region does NOT hold; but address → star does.
 	addr := attrset.Single(r.Schema().MustIndex("address"))
 	region := attrset.Single(r.Schema().MustIndex("region"))
@@ -128,10 +129,10 @@ func TestApproximateDiscovery(t *testing.T) {
 	addr := attrset.Single(r.Schema().MustIndex("address"))
 	region := attrset.Single(r.Schema().MustIndex("region"))
 	key := [2]attrset.Set{addr, region}
-	if got := asSet(Discover(r, Options{MaxError: 0.25})); !got[key] {
+	if got := asSet(DiscoverContext(context.Background(), r, Options{MaxError: 0.25}).FDs); !got[key] {
 		t.Errorf("ε=0.25 must discover address→region; got %v", got)
 	}
-	if got := asSet(Discover(r, Options{MaxError: 0.2})); got[key] {
+	if got := asSet(DiscoverContext(context.Background(), r, Options{MaxError: 0.2}).FDs); got[key] {
 		t.Error("ε=0.2 must reject address→region")
 	}
 }
@@ -141,7 +142,7 @@ func TestApproximateDiscoveredFDsHaveBoundedError(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		r := gen.Categorical(40, []int{3, 3, 3}, rng.Int63())
 		eps := 0.15
-		for _, f := range Discover(r, Options{MaxError: eps}) {
+		for _, f := range DiscoverContext(context.Background(), r, Options{MaxError: eps}).FDs {
 			if g3 := f.G3(r); g3 > eps {
 				t.Fatalf("trial %d: discovered AFD %v has g3=%v > ε=%v", trial, f, g3, eps)
 			}
@@ -152,7 +153,7 @@ func TestApproximateDiscoveredFDsHaveBoundedError(t *testing.T) {
 func TestMaxLHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := gen.Categorical(30, []int{2, 2, 2, 2, 2}, rng.Int63())
-	for _, f := range Discover(r, Options{MaxLHS: 1}) {
+	for _, f := range DiscoverContext(context.Background(), r, Options{MaxLHS: 1}).FDs {
 		if f.LHS.Len() > 1 {
 			t.Errorf("FD %v exceeds MaxLHS=1", f)
 		}
@@ -161,7 +162,7 @@ func TestMaxLHS(t *testing.T) {
 
 func TestPlantedFDRecovered(t *testing.T) {
 	r := gen.WithFD(300, []int{4, 4}, 0, 7)
-	got := asSet(Discover(r, Options{}))
+	got := asSet(DiscoverContext(context.Background(), r, Options{}).FDs)
 	// x0,x1 → y is planted; it (or a smaller subset implying it) must
 	// appear.
 	found := false
@@ -177,7 +178,7 @@ func TestPlantedFDRecovered(t *testing.T) {
 
 func TestEmptyRelation(t *testing.T) {
 	r := relation.New("e", relation.Strings("a", "b"))
-	if fds := Discover(r, Options{}); len(fds) != 0 {
+	if fds := DiscoverContext(context.Background(), r, Options{}).FDs; len(fds) != 0 {
 		t.Errorf("empty relation: %v", fds)
 	}
 }

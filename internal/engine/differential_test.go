@@ -190,8 +190,8 @@ func TestDifferentialCompleteness(t *testing.T) {
 // does not exercise.
 func TestDifferentialTANEApproximate(t *testing.T) {
 	for i, r := range corpus() {
-		seq := render(tane.Discover(r, tane.Options{MaxError: 0.05, MaxLHS: 2, Exec: engine.Exec{Workers: 1}}))
-		par := render(tane.Discover(r, tane.Options{MaxError: 0.05, MaxLHS: 2, Exec: engine.Exec{Workers: diffWorkers}}))
+		seq := render(tane.DiscoverContext(context.Background(), r, tane.Options{MaxError: 0.05, MaxLHS: 2, Exec: engine.Exec{Workers: 1}}).FDs)
+		par := render(tane.DiscoverContext(context.Background(), r, tane.Options{MaxError: 0.05, MaxLHS: 2, Exec: engine.Exec{Workers: diffWorkers}}).FDs)
 		assertIdentical(t, "tane(g3<=0.05)", i, seq, par)
 	}
 }
@@ -214,8 +214,8 @@ func renderCORDS(res cords.Result) string {
 // the registry emits.
 func TestDifferentialCORDS(t *testing.T) {
 	for i, r := range corpus() {
-		seq := renderCORDS(cords.Discover(r, cords.Options{SampleSize: 30, Seed: int64(i), Exec: engine.Exec{Workers: 1}}))
-		par := renderCORDS(cords.Discover(r, cords.Options{SampleSize: 30, Seed: int64(i), Exec: engine.Exec{Workers: diffWorkers}}))
+		seq := renderCORDS(cords.DiscoverContext(context.Background(), r, cords.Options{SampleSize: 30, Seed: int64(i), Exec: engine.Exec{Workers: 1}}))
+		par := renderCORDS(cords.DiscoverContext(context.Background(), r, cords.Options{SampleSize: 30, Seed: int64(i), Exec: engine.Exec{Workers: diffWorkers}}))
 		assertIdentical(t, "cords", i, seq, par)
 	}
 }
@@ -253,7 +253,7 @@ func TestDifferentialLexODErrata(t *testing.T) {
 			t.Fatalf("order-compatible but non-order-determining columns yielded %s (errata violation)", o)
 		}
 	}
-	seq := oddisc.DiscoverLex(r, oddisc.LexOptions{MaxWidth: 2, Exec: engine.Exec{Workers: 1}})
-	par := oddisc.DiscoverLex(r, oddisc.LexOptions{MaxWidth: 2, Exec: engine.Exec{Workers: diffWorkers}})
+	seq := oddisc.DiscoverLexContext(context.Background(), r, oddisc.LexOptions{MaxWidth: 2, Exec: engine.Exec{Workers: 1}}).ODs
+	par := oddisc.DiscoverLexContext(context.Background(), r, oddisc.LexOptions{MaxWidth: 2, Exec: engine.Exec{Workers: diffWorkers}}).ODs
 	assertIdentical(t, "lexod-errata", 0, render(seq), render(par))
 }

@@ -351,20 +351,12 @@ func (p *Pool) forEach(lo, hi int, fn func(i int)) error {
 	return sendErr
 }
 
-// Map runs fn(i) for every i in [0, n) across the pool and returns the
+// MapErr runs fn(i) for every i in [0, n) across the pool and returns the
 // results positionally: out[i] = fn(i) regardless of scheduling order.
 // This is the primitive the discovery algorithms build their determinism
-// guarantee on. Errors are ignored; use MapErr when the run is budgeted
-// or may be cancelled.
-func Map[T any](p *Pool, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	p.ForEach(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr is Map with error propagation: on a budget/cancellation/panic
-// stop it returns the error that ended the run and no results (a
-// partially-filled slice would be scheduling-dependent).
+// guarantee on. On a budget/cancellation/panic stop it returns the error
+// that ended the run and no results (a partially-filled slice would be
+// scheduling-dependent).
 func MapErr[T any](p *Pool, n int, fn func(i int) T) ([]T, error) {
 	out := make([]T, n)
 	if err := p.ForEach(n, func(i int) { out[i] = fn(i) }); err != nil {

@@ -42,8 +42,11 @@ func TestPoolForEachCoversAllIndices(t *testing.T) {
 func TestMapIsPositional(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		p := Exec{Workers: workers}.Pool(context.Background())
-		out := Map(p, 100, func(i int) int { return i * i })
+		out, err := MapErr(p, 100, func(i int) int { return i * i })
 		p.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -186,6 +189,39 @@ func TestHotelsDuplicates(t *testing.T) {
 	}
 	if dups < 50 || dups > 150 {
 		t.Errorf("duplicate count %d outside plausible band", dups)
+	}
+}
+
+// A duplicate of a duplicate shortens its address by two bytes each time
+// ("No.1, 0 Street" -> "#1, 0 Street" -> "#0 Street" -> ...); a chain long
+// enough used to slice past the end and panic. This seed did, at 4,241
+// rows.
+func TestHotelsDuplicateChainDoesNotPanic(t *testing.T) {
+	const rows, seed = 4241, 0x7dd50b7617b5e7b9
+	r := Hotels(HotelConfig{Rows: rows, Seed: seed, VarietyRate: 0.05, ErrorRate: 0.02, DuplicateRate: 0.1})
+	if r.Rows() != rows {
+		t.Fatalf("rows = %d, want %d", r.Rows(), rows)
+	}
+}
+
+// The address guard changes no draw: seeds that never reached a short
+// address produce the same bytes as before it (SHA-256 of the CSV).
+func TestHotelsOutputGolden(t *testing.T) {
+	for _, c := range []struct {
+		cfg  HotelConfig
+		want string
+	}{
+		{HotelConfig{Rows: 300, Seed: 4, DuplicateRate: 0.3}, "f1c9c179b5d4da2425fa68a51d5c48dbef6b7665ea0a68128104f41eb3b92f0e"},
+		{HotelConfig{Rows: 2000, Seed: 7, VarietyRate: 0.05, ErrorRate: 0.02, DuplicateRate: 0.1}, "6e1d7608ad13370fca9977f19a68790330ea0d17d6c1649e6375cd57b3bc3310"},
+		{HotelConfig{Rows: 500, Seed: 11, ErrorRate: 0.1, VarietyRate: 0.1, DuplicateRate: 0.5}, "00b8837d685e05175e607f771d40c3cf1b8a76137f126c51594b221025564b51"},
+	} {
+		var buf bytes.Buffer
+		if err := relation.WriteCSV(Hotels(c.cfg), &buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%+v: sha256 %s, want %s", c.cfg, got, c.want)
+		}
 	}
 }
 

@@ -139,7 +139,9 @@ func HotelsWithTruthRand(rng *rand.Rand, cfg HotelConfig) (*relation.Relation, m
 			if len(b.name) > 3 {
 				b.name = b.name[:len(b.name)-1]
 			}
-			b.address = "#" + b.address[3:]
+			if len(b.address) >= 3 {
+				b.address = "#" + b.address[3:]
+			}
 		} else {
 			b = mkBase()
 		}
