@@ -58,17 +58,18 @@ torture:
 # encoding (Codes/GroupCodes/Dict/SameKey) vs a Value.Key string
 # reference, the CSR partition product vs the retained map-based oracle,
 # the append refiner vs a from-scratch Build after every batch, the server's
-# request decoder across every registered discover route (malformed
-# bodies must always be structured 4xx, never a panic), the CFD
+# request pipeline across every registered discover route and every stream
+# route (malformed bodies must always be structured 4xx, never a panic), the CFD
 # pattern-tableau parser, the set-based OD core against the retained
 # pairwise oracle, FastFD's single-visit agree-set sweep against the
 # map-deduplicated oracle, CORDS' per-column statistics and stamp-array
 # pair counting against the sort-based oracle, the WAL frame codec under
 # arbitrary damage, and the stream cell codec's inversion.
 # Each pass runs 30 s. Minimizing a new interesting input is capped at
-# 2000 executions: Go's default (60 s) could spend most of a pass at
-# 0 execs/s while it shrank one input.
-FUZZ = $(GO) test -run=X -fuzztime=30s -fuzzminimizetime=2000x
+# 1 s: Go's default (60 s) could spend most of a pass at 0 execs/s while
+# it shrank one input, and an execution cap still stalls the slow targets
+# (2000 executions of FuzzCodesMatchKey take several seconds).
+FUZZ = $(GO) test -run=X -fuzztime=30s -fuzzminimizetime=1s
 
 fuzz:
 	$(FUZZ) -fuzz=FuzzCSVRoundTrip ./internal/relation/

@@ -71,12 +71,21 @@ func (o LexOD) HoldsPolling(r *relation.Relation, poll func()) bool {
 	return len(o.violations(r, 1, poll)) == 0
 }
 
-// Violations implements deps.Dependency: ordered pairs with
+// ViolatedBy reports whether the ordered row pair (i, j) violates o:
 // t_i ≺_X̄ t_j (strictly or tied) but t_i ≻_Ȳ t_j. Following the
 // standard semantics, X̄-ties must not be Ȳ-inverted either, i.e.
 // lexCompare(X̄) ≤ 0 must imply lexCompare(Ȳ) ≤ 0... ties on X̄ with
 // strict Ȳ order in both directions would contradict antisymmetry, so
 // the implemented rule is: X̄ ≤ 0 ⇒ Ȳ ≤ 0 evaluated on ordered pairs.
+// It is the one pair rule of lexicographic order compatibility: the
+// full scan of Violations and the streaming engine's check of appended
+// rows both decide pairs with it.
+func (o LexOD) ViolatedBy(r *relation.Relation, i, j int) bool {
+	return lexCompare(r, i, j, o.LHS) <= 0 && lexCompare(r, i, j, o.RHS) > 0
+}
+
+// Violations implements deps.Dependency: the ordered pairs (i, j),
+// i ≠ j, that ViolatedBy reports.
 func (o LexOD) Violations(r *relation.Relation, limit int) []deps.Violation {
 	return o.violations(r, limit, nil)
 }
@@ -96,7 +105,7 @@ func (o LexOD) violations(r *relation.Relation, limit int, poll func()) []deps.V
 			if i == j {
 				continue
 			}
-			if lexCompare(r, i, j, o.LHS) <= 0 && lexCompare(r, i, j, o.RHS) > 0 {
+			if o.ViolatedBy(r, i, j) {
 				out = append(out, deps.Pair(i, j, "lexicographically X̄-ordered but Ȳ-inverted"))
 				if limit > 0 && len(out) >= limit {
 					return out

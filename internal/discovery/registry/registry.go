@@ -149,13 +149,6 @@ type Algo struct {
 	// the sample-then-verify driver. Call sites reject sample knobs on
 	// discoverers without it.
 	Sampling bool
-	// Incremental marks discoverers with an append-aware revalidation
-	// engine in internal/stream (deptool stream, POST /v1/stream/{algo}):
-	// the last ruleset is held and each append batch re-decides only what
-	// the delta could have changed, with output proven byte-identical to
-	// a from-scratch run after every batch. A lockstep test in
-	// internal/stream pins this flag to the engines that actually exist.
-	Incremental bool
 	// Run executes the discoverer over the relation under the options.
 	// Lines are deterministic for any worker count, including under a
 	// MaxTasks budget.
@@ -184,7 +177,7 @@ var algos = []Algo{
 	{
 		Name: "tane", Class: "FD",
 		Doc:      "TANE partition-based (approximate) FD discovery",
-		Sampling: true, Incremental: true,
+		Sampling: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			return render(sampled(ctx, r, o,
 				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]fd.FD, bool, string) {
@@ -197,7 +190,7 @@ var algos = []Algo{
 	{
 		Name: "fastfd", Class: "FD",
 		Doc:      "FastFD difference-set FD discovery",
-		Sampling: true, Incremental: true,
+		Sampling: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			return render(sampled(ctx, r, o,
 				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]fd.FD, bool, string) {
@@ -226,7 +219,7 @@ var algos = []Algo{
 	{
 		Name: "od", Class: "OD",
 		Doc:      "Set-based order dependency discovery (minimal ODs)",
-		Sampling: true, Incremental: true,
+		Sampling: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			ods, partial, reason := sampled(ctx, r, o,
 				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]od.OD, bool, string) {
@@ -248,7 +241,7 @@ var algos = []Algo{
 	{
 		Name: "lexod", Class: "OD",
 		Doc:      "Lexicographic order dependency discovery",
-		Sampling: true, Incremental: true,
+		Sampling: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			return render(sampled(ctx, r, o,
 				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]od.LexOD, bool, string) {

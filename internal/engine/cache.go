@@ -38,10 +38,8 @@ type PartitionCache struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	// fp names the relation state the memoized partitions were built
-	// against (a relation.Appender chained fingerprint); upgrades and
-	// upgradeEvicts count per-entry outcomes of Upgrade calls.
-	fp            string
+	// upgrades and upgradeEvicts count per-entry outcomes of Upgrade
+	// calls.
 	upgrades      uint64
 	upgradeEvicts uint64
 

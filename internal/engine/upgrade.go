@@ -7,7 +7,7 @@ import (
 	"deptree/internal/partition"
 )
 
-// Fingerprint/Upgrade: carrying a PartitionCache across an append batch.
+// Upgrade: carrying a PartitionCache across an append batch.
 //
 // A PartitionCache is keyed by attribute set over ONE relation state.
 // When a streaming session appends a batch, every memoized partition is
@@ -15,41 +15,23 @@ import (
 // refine some of them to the new state in O(delta + touched classes),
 // and the rest are cheaper to drop and rebuild lazily as products of the
 // refined singletons than to refine eagerly. Upgrade implements exactly
-// that choice: the cache keeps its (fingerprint, attrset) identity by
-// advancing the fingerprint and refining entries in place, instead of
-// being thrown away wholesale on every batch.
+// that choice, refining entries in place instead of throwing the cache
+// away wholesale on every batch.
 
-// Fingerprint returns the relation-state fingerprint the memoized
-// partitions were built against ("" until SetFingerprint or Upgrade).
-func (c *PartitionCache) Fingerprint() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fp
-}
-
-// SetFingerprint records the fingerprint of the relation state the cache
-// currently reflects, without touching any entry.
-func (c *PartitionCache) SetFingerprint(fp string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fp = fp
-}
-
-// Upgrade advances the cache to the relation state named by fingerprint.
-// refine is called once per fully built resident entry; returning a
-// partition replaces the memo in place (an upgrade hit — typically a
-// singleton handed over from a partition.Refiner), returning nil drops
-// the entry, to be rebuilt lazily against the new state on its next Get.
+// Upgrade advances the cache to the relation's grown state. refine is
+// called once per fully built resident entry; returning a partition
+// replaces the memo in place (an upgrade hit — typically a singleton
+// handed over from a partition.Refiner), returning nil drops the entry,
+// to be rebuilt lazily against the new state on its next Get.
 // Entries whose build is still in flight are dropped unconditionally.
 // The byte accounting follows the replacement partitions exactly.
 //
 // Upgrade must not race with Get: the caller is expected to quiesce
 // discovery before appending a batch, which is the streaming session
 // contract (batches are serialized, and no discovery runs mid-append).
-func (c *PartitionCache) Upgrade(fingerprint string, refine func(x attrset.Set, p *partition.Partition) *partition.Partition) {
+func (c *PartitionCache) Upgrade(refine func(x attrset.Set, p *partition.Partition) *partition.Partition) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.fp = fingerprint
 	var next *list.Element
 	for el := c.lru.Front(); el != nil; el = next {
 		next = el.Next()

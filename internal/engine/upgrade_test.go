@@ -24,16 +24,12 @@ func upgradeRelation(t *testing.T, rows int) *relation.Relation {
 }
 
 // TestCacheUpgrade covers the streaming cache-carry contract: refined
-// entries survive in place with exact byte accounting, declined entries
-// are evicted and rebuilt lazily, and the fingerprint advances.
+// entries survive in place with exact byte accounting, and declined
+// entries are evicted and rebuilt lazily.
 func TestCacheUpgrade(t *testing.T) {
 	r := upgradeRelation(t, 40)
 	c := NewPartitionCache(r, 0)
 	c.cap = 8
-	c.SetFingerprint("fp-0")
-	if got := c.Fingerprint(); got != "fp-0" {
-		t.Fatalf("fingerprint %q", got)
-	}
 	a, b := attrset.Single(0), attrset.Single(1)
 	ab := a.Union(b)
 	pa := c.Get(a)
@@ -55,7 +51,7 @@ func TestCacheUpgrade(t *testing.T) {
 	refA := partition.NewRefiner(r, a) // fresh refiners standing in for session state
 	refB := partition.NewRefiner(r, b)
 	_ = old
-	c.Upgrade("fp-1", func(x attrset.Set, _ *partition.Partition) *partition.Partition {
+	c.Upgrade(func(x attrset.Set, _ *partition.Partition) *partition.Partition {
 		switch x {
 		case a:
 			return refA.Partition()
@@ -64,9 +60,6 @@ func TestCacheUpgrade(t *testing.T) {
 		}
 		return nil
 	})
-	if got := c.Fingerprint(); got != "fp-1" {
-		t.Fatalf("fingerprint after upgrade %q", got)
-	}
 	st := c.Stats()
 	if st.Upgrades != base.Upgrades+2 || st.UpgradeEvictions != base.UpgradeEvictions+1 {
 		t.Fatalf("upgrade stats %+v (base %+v)", st, base)
@@ -104,19 +97,16 @@ func TestCacheUpgrade(t *testing.T) {
 }
 
 // TestCacheUpgradeNilRefine drops everything — the degenerate "no
-// refiners" policy — and leaves an empty, fingerprint-advanced cache.
+// refiners" policy — and leaves an empty cache.
 func TestCacheUpgradeNilRefine(t *testing.T) {
 	r := upgradeRelation(t, 20)
 	c := NewPartitionCache(r, 0)
 	c.cap = 8
 	c.Get(attrset.Single(0))
 	c.Get(attrset.Single(1))
-	c.Upgrade("fp-x", nil)
+	c.Upgrade(nil)
 	st := c.Stats()
 	if st.Entries != 0 || st.Bytes != 0 || st.UpgradeEvictions != 2 || st.Upgrades != 0 {
 		t.Fatalf("stats after nil-refine upgrade: %+v", st)
-	}
-	if c.Fingerprint() != "fp-x" {
-		t.Fatalf("fingerprint %q", c.Fingerprint())
 	}
 }

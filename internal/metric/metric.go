@@ -97,65 +97,6 @@ func EditDistance(a, b string) int {
 	return prev[len(rb)]
 }
 
-// EditDistanceWithin reports whether EditDistance(a, b) ≤ k without always
-// computing the full matrix: it walks only the 2k+1 diagonal band. Threshold
-// checks dominate DD/MD validation, so the early exit matters.
-func EditDistanceWithin(a, b string, k int) bool {
-	if k < 0 {
-		return false
-	}
-	ra, rb := []rune(a), []rune(b)
-	if abs(len(ra)-len(rb)) > k {
-		return false
-	}
-	// Band dynamic program. inf marks cells outside the band.
-	const inf = math.MaxInt32
-	width := 2*k + 1
-	prev := make([]int, width)
-	cur := make([]int, width)
-	// Row 0: prev[d] = j where j = d - k ... offset mapping j = i + (d - k).
-	for d := 0; d < width; d++ {
-		j := d - k
-		if j >= 0 && j <= len(rb) {
-			prev[d] = j
-		} else {
-			prev[d] = inf
-		}
-	}
-	for i := 1; i <= len(ra); i++ {
-		for d := 0; d < width; d++ {
-			j := i + d - k
-			if j < 0 || j > len(rb) {
-				cur[d] = inf
-				continue
-			}
-			best := inf
-			if j > 0 && d > 0 && cur[d-1] < inf { // insertion into a
-				best = cur[d-1] + 1
-			}
-			if d < width-1 && prev[d+1] < inf && prev[d+1]+1 < best { // deletion
-				best = prev[d+1] + 1
-			}
-			if j > 0 && prev[d] < inf { // substitution/match
-				cost := 1
-				if ra[i-1] == rb[j-1] {
-					cost = 0
-				}
-				if prev[d]+cost < best {
-					best = prev[d] + cost
-				}
-			}
-			if j == 0 {
-				best = i
-			}
-			cur[d] = best
-		}
-		prev, cur = cur, prev
-	}
-	d := len(rb) - len(ra) + k
-	return d >= 0 && d < width && prev[d] <= k
-}
-
 // DamerauOSA is the optimal-string-alignment variant of Damerau-Levenshtein:
 // edit distance with adjacent transpositions (each substring edited at most
 // once). Useful for typo-shaped heterogeneity in record matching.
@@ -348,11 +289,4 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

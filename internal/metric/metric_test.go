@@ -2,7 +2,6 @@ package metric
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -57,30 +56,6 @@ func TestEditDistanceMetricAxioms(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEditDistanceWithin(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	alphabet := "abcd"
-	randStr := func(n int) string {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		return string(b)
-	}
-	for trial := 0; trial < 500; trial++ {
-		a, b := randStr(rng.Intn(12)), randStr(rng.Intn(12))
-		k := rng.Intn(6)
-		want := EditDistance(a, b) <= k
-		if got := EditDistanceWithin(a, b, k); got != want {
-			t.Fatalf("EditDistanceWithin(%q,%q,%d) = %v, want %v (d=%d)",
-				a, b, k, got, want, EditDistance(a, b))
-		}
-	}
-	if EditDistanceWithin("a", "b", -1) {
-		t.Error("negative threshold must be false")
 	}
 }
 

@@ -9,21 +9,27 @@ import (
 	"time"
 
 	"deptree/internal/obs"
+	"deptree/internal/stream"
 )
 
 // FuzzDiscoverRequest throws arbitrary bytes at every registered
-// discover route under tight server limits and asserts the hardening
-// contract: the handler never panics, every rejection is a 4xx with a
-// structured error body, and nothing reaches a 5xx (there is no engine
-// fault to surface — only malformed or oversized input). The route is
-// part of the fuzzed input: algoIdx indexes Algorithms() modulo its
-// length, so the corpus explores all fifteen endpoints and the fuzzer
-// can shift any crashing body onto any route.
+// discover route and every stream route under tight server limits and
+// asserts the hardening contract: the handler never panics, every
+// rejection is a 4xx with a structured error body, and nothing reaches a
+// 5xx (there is no engine fault to surface — only malformed or oversized
+// input). The route is part of the fuzzed input: routeIdx indexes the
+// fifteen discover routes followed by the four stream routes, modulo
+// their count, so the corpus explores every endpoint and the fuzzer can
+// shift any crashing body onto any route. A stream route may also answer
+// 404 unknown_session (a body naming a session that does not exist) and
+// 429 stream_sessions_exhausted (the fuzzed creates fill the session
+// table).
 func FuzzDiscoverRequest(f *testing.F) {
 	// One well-formed seed per registered route, so every endpoint is in
 	// the initial corpus, plus the malformed-body seeds on a spread of
 	// routes.
-	for i := range Algorithms() {
+	algos := Algorithms()
+	for i := range algos {
 		f.Add(`{"csv":"a,b\n1,2\n"}`, uint8(i))
 	}
 	f.Add(`{"csv":"a,b\n1,2\n","workers":2,"max_tasks":1}`, uint8(0))
@@ -35,6 +41,19 @@ func FuzzDiscoverRequest(f *testing.F) {
 	f.Add(`{"csv":"`+strings.Repeat("x,", 40)+`y\n"}`, uint8(13))
 	f.Add("\x00\xff\xfe", uint8(14))
 	f.Add(`{"csv":"a,b\n\"unterminated`, uint8(255))
+	// One create per stream route, then an append and a mismatched
+	// header on the first session.
+	var streamAlgos []string
+	for _, a := range algos {
+		if stream.Supported(a) {
+			streamAlgos = append(streamAlgos, a)
+		}
+	}
+	for i := range streamAlgos {
+		f.Add(`{"csv":"a,b\n1,2\n"}`, uint8(len(algos)+i))
+	}
+	f.Add(`{"csv":"a,b\n3,1\n","session":"s1"}`, uint8(len(algos)))
+	f.Add(`{"csv":"b,a\n3,1\n","session":"s1","workers":2}`, uint8(len(algos)))
 
 	s := New(Config{
 		Workers:        2,
@@ -45,27 +64,36 @@ func FuzzDiscoverRequest(f *testing.F) {
 		MaxTasks:       64,
 		Obs:            obs.New(),
 	})
-	algos := Algorithms()
+	var routes []string
+	for _, a := range algos {
+		routes = append(routes, "/v1/discover/"+a)
+	}
+	for _, a := range streamAlgos {
+		routes = append(routes, "/v1/stream/"+a)
+	}
 
-	f.Fuzz(func(t *testing.T, body string, algoIdx uint8) {
-		algo := algos[int(algoIdx)%len(algos)]
-		req := httptest.NewRequest("POST", "/v1/discover/"+algo, strings.NewReader(body))
+	f.Fuzz(func(t *testing.T, body string, routeIdx uint8) {
+		route := routes[int(routeIdx)%len(routes)]
+		req := httptest.NewRequest("POST", route, strings.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, req) // a panic here fails the fuzz run
 		resp := w.Result()
 		if resp.StatusCode >= 500 {
-			t.Fatalf("%s: malformed input produced %d:\n%.200s", algo, resp.StatusCode, w.Body.String())
+			t.Fatalf("%s: malformed input produced %d:\n%.200s", route, resp.StatusCode, w.Body.String())
 		}
 		if resp.StatusCode != 200 {
 			var eb errorBody
 			if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error.Code == "" {
 				t.Fatalf("%s: status %d without structured error body (%v):\n%.200s",
-					algo, resp.StatusCode, err, w.Body.String())
+					route, resp.StatusCode, err, w.Body.String())
 			}
+			streamOK := strings.HasPrefix(route, "/v1/stream/") &&
+				(resp.StatusCode == http.StatusNotFound && eb.Error.Code == "unknown_session" ||
+					resp.StatusCode == http.StatusTooManyRequests && eb.Error.Code == "stream_sessions_exhausted")
 			if resp.StatusCode != http.StatusBadRequest &&
-				resp.StatusCode != http.StatusRequestEntityTooLarge {
-				t.Fatalf("%s: unexpected rejection status %d (code %s)", algo, resp.StatusCode, eb.Error.Code)
+				resp.StatusCode != http.StatusRequestEntityTooLarge && !streamOK {
+				t.Fatalf("%s: unexpected rejection status %d (code %s)", route, resp.StatusCode, eb.Error.Code)
 			}
 		}
 	})

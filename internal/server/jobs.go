@@ -96,24 +96,19 @@ func writeJobView(w http.ResponseWriter, status int, v jobs.View) {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("server.jobs.requests").Inc()
-	errCount := s.reg.Counter("server.jobs.errors")
-	fail := func(e *apiError) {
-		errCount.Inc()
-		writeAPIError(w, e)
-	}
 	m := s.jobsOrFail(w)
 	if m == nil {
-		errCount.Inc()
+		s.reg.Counter("server.jobs.errors").Inc()
 		return
 	}
 	if s.draining.Load() {
-		fail(&apiError{status: http.StatusServiceUnavailable, code: "draining",
+		s.fail(w, "jobs", &apiError{status: http.StatusServiceUnavailable, code: "draining",
 			msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()})
 		return
 	}
 	var req JobRequest
 	if e := s.decodeBody(w, r, &req); e != nil {
-		fail(e)
+		s.fail(w, "jobs", e)
 		return
 	}
 	spec := jobs.Spec{
@@ -127,7 +122,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// the CSV again.
 	t, e := s.prepare("job", spec)
 	if e != nil {
-		fail(e)
+		s.fail(w, "jobs", e)
 		return
 	}
 	spec.Rel = t.rel
@@ -137,19 +132,19 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			fail(&apiError{status: http.StatusTooManyRequests, code: "jobs_queue_full",
+			s.fail(w, "jobs", &apiError{status: http.StatusTooManyRequests, code: "jobs_queue_full",
 				msg: "job queue full, retry later", retryAfter: s.lat.retryAfterSeconds()})
 		case errors.Is(err, jobs.ErrDraining):
-			fail(&apiError{status: http.StatusServiceUnavailable, code: "draining",
+			s.fail(w, "jobs", &apiError{status: http.StatusServiceUnavailable, code: "draining",
 				msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()})
 		default:
 			var tr jobs.Transient
 			if errors.As(err, &tr) {
-				fail(&apiError{status: http.StatusServiceUnavailable, code: "store_unavailable",
+				s.fail(w, "jobs", &apiError{status: http.StatusServiceUnavailable, code: "store_unavailable",
 					msg: "job store write failed: " + err.Error(), retryAfter: 1})
 				return
 			}
-			fail(&apiError{status: http.StatusBadRequest, code: "invalid_job", msg: err.Error()})
+			s.fail(w, "jobs", &apiError{status: http.StatusBadRequest, code: "invalid_job", msg: err.Error()})
 		}
 		return
 	}

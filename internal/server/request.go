@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"deptree/internal/deps/fd"
@@ -69,6 +70,12 @@ type RunKnobs struct {
 	// MaxTasks requests a task budget; clamped to the server's max.
 	MaxTasks int64 `json:"max_tasks,omitempty"`
 }
+
+// request is a decoded POST body of the request pipeline: every body
+// embeds RunKnobs, which supplies knobs.
+type request interface{ knobs() RunKnobs }
+
+func (k RunKnobs) knobs() RunKnobs { return k }
 
 // DiscoverRequest is the body of POST /v1/discover/{algo}.
 type DiscoverRequest struct {
@@ -165,7 +172,7 @@ func (s *Server) prepare(name string, spec jobs.Spec) (task, *apiError) {
 	rel := spec.Rel
 	if rel == nil {
 		var e *apiError
-		if rel, e = s.parseCSV(name, spec.CSV); e != nil {
+		if rel, e = s.parseCSV(name, spec.CSV, nil); e != nil {
 			return task{}, e
 		}
 	}
@@ -193,14 +200,33 @@ func unknownAlgo(algo string) *apiError {
 }
 
 // parseCSV turns a request's inline CSV into a typed relation under the
-// server's ingestion limits, mapping failures to 400/413.
-func (s *Server) parseCSV(name, csv string) (*relation.Relation, *apiError) {
+// server's ingestion limits, mapping failures to 400/413. A nil schema
+// infers the column kinds, as the CLI does; a stream session's schema
+// fixes them (re-inferring would let a numeric-looking batch re-type a
+// string column) and the header must repeat its column names.
+func (s *Server) parseCSV(name, csv string, schema *relation.Schema) (*relation.Relation, *apiError) {
 	if csv == "" {
 		return nil, &apiError{status: http.StatusBadRequest, code: "missing_csv", msg: "csv field is required"}
 	}
-	rel, err := relation.ReadCSVAuto(name, []byte(csv), s.limits())
+	var rel *relation.Relation
+	var err error
+	if schema == nil {
+		rel, err = relation.ReadCSVAuto(name, []byte(csv), s.limits())
+	} else {
+		kinds := make([]relation.Kind, schema.Len())
+		for i := range kinds {
+			kinds[i] = schema.Attr(i).Kind
+		}
+		rel, err = relation.ReadCSVLimits(name, strings.NewReader(csv), kinds, s.limits())
+	}
 	if err != nil {
-		return nil, ingestError(err)
+		return nil, ingestError(err, "invalid_csv")
+	}
+	for i := 0; schema != nil && i < schema.Len(); i++ {
+		if got := rel.Schema().Attr(i).Name; got != schema.Attr(i).Name {
+			return nil, &apiError{status: http.StatusBadRequest, code: "schema_mismatch",
+				msg: fmt.Sprintf("batch header column %d is %q, session has %q", i, got, schema.Attr(i).Name)}
+		}
 	}
 	return rel, nil
 }
@@ -210,14 +236,14 @@ func (s *Server) limits() relation.Limits {
 	return relation.Limits{MaxBytes: s.cfg.MaxInputBytes, MaxRows: s.cfg.MaxRows, MaxFieldBytes: s.cfg.MaxFieldBytes}
 }
 
-// ingestError maps a CSV read failure to 413 when a limit tripped and to
-// 400 otherwise.
-func ingestError(err error) *apiError {
+// ingestError maps a CSV read or batch append failure to 413 when a
+// limit tripped and to a 400 with code otherwise.
+func ingestError(err error, code string) *apiError {
 	var tooLarge *relation.ErrInputTooLarge
 	if errors.As(err, &tooLarge) {
 		return &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large", msg: err.Error()}
 	}
-	return &apiError{status: http.StatusBadRequest, code: "invalid_csv", msg: err.Error()}
+	return &apiError{status: http.StatusBadRequest, code: code, msg: err.Error()}
 }
 
 // headerInt reads a nonnegative integer header, 0 when absent or

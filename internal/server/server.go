@@ -191,7 +191,12 @@ func New(cfg Config) *Server {
 		now:        cfg.breakerNow,
 		jitter:     cfg.breakerJitter,
 	}
-	for _, ep := range s.endpointsPreRegistered() {
+	for _, ep := range endpoints() {
+		// Registered up front so a snapshot lists every endpoint's
+		// metrics before traffic arrives.
+		reg.Counter("server." + ep + ".requests")
+		reg.Counter("server." + ep + ".errors")
+		reg.Histogram("server." + ep + ".seconds")
 		s.breakers[ep] = newBreaker(ep, bcfg, reg)
 	}
 
@@ -241,19 +246,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	s.handler = s.recoverPanics(mux)
 	return s
-}
-
-// endpointsPreRegistered registers the per-endpoint metrics at
-// construction so a snapshot lists them even before traffic arrives,
-// and returns the endpoint keys.
-func (s *Server) endpointsPreRegistered() []string {
-	eps := endpoints()
-	for _, ep := range eps {
-		s.reg.Counter("server." + ep + ".requests")
-		s.reg.Counter("server." + ep + ".errors")
-		s.reg.Histogram("server." + ep + ".seconds")
-	}
-	return eps
 }
 
 // Handler returns the server's HTTP handler (for tests and embedding).
@@ -488,25 +480,46 @@ func outcomeError(partial bool, reason string) *apiError {
 	}
 }
 
+// fail counts an error of the endpoint and writes it.
+func (s *Server) fail(w http.ResponseWriter, endpoint string, e *apiError) {
+	s.reg.Counter("server." + endpoint + ".errors").Inc()
+	writeAPIError(w, e)
+}
+
+// runFunc is a checked and parsed request, ready to run under admission:
+// it returns the reply with the run's partial/reason outcome, or a
+// typed error.
+type runFunc func(ctx context.Context, p RunParams) (response, bool, string, *apiError)
+
+// serve is the one request pipeline of the sync and stream endpoints:
+// decode the body into req, check and parse it, then run the result
+// through guarded. Checking and parsing come before admission, so
+// malformed input never takes an admission slot or feeds the breaker.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, req request,
+	check func() (runFunc, *apiError)) {
+
+	if e := s.decodeBody(w, r, req); e != nil {
+		s.fail(w, endpoint, e)
+		return
+	}
+	run, e := check()
+	if e != nil {
+		s.fail(w, endpoint, e)
+		return
+	}
+	s.guarded(w, r, endpoint, s.resolveBudget(req.knobs(), r.Header), run)
+}
+
 // guarded runs fn through the full hardening pipeline for one endpoint:
 // drain check, circuit breaker, weighted admission, metrics, fault
-// accounting. fn receives the request context (cancelled on server
-// drain past the deadline) and the resolved RunParams, and reports the
-// run's partial/reason outcome alongside its response.
-func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string, spec budgetSpec,
-	fn func(ctx context.Context, p RunParams) (response, bool, string, *apiError)) {
-
-	requests := s.reg.Counter("server." + endpoint + ".requests")
-	errCount := s.reg.Counter("server." + endpoint + ".errors")
+// accounting. fn's context is cancelled on server drain past the
+// deadline.
+func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string, spec budgetSpec, fn runFunc) {
+	s.reg.Counter("server." + endpoint + ".requests").Inc()
 	latency := s.reg.Histogram("server." + endpoint + ".seconds")
-	requests.Inc()
-	fail := func(e *apiError) {
-		errCount.Inc()
-		writeAPIError(w, e)
-	}
 
 	if s.draining.Load() {
-		fail(&apiError{status: http.StatusServiceUnavailable, code: "draining",
+		s.fail(w, endpoint, &apiError{status: http.StatusServiceUnavailable, code: "draining",
 			msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()})
 		return
 	}
@@ -514,7 +527,7 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string
 	done, retryIn, ok := br.allow()
 	if !ok {
 		after := int(retryIn/time.Second) + 1
-		fail(&apiError{status: http.StatusServiceUnavailable, code: "breaker_open",
+		s.fail(w, endpoint, &apiError{status: http.StatusServiceUnavailable, code: "breaker_open",
 			msg: fmt.Sprintf("endpoint %s circuit breaker is open", endpoint), retryAfter: after})
 		return
 	}
@@ -531,13 +544,13 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string
 		done(breakerSkip) // shed before running: no engine outcome to record
 		switch err {
 		case errSaturated:
-			fail(&apiError{status: http.StatusTooManyRequests, code: "saturated",
+			s.fail(w, endpoint, &apiError{status: http.StatusTooManyRequests, code: "saturated",
 				msg: "admission queue full, retry later", retryAfter: s.lat.retryAfterSeconds()})
 		case errDraining:
-			fail(&apiError{status: http.StatusServiceUnavailable, code: "draining",
+			s.fail(w, endpoint, &apiError{status: http.StatusServiceUnavailable, code: "draining",
 				msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()})
 		default: // client gave up while queued
-			fail(&apiError{status: 499, code: "client_cancelled", msg: "client cancelled while queued"})
+			s.fail(w, endpoint, &apiError{status: 499, code: "client_cancelled", msg: "client cancelled while queued"})
 		}
 		return
 	}
@@ -564,7 +577,7 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string
 		apiErr = outcomeError(partial, reason)
 	}
 	if apiErr != nil {
-		fail(apiErr)
+		s.fail(w, endpoint, apiErr)
 		return
 	}
 	writeResponse(w, r, resp)
@@ -578,57 +591,43 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DiscoverRequest
-	s.serveSync(w, r, "discover."+algo, &req, func() (jobs.Spec, RunKnobs) {
+	s.serveSync(w, r, "discover."+algo, &req, func() jobs.Spec {
 		return jobs.Spec{Kind: "discover", Algo: algo, CSV: req.CSV, MaxErr: req.MaxErr,
-			SampleRows: req.SampleRows, SampleSeed: req.SampleSeed}, req.RunKnobs
+			SampleRows: req.SampleRows, SampleSeed: req.SampleSeed}
 	})
 }
 
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	var req ValidateRequest
-	s.serveSync(w, r, "validate", &req, func() (jobs.Spec, RunKnobs) {
-		return jobs.Spec{Kind: "validate", CSV: req.CSV, FDs: req.FDs}, req.RunKnobs
+	s.serveSync(w, r, "validate", &req, func() jobs.Spec {
+		return jobs.Spec{Kind: "validate", CSV: req.CSV, FDs: req.FDs}
 	})
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	var req RepairRequest
-	s.serveSync(w, r, "repair", &req, func() (jobs.Spec, RunKnobs) {
-		return jobs.Spec{Kind: "repair", CSV: req.CSV, FD: req.FD}, req.RunKnobs
+	s.serveSync(w, r, "repair", &req, func() jobs.Spec {
+		return jobs.Spec{Kind: "repair", CSV: req.CSV, FD: req.FD}
 	})
 }
 
-// serveSync is the pipeline of the synchronous endpoints: decode the
-// body into req, prepare the task that spec builds from it, then run it
-// through guarded and render the reply. Preparing comes before
-// admission, so malformed input never takes an admission slot or feeds
-// the breaker.
-func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, endpoint string, req any,
-	spec func() (jobs.Spec, RunKnobs)) {
-
-	fail := func(e *apiError) {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-	}
-	if e := s.decodeBody(w, r, req); e != nil {
-		fail(e)
-		return
-	}
-	sp, knobs := spec()
-	t, e := s.prepare("request", sp)
-	if e != nil {
-		fail(e)
-		return
-	}
-	s.guarded(w, r, endpoint, s.resolveBudget(knobs, r.Header), func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-		resp, res, err := t.run(ctx, p)
-		if err != nil {
-			// prepare has checked the algorithm, so only the repair
-			// encoder can fail here.
-			return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "encode_failed", msg: err.Error()}
-		}
-		return resp, res.Partial, res.Reason, nil
+// serveSync serves a synchronous endpoint through serve: its check step
+// is prepare, over the spec built from the decoded body.
+func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, endpoint string, req request, spec func() jobs.Spec) {
+	s.serve(w, r, endpoint, req, func() (runFunc, *apiError) {
+		t, e := s.prepare("request", spec())
+		return t.reply, e
 	})
+}
+
+// reply runs t for a sync reply. prepare has checked the algorithm, so
+// only the repair encoder can fail here.
+func (t task) reply(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
+	resp, res, err := t.run(ctx, p)
+	if err != nil {
+		return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "encode_failed", msg: err.Error()}
+	}
+	return resp, res.Partial, res.Reason, nil
 }
 
 // run executes a prepared task under the execution knobs in p and

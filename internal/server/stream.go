@@ -6,11 +6,12 @@
 // with the session's kinds), each answered with the refreshed ruleset,
 // its diff, and the chained relation fingerprint.
 //
-// Sessions run through the same hardening pipeline as every other
-// engine endpoint (drain, per-algorithm breaker, weighted admission,
-// metrics) plus their own admission control: a fixed session-table cap
-// sheds creations with 429 once the server holds too much resident
-// partition state. With a WAL configured (deptool serve -jobs-dir),
+// Sessions run through the request pipeline of the synchronous
+// endpoints (serve: decode, check and parse, then guarded) plus their
+// own admission control: a fixed session-table cap sheds creations with
+// 429 once the server holds too much resident partition state, and a
+// creation takes a slot only once its first batch answers 200. With a
+// WAL configured (deptool serve -jobs-dir),
 // creations and accepted batches are logged and fsynced before the
 // response, and replayed through fresh sessions at startup — a stream
 // survives a server restart with an identical fingerprint and ruleset.
@@ -20,7 +21,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -183,34 +183,46 @@ func (t *streamTable) register(id string, sess *stream.Session) {
 	}
 }
 
-// create admits a new session, logging it to the WAL before it becomes
-// visible — a session the client learned the id of always survives a
-// restart.
-func (t *streamTable) create(algo string, schema *relation.Schema, opts stream.Options) (*serverStream, *apiError) {
+// admit reports why the table cannot take one more session: 503 when
+// the subsystem is poisoned, 429 when the cap is reached.
+func (t *streamTable) admit() *apiError {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.admitLocked()
+}
+
+func (t *streamTable) admitLocked() *apiError {
 	if t.broken != nil {
-		return nil, &apiError{status: http.StatusServiceUnavailable, code: "stream_unavailable",
+		return &apiError{status: http.StatusServiceUnavailable, code: "stream_unavailable",
 			msg: "stream subsystem unavailable: " + t.broken.Error()}
 	}
 	if len(t.byID) >= t.max {
-		return nil, &apiError{status: http.StatusTooManyRequests, code: "stream_sessions_exhausted",
+		return &apiError{status: http.StatusTooManyRequests, code: "stream_sessions_exhausted",
 			msg: fmt.Sprintf("session table full (%d live sessions)", len(t.byID)), retryAfter: 1}
 	}
-	sess, err := stream.NewSession(algo, schema, opts)
-	if err != nil {
-		return nil, &apiError{status: http.StatusBadRequest, code: "streaming_unsupported", msg: err.Error()}
+	return nil
+}
+
+// commit registers a created session under the next id, logging it to
+// the WAL first: a session the client learned the id of always survives
+// a restart. It admits again, as a concurrent creation may have taken
+// the last slot while this one's first batch ran.
+func (t *streamTable) commit(st *serverStream, algo string) *apiError {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.admitLocked(); e != nil {
+		return e
+	}
+	id := "s" + strconv.Itoa(t.nextID+1)
+	if err := t.walAppendLocked(func(w *stream.WAL) error {
+		return w.AppendCreate(id, algo, st.sess.Schema())
+	}); err != nil {
+		return &apiError{status: http.StatusInternalServerError, code: "stream_wal_failed", msg: err.Error()}
 	}
 	t.nextID++
-	id := "s" + strconv.Itoa(t.nextID)
-	if werr := t.walAppendLocked(func(w *stream.WAL) error {
-		return w.AppendCreate(id, algo, schema)
-	}); werr != nil {
-		return nil, &apiError{status: http.StatusInternalServerError, code: "stream_wal_failed", msg: werr.Error()}
-	}
-	st := &serverStream{id: id, sess: sess}
+	st.id = id
 	t.byID[id] = st
-	return st, nil
+	return nil
 }
 
 func (t *streamTable) closeWAL() error {
@@ -310,74 +322,63 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endpoint := "stream." + algo
-	fail := func(e *apiError) {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-	}
 	if err := s.streams.unavailable(); err != nil {
-		fail(&apiError{status: http.StatusServiceUnavailable, code: "stream_unavailable",
+		s.fail(w, endpoint, &apiError{status: http.StatusServiceUnavailable, code: "stream_unavailable",
 			msg: "stream subsystem unavailable: " + err.Error()})
 		return
 	}
 	var req StreamRequest
-	if e := s.decodeBody(w, r, &req); e != nil {
-		fail(e)
-		return
-	}
-
-	// Parse and validate outside the guarded pipeline: malformed input
-	// must not feed the breaker or occupy admission slots.
-	var (
-		rows   [][]relation.Value
-		schema *relation.Schema
-		st     *serverStream
-	)
-	if req.Session == "" {
-		rel, e := s.parseCSV("stream", req.CSV)
-		if e != nil {
-			fail(e)
-			return
-		}
-		schema = rel.Schema()
-		rows = streamTuples(rel)
-	} else {
-		st = s.streams.get(req.Session)
-		if st == nil {
-			fail(&apiError{status: http.StatusNotFound, code: "unknown_session",
-				msg: fmt.Sprintf("no stream session %q (sessions do not survive a restart without -jobs-dir)", req.Session)})
-			return
-		}
-		if st.sess.Algo() != algo {
-			fail(&apiError{status: http.StatusBadRequest, code: "algo_mismatch",
-				msg: fmt.Sprintf("session %s streams %q, not %q", st.id, st.sess.Algo(), algo)})
-			return
-		}
-		var e *apiError
-		rows, e = s.parseStreamBatch(st.sess.Schema(), req.CSV)
-		if e != nil {
-			fail(e)
-			return
-		}
-	}
-
-	spec := s.resolveBudget(req.RunKnobs, r.Header)
-	s.guarded(w, r, endpoint, spec, func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-		if st == nil {
-			var apiErr *apiError
-			st, apiErr = s.streams.create(algo, schema, s.streamOptions())
-			if apiErr != nil {
-				return nil, false, "", apiErr
-			}
-			s.reg.Gauge("server.stream.sessions").Add(1)
-		}
-		return s.streamRunBatch(ctx, algo, st, rows, p)
-	})
+	s.serve(w, r, endpoint, &req, func() (runFunc, *apiError) { return s.checkStream(algo, req) })
 }
 
-// streamRunBatch ingests one batch under the session lock: per-request
-// run knobs, the engine sync, and — only after the appender accepted the
-// rows — the fsynced WAL record, so the response implies durability.
-func (s *Server) streamRunBatch(ctx context.Context, algo string, st *serverStream,
+// checkStream is the stream route's check-and-parse step. A request
+// without a session creates one from its CSV, parsed as a one-shot
+// request's; a request naming a session must name a live session of
+// this algorithm, and its batch is parsed with that session's schema.
+func (s *Server) checkStream(algo string, req StreamRequest) (runFunc, *apiError) {
+	if req.Session == "" {
+		rel, e := s.parseCSV("stream", req.CSV, nil)
+		if e != nil {
+			return nil, e
+		}
+		sess, err := stream.NewSession(algo, rel.Schema(), s.streamOptions())
+		if err != nil {
+			return nil, &apiError{status: http.StatusBadRequest, code: "streaming_unsupported", msg: err.Error()}
+		}
+		st, rows := &serverStream{sess: sess}, streamTuples(rel)
+		return func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
+			if e := s.streams.admit(); e != nil {
+				return nil, false, "", e
+			}
+			return s.streamBatch(ctx, algo, st, rows, p)
+		}, nil
+	}
+	st := s.streams.get(req.Session)
+	if st == nil {
+		return nil, &apiError{status: http.StatusNotFound, code: "unknown_session",
+			msg: fmt.Sprintf("no stream session %q (sessions do not survive a restart without -jobs-dir)", req.Session)}
+	}
+	if st.sess.Algo() != algo {
+		return nil, &apiError{status: http.StatusBadRequest, code: "algo_mismatch",
+			msg: fmt.Sprintf("session %s streams %q, not %q", st.id, st.sess.Algo(), algo)}
+	}
+	rel, e := s.parseCSV("batch", req.CSV, st.sess.Schema())
+	if e != nil {
+		return nil, e
+	}
+	rows := streamTuples(rel)
+	return func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
+		return s.streamBatch(ctx, algo, st, rows, p)
+	}, nil
+}
+
+// streamBatch ingests one batch under the session lock: per-request run
+// knobs, the engine sync, and — only after the appender accepted the
+// rows — the fsynced WAL record, so the response implies durability. A
+// session being created has no id yet and is committed only if this
+// first batch answers 200 (budget-partial included): a creation that
+// ends in an engine panic or a cancellation leaves nothing behind.
+func (s *Server) streamBatch(ctx context.Context, algo string, st *serverStream,
 	rows [][]relation.Value, p RunParams) (response, bool, string, *apiError) {
 
 	st.mu.Lock()
@@ -385,17 +386,19 @@ func (s *Server) streamRunBatch(ctx context.Context, algo string, st *serverStre
 	st.sess.SetRun(p.Workers, p.Budget)
 	res, err := st.sess.AppendBatch(ctx, rows)
 	if err != nil {
-		var tooLarge *relation.ErrInputTooLarge
-		if errors.As(err, &tooLarge) {
-			return nil, false, "", &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large", msg: err.Error()}
-		}
-		return nil, false, "", &apiError{status: http.StatusBadRequest, code: "invalid_batch", msg: err.Error()}
+		return nil, false, "", ingestError(err, "invalid_batch")
 	}
-	if len(rows) > 0 {
-		if werr := s.streams.walAppend(func(w *stream.WAL) error {
+	if st.id == "" && outcomeError(res.Partial, res.Reason) == nil {
+		if e := s.streams.commit(st, algo); e != nil {
+			return nil, false, "", e
+		}
+		s.reg.Gauge("server.stream.sessions").Add(1)
+	}
+	if st.id != "" && len(rows) > 0 {
+		if err := s.streams.walAppend(func(w *stream.WAL) error {
 			return w.AppendBatch(st.id, res.Seq, rows)
-		}); werr != nil {
-			return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "stream_wal_failed", msg: werr.Error()}
+		}); err != nil {
+			return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "stream_wal_failed", msg: err.Error()}
 		}
 		s.reg.Counter("server.stream.batches").Inc()
 	}
@@ -408,32 +411,6 @@ func (s *Server) streamRunBatch(ctx context.Context, algo string, st *serverStre
 		Fingerprint: res.Fingerprint, Count: len(res.Lines), Results: results,
 		Added: res.Added, Removed: res.Removed, Partial: res.Partial, Reason: res.Reason,
 	}, res.Partial, res.Reason, nil
-}
-
-// parseStreamBatch decodes an append batch with the session's kinds and
-// checks the repeated header against the session schema. Re-inferring
-// kinds per batch would let a numeric-looking batch silently re-type a
-// string column; parsing with the fixed kinds keeps every batch in the
-// session's value domain (the appender re-checks anyway).
-func (s *Server) parseStreamBatch(schema *relation.Schema, csv string) ([][]relation.Value, *apiError) {
-	if csv == "" {
-		return nil, &apiError{status: http.StatusBadRequest, code: "missing_csv", msg: "csv field is required"}
-	}
-	kinds := make([]relation.Kind, schema.Len())
-	for i := range kinds {
-		kinds[i] = schema.Attr(i).Kind
-	}
-	rel, err := relation.ReadCSVLimits("batch", strings.NewReader(csv), kinds, s.limits())
-	if err != nil {
-		return nil, ingestError(err)
-	}
-	for i := 0; i < schema.Len(); i++ {
-		if got := rel.Schema().Attr(i).Name; got != schema.Attr(i).Name {
-			return nil, &apiError{status: http.StatusBadRequest, code: "schema_mismatch",
-				msg: fmt.Sprintf("batch header column %d is %q, session has %q", i, got, schema.Attr(i).Name)}
-		}
-	}
-	return streamTuples(rel), nil
 }
 
 func streamTuples(r *relation.Relation) [][]relation.Value {

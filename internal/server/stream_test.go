@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/obs"
 	"deptree/internal/relation"
@@ -365,4 +367,111 @@ func TestStreamWALAppendReopenRetry(t *testing.T) {
 			t.Fatalf("stream.wal_poisoned gauge = %d, want 1", got)
 		}
 	})
+}
+
+// TestStreamFailedCreateHoldsNoSlot checks that a creation whose first
+// batch does not answer 200 leaves nothing behind: with one session
+// slot, a create that ends in an injected engine panic (500) or a
+// cancellation (503) is followed by a clean create that gets the slot,
+// and a restart over the WAL replays no session for it.
+func TestStreamFailedCreateHoldsNoSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		hook   engine.TaskHook
+		status int
+		code   string
+	}{
+		{"panic", func(*engine.Pool, int) { panic("injected") }, http.StatusInternalServerError, "engine_panic"},
+		{"cancel", func(p *engine.Pool, _ int) { p.Cancel() }, http.StatusServiceUnavailable, "cancelled"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := mustJSON(t, StreamRequest{CSV: smallCSV})
+			failCreate := func(t *testing.T, url string) {
+				t.Helper()
+				restore := engine.SetTaskHook(tc.hook)
+				defer restore()
+				status, _, raw := postStream(t, url, "tane", body)
+				if status != tc.status || errCode(t, raw) != tc.code {
+					t.Fatalf("failing create: %d %s", status, raw)
+				}
+			}
+			cleanCreate := func(t *testing.T, url string) {
+				t.Helper()
+				status, sr, raw := postStream(t, url, "tane", body)
+				if status != http.StatusOK || sr.Session != "s1" {
+					t.Fatalf("clean create after a failed one: %d %s", status, raw)
+				}
+			}
+
+			_, ts := newTestServer(t, Config{Workers: 2, StreamMaxSessions: 1})
+			failCreate(t, ts.URL)
+			cleanCreate(t, ts.URL)
+
+			cfg := Config{Workers: 2, StreamMaxSessions: 1, StreamWALPath: filepath.Join(t.TempDir(), "stream.wal")}
+			s1, ts1 := newTestServer(t, cfg)
+			failCreate(t, ts1.URL)
+			ts1.Close()
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2, ts2 := newTestServer(t, cfg)
+			if n := len(s2.streams.byID); n != 0 {
+				t.Fatalf("restart replayed %d sessions, want 0", n)
+			}
+			cleanCreate(t, ts2.URL)
+		})
+	}
+}
+
+// TestStreamConcurrentCreatesRespectCap races more creations than the
+// cap allows: exactly the cap's worth answer 200, under distinct ids,
+// and the rest answer 429, whether they lost before or after running
+// their first batch.
+func TestStreamConcurrentCreatesRespectCap(t *testing.T) {
+	const max, creates = 2, 8
+	s, ts := newTestServer(t, Config{Workers: 2, StreamMaxSessions: max})
+	body := mustJSON(t, StreamRequest{CSV: smallCSV})
+	type reply struct {
+		status  int
+		session string
+	}
+	replies := make(chan reply, creates)
+	var wg sync.WaitGroup
+	for i := 0; i < creates; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/stream/tane", "application/json", bytes.NewReader([]byte(body)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var sr streamResponse
+			if resp.StatusCode == http.StatusOK {
+				if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+					t.Error(err)
+				}
+			}
+			replies <- reply{resp.StatusCode, sr.Session}
+		}()
+	}
+	wg.Wait()
+	close(replies)
+	ids := map[string]bool{}
+	for r := range replies {
+		switch r.status {
+		case http.StatusOK:
+			ids[r.session] = true
+		case http.StatusTooManyRequests:
+		default:
+			t.Errorf("create answered %d", r.status)
+		}
+	}
+	if len(ids) != max || !ids["s1"] || !ids["s2"] {
+		t.Fatalf("created sessions %v, want s1 and s2", ids)
+	}
+	if n := len(s.streams.byID); n != max {
+		t.Fatalf("table holds %d sessions, want %d", n, max)
+	}
 }

@@ -280,21 +280,6 @@ func TestSeparatorPayloadsMatchScratch(t *testing.T) {
 	}
 }
 
-// TestRegistryLockstep pins the registry's Incremental flags to the
-// stream package's engine set.
-func TestRegistryLockstep(t *testing.T) {
-	for _, name := range registry.Names() {
-		a, _ := registry.Lookup(name)
-		if a.Incremental != stream.Supported(name) {
-			t.Errorf("algo %s: registry Incremental=%v, stream.Supported=%v",
-				name, a.Incremental, stream.Supported(name))
-		}
-	}
-	if stream.Supported("nope") {
-		t.Error("Supported(nope) = true")
-	}
-}
-
 // TestDiffLines checks the per-batch ruleset diff.
 func TestDiffLines(t *testing.T) {
 	plan := gen.AppendBatches(gen.AppendConfig{

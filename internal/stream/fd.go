@@ -63,7 +63,7 @@ type fdEngine struct {
 
 func (e *fdEngine) Lines() []string { return renderLines(e.held) }
 
-func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, fp string, opts Options) (bool, string) {
+func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
 	var fds []fd.FD
 	switch e.algo {
 	case "tane":
@@ -89,7 +89,6 @@ func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, fp string, op
 	e.colRef = make([]*partition.Refiner, r.Cols())
 	e.cache = engine.NewPartitionCache(r, opts.Budget.MaxCacheBytes)
 	e.cache.SetObserver(opts.Obs)
-	e.cache.SetFingerprint(fp)
 	for c := 0; c < r.Cols(); c++ {
 		e.colRef[c] = partition.NewRefiner(r, attrset.Single(c))
 		// Seed the cache's singleton entries so every later Upgrade
@@ -101,11 +100,11 @@ func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, fp string, op
 	return false, ""
 }
 
-func (e *fdEngine) Sync(ctx context.Context, r *relation.Relation, fp string, opts Options) (bool, string) {
+func (e *fdEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
 	if !e.ready {
 		// Fallback: re-run from scratch (empty seed relation, or wider
 		// than attrset can address — exactly what the registry would do).
-		return e.Init(ctx, r, fp, opts)
+		return e.Init(ctx, r, opts)
 	}
 	if n := r.Rows(); n > e.ingested {
 		old := e.ingested
@@ -118,7 +117,7 @@ func (e *fdEngine) Sync(ctx context.Context, r *relation.Relation, fp string, op
 		// Singletons upgrade in place from the refiners; multi-attribute
 		// memos are dropped and rebuilt lazily as products of the
 		// refreshed singletons if re-discovery needs them.
-		e.cache.Upgrade(fp, func(x attrset.Set, _ *partition.Partition) *partition.Partition {
+		e.cache.Upgrade(func(x attrset.Set, _ *partition.Partition) *partition.Partition {
 			if x.Len() == 1 {
 				return e.colRef[x.First()].Partition()
 			}

@@ -40,7 +40,7 @@ func (e *odEngine) Lines() []string {
 	return renderLines(oddisc.Minimal(e.st.Held()))
 }
 
-func (e *odEngine) Init(ctx context.Context, r *relation.Relation, fp string, opts Options) (bool, string) {
+func (e *odEngine) Init(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
 	st, res := oddisc.NewStream(ctx, r, oddisc.Options{Exec: opts.exec()})
 	if st == nil {
 		return true, res.Reason
@@ -50,9 +50,9 @@ func (e *odEngine) Init(ctx context.Context, r *relation.Relation, fp string, op
 	return false, ""
 }
 
-func (e *odEngine) Sync(ctx context.Context, r *relation.Relation, fp string, opts Options) (bool, string) {
+func (e *odEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
 	if e.st == nil {
-		return e.Init(ctx, r, fp, opts)
+		return e.Init(ctx, r, opts)
 	}
 	e.st.Ingest(e.ingested)
 	e.ingested = r.Rows()
@@ -84,7 +84,7 @@ type lexEngine struct {
 
 func (e *lexEngine) Lines() []string { return renderLines(e.held) }
 
-func (e *lexEngine) Init(ctx context.Context, r *relation.Relation, fp string, opts Options) (bool, string) {
+func (e *lexEngine) Init(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
 	res := oddisc.DiscoverLexContext(ctx, r, oddisc.LexOptions{Exec: opts.exec()})
 	if res.Partial {
 		return true, res.Reason
@@ -102,9 +102,9 @@ func (e *lexEngine) Init(ctx context.Context, r *relation.Relation, fp string, o
 	return false, ""
 }
 
-func (e *lexEngine) Sync(ctx context.Context, r *relation.Relation, fp string, opts Options) (bool, string) {
+func (e *lexEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
 	if !e.inited {
-		return e.Init(ctx, r, fp, opts)
+		return e.Init(ctx, r, opts)
 	}
 	if n := r.Rows(); n > e.ingested {
 		old := e.ingested
@@ -187,30 +187,10 @@ func lexCleanTail(r *relation.Relation, o od.LexOD, oldRows int) bool {
 			if j == i {
 				continue
 			}
-			if lexViolates(r, i, j, o) || lexViolates(r, j, i, o) {
+			if o.ViolatedBy(r, i, j) || o.ViolatedBy(r, j, i) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// lexViolates mirrors od.LexOD.Violations' pair rule: X̄-ordered (≤ 0)
-// but Ȳ-inverted (> 0).
-func lexViolates(r *relation.Relation, i, j int, o od.LexOD) bool {
-	return lexCmp(r, i, j, o.LHS) <= 0 && lexCmp(r, i, j, o.RHS) > 0
-}
-
-// lexCmp mirrors the od package's lexicographic marked-list comparison.
-func lexCmp(r *relation.Relation, i, j int, ms []od.Marked) int {
-	for _, m := range ms {
-		cmp := r.Value(i, m.Col).Compare(r.Value(j, m.Col))
-		if m.Desc {
-			cmp = -cmp
-		}
-		if cmp != 0 {
-			return cmp
-		}
-	}
-	return 0
 }

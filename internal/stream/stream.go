@@ -98,14 +98,14 @@ type BatchResult struct {
 // partial Init leaves the engine unseeded for a later retry, a partial
 // Sync retains its seeds.
 type incEngine interface {
-	Init(ctx context.Context, r *relation.Relation, fp string, opts Options) (partial bool, reason string)
-	Sync(ctx context.Context, r *relation.Relation, fp string, opts Options) (partial bool, reason string)
+	Init(ctx context.Context, r *relation.Relation, opts Options) (partial bool, reason string)
+	Sync(ctx context.Context, r *relation.Relation, opts Options) (partial bool, reason string)
 	Lines() []string
 }
 
 // newEngine maps an algorithm name to its incremental engine, nil if the
-// algorithm has none. The set must stay in lockstep with the registry's
-// Incremental flags (a test enforces it).
+// algorithm has none. It is the one list of streamable algorithms:
+// Supported, the CLI and the HTTP stream route all read it.
 func newEngine(algo string) incEngine {
 	switch algo {
 	case "tane", "fastfd":
@@ -182,12 +182,12 @@ func (s *Session) AppendBatch(ctx context.Context, rows [][]relation.Value) (Bat
 	var partial bool
 	var reason string
 	if !s.inited {
-		partial, reason = s.eng.Init(ctx, r, fp, s.opts)
+		partial, reason = s.eng.Init(ctx, r, s.opts)
 		if !partial {
 			s.inited = true
 		}
 	} else {
-		partial, reason = s.eng.Sync(ctx, r, fp, s.opts)
+		partial, reason = s.eng.Sync(ctx, r, s.opts)
 	}
 	old := s.lines
 	s.lines = append([]string(nil), s.eng.Lines()...)

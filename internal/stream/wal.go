@@ -31,7 +31,8 @@ import (
 
 // ErrWALNotReplayed is returned by appends before Replay has run: until
 // the log's contents are verified, an append could land after damage
-// and be unreachable. It is the shared wal.ErrNotReplayed sentinel.
+// and be unreachable. It is the shared wal.ErrNotReplayed sentinel,
+// which the underlying wal.Log returns.
 var ErrWALNotReplayed = wal.ErrNotReplayed
 
 // WALRecord is one log entry: a session creation (Op "create", carrying
@@ -60,11 +61,10 @@ type WALOptions struct {
 // before returning — batch acceptance is low-rate compared to the jobs
 // queue, so group commit buys nothing here.
 type WAL struct {
-	mu       sync.Mutex
-	path     string
-	opts     WALOptions
-	log      *wal.Log
-	replayed bool
+	mu   sync.Mutex
+	path string
+	opts WALOptions
+	log  *wal.Log
 }
 
 // OpenWAL opens (creating if absent) the framed log at path on the real
@@ -94,7 +94,7 @@ func (w *WAL) Replay(fn func(rec WALRecord) error) error {
 	if w.log == nil {
 		return errors.New("stream: wal closed")
 	}
-	err := w.log.Replay(func(payload []byte) error {
+	return w.log.Replay(func(payload []byte) error {
 		var rec WALRecord
 		if derr := json.Unmarshal(payload, &rec); derr != nil {
 			return fmt.Errorf("stream: wal replay: undecodable record: %w", derr)
@@ -104,11 +104,6 @@ func (w *WAL) Replay(fn func(rec WALRecord) error) error {
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	w.replayed = true
-	return nil
 }
 
 // Reopen closes the underlying log, reopens it from disk and re-verifies
@@ -133,7 +128,6 @@ func (w *WAL) Reopen() error {
 		return err
 	}
 	w.log = l
-	w.replayed = true
 	return nil
 }
 
@@ -184,9 +178,6 @@ func (w *WAL) append(rec WALRecord) error {
 	defer w.mu.Unlock()
 	if w.log == nil {
 		return errors.New("stream: wal closed")
-	}
-	if !w.replayed {
-		return ErrWALNotReplayed
 	}
 	return w.log.Append(payload, true)
 }
