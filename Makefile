@@ -62,7 +62,7 @@ torture:
 # route (malformed bodies must always be structured 4xx, never a panic), the CFD
 # pattern-tableau parser, the set-based OD core against the retained
 # pairwise oracle, FastFD's single-visit agree-set sweep against the
-# map-deduplicated oracle, CORDS' per-column statistics and stamp-array
+# all-pairs oracle, CORDS' per-column statistics and stamp-array
 # pair counting against the sort-based oracle, the WAL frame codec under
 # arbitrary damage, and the stream cell codec's inversion.
 # Each pass runs 30 s. Minimizing a new interesting input is capped at

@@ -166,6 +166,11 @@ func rhsFDs(r *relation.Relation, agreeList []attrset.Set, a int, stop func()) [
 	return out
 }
 
+// agreeFilterBits sizes the direct-mapped filter of recently inserted
+// agree sets that sits in front of the agree-set map: 2^agreeFilterBits
+// slots, indexed by a multiplicative hash of the set.
+const agreeFilterBits = 8
+
 // agreeSets computes the set of agree sets ag(t1,t2) over all tuple pairs
 // that agree on at least one attribute. Pairs are enumerated per stripped
 // partition class to skip pairs agreeing nowhere, and each pair is visited
@@ -175,57 +180,70 @@ func rhsFDs(r *relation.Relation, agreeList []attrset.Set, a int, stop func()) [
 // is quadratic, so it polls the pool between classes and every
 // stopCheckEvery pairs inside one, and stops early once the run's
 // deadline fires or it is cancelled.
+//
+// Each column is dictionary-encoded once, straight into one row-major
+// int32 array, so a pair compares two contiguous rows. Few distinct
+// agree sets arise from many pairs, so a small direct-mapped filter of
+// recently inserted sets answers most repeats and the map is written
+// about once per distinct set. Any set the filter misses goes to the
+// map, so the filter never changes the result.
 func agreeSets(r *relation.Relation, pool *engine.Pool) (map[attrset.Set]bool, error) {
-	n := r.Cols()
-	codes := make([][]int, n)
+	n, rows := r.Cols(), r.Rows()
+	codes := make([]int32, rows*n)
+	cards := make([]int, n)
 	for c := 0; c < n; c++ {
-		codes[c], _ = r.Codes(c)
+		var d relation.Dict
+		for i, v := range r.Column(c) {
+			codes[i*n+c] = int32(d.Code(v))
+		}
+		cards[c] = d.Len()
 	}
+	column := make([]int, rows)
+	var filter [1 << agreeFilterBits]attrset.Set
 	out := make(map[attrset.Set]bool)
 	steps := 0
 	for c := 0; c < n; c++ {
-		p := partition.FromCodes(codes[c], distinct(codes[c]))
+		for i := range column {
+			column[i] = int(codes[i*n+c])
+		}
+		p := partition.FromCodes(column, cards[c])
 		for ci := 0; ci < p.NumClasses(); ci++ {
 			class := p.Class(ci)
 			if err := pool.Err(); err != nil {
 				return nil, err
 			}
 			for i := 0; i < len(class); i++ {
-				ri := class[i]
+				ri := codes[int(class[i])*n:][:n]
 			pairs:
-				for _, rj := range class[i+1:] {
+				for _, j := range class[i+1:] {
 					if steps++; steps%stopCheckEvery == 0 {
 						if err := pool.Err(); err != nil {
 							return nil, err
 						}
 					}
+					rj := codes[int(j)*n:][:n]
 					for col := 0; col < c; col++ {
-						if codes[col][ri] == codes[col][rj] {
+						if ri[col] == rj[col] {
 							continue pairs
 						}
 					}
 					ag := attrset.Single(c)
 					for col := c + 1; col < n; col++ {
-						if codes[col][ri] == codes[col][rj] {
+						if ri[col] == rj[col] {
 							ag = ag.Add(col)
 						}
 					}
-					out[ag] = true
+					// ag holds c, so it never equals an empty slot.
+					slot := &filter[uint64(ag)*0x9e3779b97f4a7c15>>(64-agreeFilterBits)]
+					if *slot != ag {
+						*slot = ag
+						out[ag] = true
+					}
 				}
 			}
 		}
 	}
 	return out, nil
-}
-
-func distinct(codes []int) int {
-	max := -1
-	for _, c := range codes {
-		if c > max {
-			max = c
-		}
-	}
-	return max + 1
 }
 
 // minimalHittingSets enumerates the minimal subsets of universe that

@@ -2,6 +2,7 @@ package fastfd
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -12,14 +13,12 @@ import (
 	"deptree/internal/deps/fd"
 	"deptree/internal/engine"
 	"deptree/internal/gen"
-	"deptree/internal/partition"
 	"deptree/internal/relation"
 )
 
-// oracleAgreeSets is the agree-set sweep that visiting each pair from its
-// first agreeing column replaced, kept as the differential oracle: it
-// enumerates every stripped class of every column and deduplicates row
-// pairs through a map.
+// oracleAgreeSets is the definition the agree-set sweep is checked
+// against: every row pair, compared on every column, keeping each
+// nonempty agree set.
 func oracleAgreeSets(r *relation.Relation) map[attrset.Set]bool {
 	n := r.Cols()
 	codes := make([][]int, n)
@@ -27,26 +26,16 @@ func oracleAgreeSets(r *relation.Relation) map[attrset.Set]bool {
 		codes[c], _ = r.Codes(c)
 	}
 	out := make(map[attrset.Set]bool)
-	seen := make(map[[2]int]bool)
-	for c := 0; c < n; c++ {
-		p := partition.FromCodes(codes[c], distinct(codes[c]))
-		for ci := 0; ci < p.NumClasses(); ci++ {
-			class := p.Class(ci)
-			for i := 0; i < len(class); i++ {
-				for j := i + 1; j < len(class); j++ {
-					key := [2]int{int(class[i]), int(class[j])}
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					var ag attrset.Set
-					for col := 0; col < n; col++ {
-						if codes[col][class[i]] == codes[col][class[j]] {
-							ag = ag.Add(col)
-						}
-					}
-					out[ag] = true
+	for i := 0; i < r.Rows(); i++ {
+		for j := i + 1; j < r.Rows(); j++ {
+			var ag attrset.Set
+			for col := 0; col < n; col++ {
+				if codes[col][i] == codes[col][j] {
+					ag = ag.Add(col)
 				}
+			}
+			if !ag.IsEmpty() {
+				out[ag] = true
 			}
 		}
 	}
@@ -152,7 +141,28 @@ func differentialRelations() []*relation.Relation {
 			rels = append(rels, randomRelation(rng, rows))
 		}
 	}
-	return rels
+	return append(rels, wideRelation(rng, 16, 300))
+}
+
+// wideRelation draws cols two-valued columns over rows rows: thousands
+// of distinct agree sets, many more than the sweep's filter has slots,
+// so filter collisions are frequent.
+func wideRelation(rng *rand.Rand, cols, rows int) *relation.Relation {
+	attrs := make([]relation.Attribute, cols)
+	for c := range attrs {
+		attrs[c] = relation.Attribute{Name: fmt.Sprintf("c%d", c), Kind: relation.KindInt}
+	}
+	r := relation.New("wide", relation.NewSchema(attrs...))
+	row := make([]relation.Value, cols)
+	for i := 0; i < rows; i++ {
+		for c := range row {
+			row[c] = relation.Int(rng.Intn(2))
+		}
+		if err := r.Append(row); err != nil {
+			panic(err)
+		}
+	}
+	return r
 }
 
 func checkAgreeSets(t *testing.T, r *relation.Relation) {

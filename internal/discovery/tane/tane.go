@@ -109,9 +109,14 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	fullSet := attrset.Full(n)
 	var results []fd.FD
 
-	colCodes := make([][]int, n)
-	for c := 0; c < n; c++ {
-		colCodes[c], _ = r.Codes(c)
+	// Only the g3 check of approximate discovery reads column codes;
+	// exact discovery compares partition cardinalities.
+	var colCodes [][]int
+	if opts.MaxError != 0 {
+		colCodes = make([][]int, n)
+		for c := 0; c < n; c++ {
+			colCodes[c], _ = r.Codes(c)
+		}
 	}
 
 	// Level 1 plus the ∅ → A checks (constant columns).

@@ -16,11 +16,12 @@ import (
 // MaxCacheBytes).
 //
 // Multi-attribute partitions are constructed TANE-style as a product of
-// cached sub-partitions: π_X = π_{X\{a}} · π_{a} with a = min(X), so a
-// lattice walk that requests π_X after π_{X\{a}} pays one partition
-// product instead of a full rebuild from row values. Both construction
-// routes yield the same canonical partition (classes sorted by first row,
-// rows ascending), so cache hits never change discovery output.
+// two cached lattice parents, π_X = π_{X\{a}} · π_{X\{b}} (see
+// operands), so a lattice walk that requests π_X after its level below
+// pays one partition product over the smallest operands at hand instead
+// of a full rebuild from row values. Every route yields the same
+// canonical partition (classes sorted by first row, rows ascending), so
+// neither the route nor a cache hit ever changes discovery output.
 //
 // Concurrent requests for the same key are deduplicated: one goroutine
 // builds, the rest block on the entry's sync.Once and share the result.
@@ -191,19 +192,67 @@ func (c *PartitionCache) evictLocked() {
 }
 
 // build constructs π_X outside the cache lock. Singletons (and π_∅) come
-// straight from the relation; larger sets are products of cached parts.
+// straight from the relation; larger sets are the product of the pair
+// operands picks, fetched by two Gets that count as hits or misses like
+// any other.
 func (c *PartitionCache) build(x attrset.Set) *partition.Partition {
 	if x.Len() <= 1 {
 		return partition.Build(c.r, x)
 	}
-	a := x.First()
-	rest := c.Get(x.Remove(a))
-	single := c.Get(attrset.Single(a))
+	a, b := c.operands(x)
+	pa, pb := c.Get(a), c.Get(b)
 	c.cProducts.Inc()
 	stop := c.hProduct.Start()
-	p := rest.Product(single)
+	p := pa.Product(pb)
 	stop()
 	return p
+}
+
+// operands picks the two sets whose partitions multiply to π_X, for
+// |X| ≥ 2: the two smallest (by covered rows ||π||) immediate subsets
+// whose build has completed and which are still resident. Any two
+// distinct immediate subsets unite to X. Every parent but X\{min}
+// refines π_{min}, so when the chain's π_{X\{min}} is resident the pair
+// picked covers no more rows than the chain's pair, and when it is not
+// the pair spares building it. With one such parent the other operand is
+// the singleton of the attribute it lacks; with none, the chain X\{min}
+// and {min}. Only completed entries are looked at, never built, and
+// looking counts as neither hit nor miss.
+func (c *PartitionCache) operands(x attrset.Set) (attrset.Set, attrset.Set) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var best [2]attrset.Set
+	size := [2]int{-1, -1}
+	for rest := x; !rest.IsEmpty(); {
+		b := rest.First()
+		rest = rest.Remove(b)
+		sub := x.Remove(b)
+		el, ok := c.entries[sub]
+		if !ok {
+			continue
+		}
+		// bytes is credited under c.mu once the build has stored part.
+		e := el.Value.(*cacheEntry)
+		if e.bytes == 0 {
+			continue
+		}
+		switch n := e.part.Size(); {
+		case size[0] < 0 || n < size[0]:
+			best[1], size[1] = best[0], size[0]
+			best[0], size[0] = sub, n
+		case size[1] < 0 || n < size[1]:
+			best[1], size[1] = sub, n
+		}
+	}
+	switch {
+	case size[1] >= 0:
+		return best[0], best[1]
+	case size[0] >= 0:
+		return best[0], attrset.Single(x.Minus(best[0]).First())
+	default:
+		a := x.First()
+		return x.Remove(a), attrset.Single(a)
+	}
 }
 
 // Stats reports hits, misses, evictions and the resident footprint since

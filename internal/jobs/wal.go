@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -53,11 +54,10 @@ type WALStore struct {
 	log  *wal.Log
 	opts WALOptions
 
-	mu       sync.Mutex
-	dirty    int // appends since last fsync
-	closed   bool
-	replayed bool
-	fault    FaultHook
+	mu     sync.Mutex
+	dirty  int // appends since last fsync
+	closed bool
+	fault  FaultHook
 
 	appends int64
 	syncs   int64
@@ -123,15 +123,16 @@ func (w *WALStore) Append(rec Record) error {
 	if w.closed {
 		return ErrStoreClosed
 	}
-	if !w.replayed {
-		return ErrNotReplayed
-	}
 	if w.fault != nil {
 		if ferr := w.fault("append", rec); ferr != nil {
 			return Transient{ferr}
 		}
 	}
 	if err := w.log.Append(payload, false); err != nil {
+		if errors.Is(err, ErrNotReplayed) {
+			// Not a write fault: retrying cannot help before Replay.
+			return err
+		}
 		return Transient{fmt.Errorf("jobs: wal append: %w", err)}
 	}
 	w.appends++
@@ -193,7 +194,6 @@ func (w *WALStore) Replay() ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.replayed = true
 	return recs, nil
 }
 

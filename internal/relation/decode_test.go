@@ -118,3 +118,30 @@ func BenchmarkReadCSV(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkWriteCSV measures the render layer in MB/s of CSV written:
+// WriteCSV of hotels decoded through ReadCSVAuto, whose numeric columns
+// are floats, the relation a repair reply or a job fingerprint renders.
+func BenchmarkWriteCSV(b *testing.B) {
+	for _, rows := range []int{500, 1500, 5000} {
+		data := hotelsCSVBytes(b, rows)
+		r, err := relation.ReadCSVAuto("hotels", data, relation.Limits{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := relation.WriteCSV(r, &buf); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := relation.WriteCSV(r, &buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,6 +33,26 @@ func TestValueStringRendering(t *testing.T) {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%v) = %q, want %q", c.v, got, c.want)
 		}
+	}
+}
+
+// TestValueStringFloatMatchesFormatFloat: a float renders exactly as
+// FormatFloat(f, 'g', -1, 64) does, over every integer of [-1e6, 1e6]
+// (the integer path's range plus both bounds) and the edges around it.
+func TestValueStringFloatMatchesFormatFloat(t *testing.T) {
+	check := func(f float64) {
+		if got, want := Float(f).String(), strconv.FormatFloat(f, 'g', -1, 64); got != want {
+			t.Fatalf("Float(%v).String() = %q, want %q", f, got, want)
+		}
+	}
+	for i := -1000000; i <= 1000000; i++ {
+		check(float64(i))
+	}
+	for _, f := range []float64{
+		math.Copysign(0, -1), 1 << 53, -(1 << 53), math.NaN(), math.Inf(1), math.Inf(-1),
+		0.5, -0.5, 1e-7, 999999.5, -999999.5, 1e15, math.MaxFloat64, math.SmallestNonzeroFloat64,
+	} {
+		check(f)
 	}
 }
 

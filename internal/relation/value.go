@@ -156,7 +156,10 @@ func (v Value) Key() string {
 	}
 }
 
-// String renders the value for display.
+// String renders the value for display. A whole float strictly inside
+// ±1e6, other than -0, renders through the integer formatter: 'g' with
+// the shortest precision prints those without an exponent, so the bytes
+// are the same and the float digit search is skipped.
 func (v Value) String() string {
 	if v.null {
 		return "NULL"
@@ -167,7 +170,11 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(int64(v.num), 10)
 	default:
-		return strconv.FormatFloat(v.num, 'g', -1, 64)
+		f := v.num
+		if f > -1e6 && f < 1e6 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+			return strconv.FormatInt(int64(f), 10)
+		}
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	}
 }
 

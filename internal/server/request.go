@@ -135,10 +135,12 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *ap
 	return nil
 }
 
-// task is one prepared run: a checked kind and algorithm, the parsed
-// relation and FD rules, and the run options the request fixed.
+// task is one prepared run: a checked kind, the looked-up algorithm of a
+// discover run, the parsed relation and FD rules, and the run options the
+// request fixed.
 type task struct {
-	kind, algo string
+	kind       string
+	algo       registry.Algo
 	rel        *relation.Relation
 	fds        []fd.FD
 	maxErr     float64
@@ -154,6 +156,7 @@ type task struct {
 // for the parse. The spec's budget fields are ignored: each caller
 // resolves its own.
 func (s *Server) prepare(name string, spec jobs.Spec) (task, *apiError) {
+	var algo registry.Algo
 	switch spec.Kind {
 	case "discover":
 		a, ok := registry.Lookup(spec.Algo)
@@ -164,6 +167,7 @@ func (s *Server) prepare(name string, spec jobs.Spec) (task, *apiError) {
 			return task{}, &apiError{status: http.StatusBadRequest, code: "sampling_unsupported",
 				msg: fmt.Sprintf("algorithm %q does not support sample-then-verify (sample_rows)", spec.Algo)}
 		}
+		algo = a
 	case "validate", "repair":
 	default:
 		return task{}, &apiError{status: http.StatusBadRequest, code: "invalid_kind",
@@ -177,7 +181,7 @@ func (s *Server) prepare(name string, spec jobs.Spec) (task, *apiError) {
 		}
 	}
 	var err error
-	t := task{kind: spec.Kind, algo: spec.Algo, rel: rel,
+	t := task{kind: spec.Kind, algo: algo, rel: rel,
 		maxErr: spec.MaxErr, sampleRows: spec.SampleRows, sampleSeed: spec.SampleSeed}
 	switch spec.Kind {
 	case "validate":

@@ -633,21 +633,20 @@ func (t task) reply(ctx context.Context, p RunParams) (response, bool, string, *
 // run executes a prepared task under the execution knobs in p and
 // returns its output in both served forms: the sync reply and the job
 // result. It is the one kind switch behind the sync endpoints and the
-// job runner.
+// job runner. prepare has looked the algorithm up and checked its
+// sampling support, so a discover run calls it directly; the only
+// error is the repair encoder's.
 func (t task) run(ctx context.Context, p RunParams) (response, jobs.Result, error) {
 	p.MaxErr, p.SampleRows, p.SampleSeed = t.maxErr, t.sampleRows, t.sampleSeed
 	switch t.kind {
 	case "discover":
-		out, err := RunDiscover(ctx, t.rel, t.algo, p)
-		if err != nil {
-			return nil, jobs.Result{}, err
-		}
+		out := t.algo.Run(ctx, t.rel, p)
 		results := out.Lines
 		if results == nil {
 			results = []string{}
 		}
 		return discoverResponse{
-				Algo: t.algo, Count: len(out.Lines), Results: results,
+				Algo: t.algo.Name, Count: len(out.Lines), Results: results,
 				Partial: out.Partial, Reason: out.Reason, out: out,
 			},
 			jobs.Result{Lines: out.Lines, Partial: out.Partial, Reason: out.Reason}, nil
