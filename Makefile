@@ -63,7 +63,9 @@ torture:
 # pattern-tableau parser, the set-based OD core against the retained
 # pairwise oracle, FastFD's single-visit agree-set sweep against the
 # all-pairs oracle, CORDS' per-column statistics and stamp-array
-# pair counting against the sort-based oracle, the WAL frame codec under
+# pair counting against the sort-based oracle, the similarity branch's
+# pair kernel (distance tables, weighted tuple pairs, threshold picker)
+# against the row-pair loops of internal/deps, the WAL frame codec under
 # arbitrary damage, and the stream cell codec's inversion.
 # Each pass runs 30 s. Minimizing a new interesting input is capped at
 # 1 s: Go's default (60 s) could spend most of a pass at 0 execs/s while
@@ -82,6 +84,7 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzSetODAgainstPairwise ./internal/discovery/oddisc/
 	$(FUZZ) -fuzz=FuzzAgreeSetsMatchOracle ./internal/discovery/fastfd/
 	$(FUZZ) -fuzz=FuzzCORDSMatchOracle ./internal/discovery/cords/
+	$(FUZZ) -fuzz=FuzzPairKernelMatchesOracle ./internal/metric/
 	$(FUZZ) -fuzz=FuzzWALFrameRoundTrip ./internal/wal/
 	$(FUZZ) -fuzz=FuzzStreamKeyRoundTrip ./internal/stream/
 

@@ -51,6 +51,7 @@ import (
 	"deptree/internal/discovery/nedisc"
 	"deptree/internal/discovery/oddisc"
 	"deptree/internal/discovery/pfddisc"
+	"deptree/internal/discovery/registry"
 	"deptree/internal/discovery/sddisc"
 	"deptree/internal/discovery/tane"
 	"deptree/internal/engine"
@@ -717,4 +718,20 @@ func benchCard(codes []int) int {
 		}
 	}
 	return card
+}
+
+// BenchmarkSimilarityRegistry measures the similarity-branch
+// discoverers (md, dd, ned, cd) through the registry, as served, on a
+// 500-row hotels relation at two workers.
+func BenchmarkSimilarityRegistry(b *testing.B) {
+	r := benchHotelsCSV(b, 500)
+	for _, name := range []string{"md", "dd", "ned", "cd"} {
+		a, _ := registry.Lookup(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.Run(context.Background(), r, registry.RunOptions{Workers: 2})
+			}
+		})
+	}
 }

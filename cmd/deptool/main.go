@@ -421,15 +421,11 @@ func cmdRepair(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := server.RunRepair(rootCtx, r, []fd.FD{f}, server.RunParams{
+	res, _ := server.RunRepair(rootCtx, r, []fd.FD{f}, server.RunParams{ // its error is always nil
 		Workers: *workers,
 		Budget:  engine.Budget{Timeout: *timeout, MaxTasks: *maxTasks},
 		Obs:     reg,
 	})
-	if err != nil {
-		finishObs(obsDone, nil)
-		return err
-	}
 	for _, ch := range res.Changes {
 		fmt.Fprintln(os.Stderr, "  ", ch)
 	}

@@ -160,7 +160,8 @@ func (c CD) Violations(r *relation.Relation, limit int) []deps.Violation {
 // G3 computes the error measure used by CD discovery validation (§3.4.3):
 // the minimum fraction of tuples to remove so the CD holds. Violating pairs
 // form a graph; the measure is a minimum vertex cover, approximated greedily
-// by removing highest-degree tuples (exact computation is NP-complete [91]).
+// by removing highest-degree tuples, the lowest row first among equals
+// (exact computation is NP-complete [91]).
 func (c CD) G3(r *relation.Relation) float64 {
 	if r.Rows() == 0 {
 		return 0
@@ -181,7 +182,7 @@ func (c CD) G3(r *relation.Relation) float64 {
 	for {
 		best, deg := -1, 0
 		for v, ns := range adj {
-			if len(ns) > deg {
+			if len(ns) > deg || len(ns) == deg && v < best {
 				best, deg = v, len(ns)
 			}
 		}

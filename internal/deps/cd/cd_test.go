@@ -153,3 +153,26 @@ func TestStringAndKind(t *testing.T) {
 		t.Errorf("Single String = %q", got)
 	}
 }
+
+// TestG3TiesBreakByLowestRow: x = 1..5 within 1 of its neighbours and y
+// = 100·x never equal, so the violating pairs form the path 0-1-2-3-4.
+// Rows 1, 2 and 3 tie at degree 2; removing row 1 first leaves 2-3-4, then
+// row 3 covers it, so g3 is 2/5 on every call. Picking the tie by map
+// order used to return 3/5 whenever row 2 came first.
+func TestG3TiesBreakByLowestRow(t *testing.T) {
+	r := relation.New("path", relation.NewSchema(
+		relation.Attribute{Name: "x", Kind: relation.KindInt},
+		relation.Attribute{Name: "y", Kind: relation.KindInt}))
+	for x := 1; x <= 5; x++ {
+		if err := r.Append([]relation.Value{relation.Int(x), relation.Int(100 * x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := r.Schema()
+	c := CD{LHS: []SimilarityFunc{Single(s, "x", 1)}, RHS: Single(s, "y", 0), Schema: s}
+	for i := 0; i < 200; i++ {
+		if got := c.G3(r); got != 0.4 {
+			t.Fatalf("call %d: g3 = %v, want 0.4", i, got)
+		}
+	}
+}

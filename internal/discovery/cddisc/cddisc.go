@@ -8,10 +8,12 @@ package cddisc
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"deptree/internal/deps/cd"
 	"deptree/internal/engine"
+	"deptree/internal/metric"
 	"deptree/internal/obs"
 	"deptree/internal/relation"
 )
@@ -53,7 +55,9 @@ type Session struct {
 	r      *relation.Relation
 	opts   Options
 	thetas []cd.SimilarityFunc
-	found  []cd.CD
+	// tabs[i] is thetas[i]'s distance table.
+	tabs  []*metric.Table
+	found []cd.CD
 }
 
 // NewSession starts a session over a dataspace relation.
@@ -72,83 +76,125 @@ func (s *Session) Functions() []cd.SimilarityFunc { return s.thetas }
 // combinations, and θ as an LHS member for known RHS functions — exactly
 // the incremental step of [92]. It returns the CDs added by this call.
 func (s *Session) AddFunction(theta cd.SimilarityFunc) []cd.CD {
-	added, _, _ := s.addFunction(nil, theta)
+	added, _, _ := s.addFunction(nil, theta, metric.NewTable(nil, s.r, theta.Metric, theta.I, theta.J))
 	return added
 }
 
+// similar is cd.SimilarityFunc.Similar read from θ's table, which spans
+// both synonym columns: at least one slot within its threshold, nulls
+// never matching.
+func similar(f cd.SimilarityFunc, tab *metric.Table, a, b int) bool {
+	ci, cj := tab.Classes(f.I), tab.Classes(f.J)
+	return slot(tab, ci[a], ci[b], f.TII) ||
+		slot(tab, cj[a], cj[b], f.TJJ) ||
+		slot(tab, ci[a], cj[b], f.TIJ) || slot(tab, cj[a], ci[b], f.TIJ)
+}
+
+// slot reports whether classes x and y are non-null and within t; a
+// negative t disables the slot.
+func slot(tab *metric.Table, x, y int, t float64) bool {
+	return t >= 0 && !tab.Null(x) && !tab.Null(y) && tab.At(x, y) <= t // NaN fails
+}
+
 // candidate is one (LHS, RHS) combination generated by an AddFunction
-// step.
+// step, as indices into the session's functions.
 type candidate struct {
-	lhs []cd.SimilarityFunc
-	rhs cd.SimilarityFunc
+	lhs []int
+	rhs int
 }
 
 // batch is the fixed MapBudget stripe width over candidates (each task is
-// an O(n²) support scan plus a g3 check). Fixed so the truncation point
-// is worker-independent.
+// one walk over the distinct tuple pairs of the candidate's columns).
+// Fixed so the truncation point is worker-independent.
 const batch = 8
 
 // addFunction is the incremental step, parameterized over the execution
 // pool: a nil pool runs the exact sequential path (Session.AddFunction),
 // a real pool fans the independent candidate checks out under its budget.
-// Candidates never prune each other within a step, so any completed
-// prefix of the candidate order is deterministic.
-func (s *Session) addFunction(pool *engine.Pool, theta cd.SimilarityFunc) ([]cd.CD, int, error) {
+// tab is θ's distance table. Candidates never prune each other within a
+// step, so any completed prefix of the candidate order is deterministic.
+func (s *Session) addFunction(pool *engine.Pool, theta cd.SimilarityFunc, tab *metric.Table) ([]cd.CD, int, error) {
+	t := len(s.thetas)
+	s.thetas = append(s.thetas, theta)
+	s.tabs = append(s.tabs, tab)
 	var cands []candidate
 	// New function as RHS of every known single- and two-function LHS.
-	for i, a := range s.thetas {
-		cands = append(cands, candidate{lhs: []cd.SimilarityFunc{a}, rhs: theta})
+	for i := 0; i < t; i++ {
+		cands = append(cands, candidate{[]int{i}, t})
 		if s.opts.MaxLHS >= 2 {
-			for _, b := range s.thetas[i+1:] {
-				cands = append(cands, candidate{lhs: []cd.SimilarityFunc{a, b}, rhs: theta})
+			for j := i + 1; j < t; j++ {
+				cands = append(cands, candidate{[]int{i, j}, t})
 			}
 		}
 	}
 	// New function as LHS for every known RHS.
-	for _, b := range s.thetas {
-		cands = append(cands, candidate{lhs: []cd.SimilarityFunc{theta}, rhs: b})
+	for j := 0; j < t; j++ {
+		cands = append(cands, candidate{[]int{t}, j})
 		if s.opts.MaxLHS >= 2 {
-			for _, a := range s.thetas {
-				if a != b && a != theta {
-					cands = append(cands, candidate{lhs: []cd.SimilarityFunc{theta, a}, rhs: b})
+			for i := 0; i < t; i++ {
+				if s.thetas[i] != s.thetas[j] && s.thetas[i] != theta {
+					cands = append(cands, candidate{[]int{t, i}, j})
 				}
 			}
 		}
 	}
 	hits, done, err := engine.MapBudget(pool, len(cands), batch, func(i int) bool {
-		c := cands[i]
-		if s.lhsSupport(c.lhs) < s.opts.MinSupport {
-			return false
-		}
-		return (cd.CD{LHS: c.lhs, RHS: c.rhs, Schema: s.r.Schema()}).G3(s.r) <= s.opts.MaxError
+		return s.check(pool, cands[i])
 	})
 	var added []cd.CD
 	for i := 0; i < done; i++ {
 		if hits[i] {
-			added = append(added, cd.CD{LHS: cands[i].lhs, RHS: cands[i].rhs, Schema: s.r.Schema()})
+			added = append(added, s.dependency(cands[i]))
 		}
 	}
-	s.thetas = append(s.thetas, theta)
 	sort.Slice(added, func(i, j int) bool { return added[i].String() < added[j].String() })
 	s.found = append(s.found, added...)
 	return added, done, err
 }
 
-// lhsSupport counts pairs similar w.r.t. all LHS functions.
-func (s *Session) lhsSupport(lhs []cd.SimilarityFunc) int {
-	support := 0
-	for i := 0; i < s.r.Rows(); i++ {
-	pairs:
-		for j := i + 1; j < s.r.Rows(); j++ {
-			for _, f := range lhs {
-				if !f.Similar(s.r, i, j) {
-					continue pairs
-				}
-			}
-			support++
-		}
+// dependency is the candidate's CD.
+func (s *Session) dependency(c candidate) cd.CD {
+	out := cd.CD{RHS: s.thetas[c.rhs], Schema: s.r.Schema()}
+	for _, i := range c.lhs {
+		out.LHS = append(out.LHS, s.thetas[i])
 	}
-	return support
+	return out
+}
+
+// check reports whether a candidate CD has support ≥ MinSupport and g3
+// error ≤ MaxError. One walk over the distinct tuple pairs of its columns
+// counts the LHS-similar pairs and the violating ones among them. The g3
+// error is 0 exactly when no pair violates, so the row-level cd.CD.G3 runs
+// only for a positive error budget and a violated candidate.
+func (s *Session) check(pool *engine.Pool, c candidate) bool {
+	var cols []int
+	for _, i := range append([]int{c.rhs}, c.lhs...) {
+		cols = append(cols, s.thetas[i].I, s.thetas[i].J)
+	}
+	slices.Sort(cols) // a single-column θ lists its column twice
+	cols = slices.Compact(cols)
+	var support, violations int64
+	metric.Pairs(pool, s.r, cols, func(a, b int, w int64) {
+		for _, i := range c.lhs {
+			if !similar(s.thetas[i], s.tabs[i], a, b) {
+				return
+			}
+		}
+		support += w
+		if !similar(s.thetas[c.rhs], s.tabs[c.rhs], a, b) {
+			violations += w
+		}
+	})
+	switch {
+	case support < int64(s.opts.MinSupport):
+		return false
+	case violations == 0:
+		return s.opts.MaxError >= 0
+	case s.opts.MaxError > 0:
+		return s.dependency(c).G3(s.r) <= s.opts.MaxError
+	default:
+		return false
+	}
 }
 
 // Result is a CD discovery outcome; a Partial run covers a deterministic
@@ -183,8 +229,9 @@ func DefaultThetas(r *relation.Relation) []cd.SimilarityFunc {
 // the accumulated CD set is returned.
 //
 // It runs under a context and Options.Budget. One pool spans the whole
-// session, so the budget covers every incremental step; steps stay
-// sequential (each consults the thetas registered before it) while the
+// session, so the budget covers every incremental step. The functions'
+// distance tables fan out first, one task each; then the steps run
+// sequentially (each consults the thetas registered before it) while the
 // candidate checks within a step fan out.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
@@ -203,15 +250,13 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	stepSpan := run.Child(obs.KindPhase, "incremental-steps")
 
 	s := NewSession(r, opts)
+	tabs := make([]*metric.Table, len(thetas))
+	stopErr := pool.ForEach(len(thetas), func(i int) { tabs[i] = metric.NewTable(pool, r, thetas[i].Metric, thetas[i].I, thetas[i].J) })
 	completed := 0
-	var stopErr error
-	for _, theta := range thetas {
-		_, done, err := s.addFunction(pool, theta)
+	for i := 0; stopErr == nil && i < len(thetas); i++ {
+		var done int
+		_, done, stopErr = s.addFunction(pool, thetas[i], tabs[i])
 		completed += done
-		if err != nil {
-			stopErr = err
-			break
-		}
 	}
 	stepSpan.SetAttr("completed", completed)
 	stepSpan.End()

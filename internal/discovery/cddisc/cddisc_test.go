@@ -84,8 +84,18 @@ func TestIncrementalGrowth(t *testing.T) {
 	}
 }
 
+// sessionSupport counts the row pairs of the session's relation similar
+// under f, by the definition.
 func sessionSupport(s *Session, f cd.SimilarityFunc) int {
-	return s.lhsSupport([]cd.SimilarityFunc{f})
+	support := 0
+	for i := 0; i < s.r.Rows(); i++ {
+		for j := i + 1; j < s.r.Rows(); j++ {
+			if f.Similar(s.r, i, j) {
+				support++
+			}
+		}
+	}
+	return support
 }
 
 func TestErrorBudget(t *testing.T) {

@@ -61,8 +61,8 @@ type Result struct {
 }
 
 // batch is the fixed MapBudget stripe width: each task is one attribute's
-// full O(n²) distance scan plus threshold search — heavy, so stripes stay
-// narrow. Fixed so the truncation point is worker-independent.
+// distance table, threshold pick and tuple-pair walk — heavy, so stripes
+// stay narrow. Fixed so the truncation point is worker-independent.
 const batch = 2
 
 // DiscoverContext returns DDs φ[X] → φ[Y] with confidence 1 and support ≥
@@ -72,10 +72,10 @@ const batch = 2
 // thresholds make the DD most general, mirroring the minimality notion of
 // [86] (a DD with looser LHS subsumes tighter ones).
 //
-// It runs under a context and Options.Budget. Each candidate attribute is
-// one pool task computing its pairwise distances, candidate thresholds and
-// maximal admissible threshold; the shared RHS compatibility vector is
-// computed once up front.
+// It runs under a context and Options.Budget. One task computes the RHS
+// column's distance table; then each candidate attribute is one pool task
+// computing its own table and candidate thresholds, and the loosest
+// admissible one over a single walk of its tuple pairs (metric.Loosest).
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	n := r.Rows()
@@ -99,42 +99,23 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	run.SetAttr("candidates", len(cols))
 	defer run.End()
 
-	// Shared RHS compatibility per tuple pair, in (i,j) i<j order.
-	rhsSpan := run.Child(obs.KindPhase, "rhs-compat")
-	pairCount := n * (n - 1) / 2
-	rhsOK := make([]bool, 0, pairCount)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rhsOK = append(rhsOK, opts.RHS.Compatible(r, i, j))
-		}
-	}
+	rhsSpan := run.Child(obs.KindPhase, "rhs-table")
+	var rhs *metric.Table
+	err := pool.ForEach(1, func(int) { rhs = metric.NewTable(pool, r, opts.RHS.Metric, opts.RHS.Col) })
 	rhsSpan.End()
-
-	type hit struct {
-		best float64
-		ok   bool
+	if err != nil {
+		run.SetAttr("stop", engine.Reason(err))
+		return Result{Partial: true, Reason: engine.Reason(err)}
 	}
+
 	searchSpan := run.Child(obs.KindPhase, "threshold-search")
-	hits, done, err := engine.MapBudget(pool, len(cols), batch, func(k int) hit {
+	hits, done, err := engine.MapBudget(pool, len(cols), batch, func(k int) []float64 {
 		c := cols[k]
-		m := metric.ForKind(r.Schema().Attr(c).Kind)
-		dist := make([]float64, 0, pairCount)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				dist = append(dist, m.Distance(r.Value(i, c), r.Value(j, c)))
-			}
-		}
-		h := hit{best: -1}
-		for _, t := range quantileThresholds(dist, opts.MaxThresholds) {
-			support, conf := evaluate(dist, t, rhsOK)
-			if support >= opts.MinSupport && conf == 1 {
-				if !h.ok || t > h.best {
-					h.best = t
-					h.ok = true
-				}
-			}
-		}
-		return h
+		tab := metric.NewTable(pool, r, metric.ForKind(r.Schema().Attr(c).Kind), c)
+		ts := tab.Thresholds(pool, opts.MaxThresholds)
+		return metric.Loosest(pool, r, []*metric.Table{tab}, [][]float64{ts}, []int{opts.RHS.Col},
+			func(a, b int) bool { return opts.RHS.Op.Eval(rhs.Rows(a, b), opts.RHS.Threshold) },
+			func(support, good int64) bool { return support >= int64(opts.MinSupport) && good == support })
 	})
 	searchSpan.SetAttr("completed", done)
 	searchSpan.End()
@@ -142,10 +123,10 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 
 	var out []dd.DD
 	for k := 0; k < done; k++ {
-		if hits[k].ok {
+		if hits[k] != nil {
 			c := cols[k]
 			out = append(out, dd.DD{
-				LHS:    dd.Pattern{{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Op: dd.OpLe, Threshold: hits[k].best}},
+				LHS:    dd.Pattern{{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Op: dd.OpLe, Threshold: hits[k][0]}},
 				RHS:    dd.Pattern{opts.RHS},
 				Schema: r.Schema(),
 			})
@@ -160,49 +141,4 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		run.SetAttr("stop", res.Reason)
 	}
 	return res
-}
-
-// evaluate computes support (pairs with distance ≤ t) and confidence
-// (fraction of those satisfying the RHS).
-func evaluate(dist []float64, t float64, rhsOK []bool) (int, float64) {
-	support, good := 0, 0
-	for k, d := range dist {
-		if d <= t { // NaN fails
-			support++
-			if rhsOK[k] {
-				good++
-			}
-		}
-	}
-	if support == 0 {
-		return 0, 1
-	}
-	return support, float64(good) / float64(support)
-}
-
-// quantileThresholds extracts up to k distinct candidate thresholds from
-// the observed distances (NaNs dropped), spread across the distribution.
-func quantileThresholds(dist []float64, k int) []float64 {
-	clean := make([]float64, 0, len(dist))
-	for _, d := range dist {
-		if d == d {
-			clean = append(clean, d)
-		}
-	}
-	if len(clean) == 0 {
-		return nil
-	}
-	sort.Float64s(clean)
-	seen := map[float64]bool{}
-	var out []float64
-	for i := 0; i < k; i++ {
-		idx := i * (len(clean) - 1) / max(1, k-1)
-		v := clean[idx]
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Float64s(out)
-	return out
 }

@@ -6,6 +6,8 @@ import (
 
 	"deptree/internal/deps/dd"
 	"deptree/internal/gen"
+	"deptree/internal/metric"
+	"deptree/internal/relation"
 )
 
 func TestDiscoverOnTable6(t *testing.T) {
@@ -70,8 +72,15 @@ func TestMinSupport(t *testing.T) {
 }
 
 func TestParameterFreeThresholds(t *testing.T) {
-	dists := []float64{0, 1, 1, 2, 5, 9}
-	ts := quantileThresholds(dists, 4)
+	// Row-pair distances 0,1,1,2,3,3,6,8,9,9: four evenly spaced ranks
+	// pick 0, 2, 6 and 9.
+	r := relation.New("d", relation.NewSchema(relation.Attribute{Name: "a", Kind: relation.KindInt}))
+	for _, v := range []int{0, 0, 1, 3, 9} {
+		if err := r.Append([]relation.Value{relation.Int(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := metric.NewTable(nil, r, metric.Absolute{}, 0).Thresholds(nil, 4)
 	if len(ts) == 0 || ts[0] != 0 || ts[len(ts)-1] != 9 {
 		t.Errorf("thresholds = %v, want to span [0,9]", ts)
 	}
@@ -80,7 +89,8 @@ func TestParameterFreeThresholds(t *testing.T) {
 			t.Errorf("thresholds not strictly increasing: %v", ts)
 		}
 	}
-	if got := quantileThresholds(nil, 4); got != nil {
+	one := r.Select(func(row int) bool { return row == 0 })
+	if got := metric.NewTable(nil, one, metric.Absolute{}, 0).Thresholds(nil, 4); got != nil {
 		t.Errorf("empty distances: %v", got)
 	}
 }

@@ -8,6 +8,7 @@ package mddisc
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"deptree/internal/attrset"
@@ -70,14 +71,17 @@ type Result struct {
 }
 
 // batch is the fixed MapBudget stripe width: candidate attributes are
-// heavy units (each scans all tuple pairs per threshold), so truncation
-// keeps per-attribute granularity. Fixed per algorithm so the truncation
-// point is worker-independent.
+// heavy units (each builds a distance table and walks the distinct tuple
+// pairs), so truncation keeps per-attribute granularity. Fixed per
+// algorithm so the truncation point is worker-independent.
 const batch = 4
 
 // DiscoverContext returns single-attribute-LHS MDs meeting the support
 // and confidence requirements, each with the maximal admissible threshold
 // (the most general matching rule), under a context and Options.Budget.
+// Each candidate attribute is one pool task: its distance table, then the
+// loosest admissible threshold over a single walk of its tuple pairs
+// (metric.Loosest).
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
 	eval := r
@@ -109,30 +113,32 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	run.SetAttr("candidates", len(cols))
 	defer run.End()
 
-	type hit struct {
-		best float64
-		ok   bool
-	}
+	ts := append([]float64(nil), opts.Thresholds...)
+	sort.Float64s(ts)
+	ts = slices.Compact(ts)
+	n := int64(eval.Rows())
+	total := float64(n * (n - 1) / 2)
 	searchSpan := run.Child(obs.KindPhase, "threshold-search")
-	hits, done, err := engine.MapBudget(pool, len(cols), batch, func(i int) hit {
+	hits, done, err := engine.MapBudget(pool, len(cols), batch, func(i int) []float64 {
 		c := cols[i]
-		m := metric.ForKind(r.Schema().Attr(c).Kind)
-		h := hit{best: -1}
-		for _, t := range opts.Thresholds {
-			cand := md.MD{
-				LHS:    []md.SimAttr{{Col: c, Metric: m, MaxDist: t}},
-				RHS:    rhsCols,
-				Schema: r.Schema(),
-			}
-			support, conf := cand.SupportConfidence(eval)
-			if support >= opts.MinSupport && conf >= opts.MinConfidence {
-				if !h.ok || t > h.best {
-					h.best = t
-					h.ok = true
+		tab := metric.NewTable(pool, eval, metric.ForKind(r.Schema().Attr(c).Kind), c)
+		return metric.Loosest(pool, eval, []*metric.Table{tab}, [][]float64{ts}, rhsCols,
+			func(a, b int) bool {
+				for _, rc := range rhsCols {
+					if !eval.Value(a, rc).Equal(eval.Value(b, rc)) {
+						return false
+					}
 				}
-			}
-		}
-		return h
+				return true
+			},
+			func(sim, good int64) bool {
+				// md.MD.SupportConfidence's measures, from the same counts.
+				support, conf := 0.0, 1.0
+				if sim > 0 {
+					support, conf = float64(sim)/total, float64(good)/float64(sim)
+				}
+				return support >= opts.MinSupport && conf >= opts.MinConfidence
+			})
 	})
 	searchSpan.SetAttr("completed", done)
 	searchSpan.End()
@@ -140,9 +146,9 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 
 	var out []md.MD
 	for i := 0; i < done; i++ {
-		if hits[i].ok {
+		if hits[i] != nil {
 			out = append(out, md.MD{
-				LHS:    []md.SimAttr{{Col: cols[i], Metric: metric.ForKind(r.Schema().Attr(cols[i]).Kind), MaxDist: hits[i].best}},
+				LHS:    []md.SimAttr{{Col: cols[i], Metric: metric.ForKind(r.Schema().Attr(cols[i]).Kind), MaxDist: hits[i][0]}},
 				RHS:    rhsCols,
 				Schema: r.Schema(),
 			})

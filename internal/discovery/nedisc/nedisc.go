@@ -9,7 +9,6 @@ package nedisc
 
 import (
 	"context"
-	"sort"
 
 	"deptree/internal/deps/ned"
 	"deptree/internal/engine"
@@ -76,9 +75,10 @@ const batch = 8
 // generality, as in P-neighborhood prediction where wider neighborhoods
 // mean more usable neighbors).
 //
-// It runs under a context and Options.Budget. The pairwise distance
-// precompute fans out per column; the threshold search fans out per
-// attribute combination. Combinations never prune each other, so any
+// It runs under a context and Options.Budget. The distance tables and
+// candidate thresholds fan out per column (and per RHS term); the
+// threshold search fans out per attribute combination, each one walk over
+// its distinct tuple pairs. Combinations never prune each other, so any
 // prefix of the combination order is a prefix of the full output.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	opts = opts.withDefaults()
@@ -107,33 +107,23 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	run.SetAttr("columns", len(cols))
 	defer run.End()
 
-	// Precompute pairwise distances (one pool task per column, writing to
-	// its own pre-allocated slice) and RHS agreement (shared, sequential).
-	preSpan := run.Child(obs.KindPhase, "pair-precompute")
-	pairCount := n * (n - 1) / 2
+	// One distance table per LHS column, with its candidate thresholds,
+	// then one per RHS term.
+	preSpan := run.Child(obs.KindPhase, "distance-tables")
 	metrics := map[int]metric.Metric{}
-	dist := map[int][]float64{}
 	for _, c := range cols {
 		metrics[c] = metric.ForKind(r.Schema().Attr(c).Kind)
-		dist[c] = make([]float64, pairCount)
 	}
-	rhs := make([]bool, 0, pairCount)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rhs = append(rhs, opts.RHS.Agree(r, i, j))
+	tabs := make([]*metric.Table, len(cols)+len(opts.RHS))
+	ts := make([][]float64, len(cols))
+	preErr := pool.ForEach(len(tabs), func(i int) {
+		if i < len(cols) {
+			tabs[i] = metric.NewTable(pool, r, metrics[cols[i]], cols[i])
+			ts[i] = tabs[i].Thresholds(pool, opts.MaxThresholds)
+			return
 		}
-	}
-	preErr := pool.ForEach(len(cols), func(ci int) {
-		c := cols[ci]
-		m := metrics[c]
-		d := dist[c]
-		k := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				d[k] = m.Distance(r.Value(i, c), r.Value(j, c))
-				k++
-			}
-		}
+		t := opts.RHS[i-len(cols)]
+		tabs[i] = metric.NewTable(pool, r, t.Metric, t.Col)
 	})
 	preSpan.End()
 	if preErr != nil {
@@ -141,105 +131,71 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		// deterministic empty prefix.
 		return Result{Partial: true, Reason: engine.Reason(preErr)}
 	}
-	thresholds := map[int][]float64{}
-	for _, c := range cols {
-		thresholds[c] = candidateThresholds(dist[c], opts.MaxThresholds)
+	rhsTabs := tabs[len(cols):]
+	var rhsCols []int
+	for _, t := range opts.RHS {
+		rhsCols = append(rhsCols, t.Col)
 	}
-	admissible := func(terms []ned.Term) (int, float64) {
-		support, good := 0, 0
-		for k := range rhs {
-			ok := true
-			for _, t := range terms {
-				if !(dist[t.Col][k] <= t.Threshold) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				support++
-				if rhs[k] {
-					good++
-				}
+	agree := func(a, b int) bool {
+		for i, t := range opts.RHS {
+			if !(rhsTabs[i].Rows(a, b) <= t.Threshold) { // NaN fails
+				return false
 			}
 		}
-		if support == 0 {
-			return 0, 1
-		}
-		return support, float64(good) / float64(support)
+		return true
 	}
-	// maximal returns the loosest admissible threshold combination for one
-	// attribute combination, or ok=false.
-	maximal := func(combCols []int) ([]ned.Term, bool) {
-		lists := make([][]float64, len(combCols))
-		for i, c := range combCols {
-			lists[i] = thresholds[c]
+	admissible := func(support, good int64) bool {
+		conf := 1.0
+		if support > 0 {
+			conf = float64(good) / float64(support)
 		}
-		type combo struct {
-			ts    []float64
-			total float64
+		return support >= int64(opts.MinSupport) && conf >= opts.MinConfidence
+	}
+	// maximal returns the loosest admissible terms for one combination of
+	// LHS column positions, or nil.
+	maximal := func(comb []int) []ned.Term {
+		lhs := make([]*metric.Table, len(comb))
+		lists := make([][]float64, len(comb))
+		for i, k := range comb {
+			lhs[i], lists[i] = tabs[k], ts[k]
 		}
-		var combos []combo
-		var build func(prefix []float64, depth int)
-		build = func(prefix []float64, depth int) {
-			if depth == len(lists) {
-				total := 0.0
-				for _, t := range prefix {
-					total += t
-				}
-				combos = append(combos, combo{ts: append([]float64(nil), prefix...), total: total})
-				return
-			}
-			for _, t := range lists[depth] {
-				build(append(prefix, t), depth+1)
-			}
+		best := metric.Loosest(pool, r, lhs, lists, rhsCols, agree, admissible)
+		if best == nil {
+			return nil
 		}
-		build(nil, 0)
-		sort.Slice(combos, func(a, b int) bool { return combos[a].total > combos[b].total })
-		for _, cb := range combos {
-			terms := make([]ned.Term, len(combCols))
-			for i, c := range combCols {
-				terms[i] = ned.Term{Col: c, Metric: metrics[c], Threshold: cb.ts[i]}
-			}
-			if support, conf := admissible(terms); support >= opts.MinSupport && conf >= opts.MinConfidence {
-				return terms, true
-			}
+		terms := make([]ned.Term, len(comb))
+		for i, k := range comb {
+			terms[i] = ned.Term{Col: cols[k], Metric: metrics[cols[k]], Threshold: best[i]}
 		}
-		return nil, false
+		return terms
 	}
 	// Enumerate combinations in the sequential order: singles, then pairs.
 	var cands [][]int
-	for _, c := range cols {
-		if len(thresholds[c]) > 0 {
-			cands = append(cands, []int{c})
+	for k := range cols {
+		if len(ts[k]) > 0 {
+			cands = append(cands, []int{k})
 		}
 	}
 	if opts.MaxLHS >= 2 {
-		for i := 0; i < len(cols); i++ {
+		for i := range cols {
 			for j := i + 1; j < len(cols); j++ {
-				if len(thresholds[cols[i]]) > 0 && len(thresholds[cols[j]]) > 0 {
-					cands = append(cands, []int{cols[i], cols[j]})
+				if len(ts[i]) > 0 && len(ts[j]) > 0 {
+					cands = append(cands, []int{i, j})
 				}
 			}
 		}
 	}
 	run.SetAttr("candidates", len(cands))
-	type hit struct {
-		terms []ned.Term
-		ok    bool
-	}
 	searchSpan := run.Child(obs.KindPhase, "threshold-search")
-	hits, done, err := engine.MapBudget(pool, len(cands), batch, func(i int) hit {
-		terms, ok := maximal(cands[i])
-		return hit{terms: terms, ok: ok}
-	})
+	hits, done, err := engine.MapBudget(pool, len(cands), batch, func(i int) []ned.Term { return maximal(cands[i]) })
 	searchSpan.SetAttr("completed", done)
 	searchSpan.End()
 	reg.Counter("nedisc.candidates.checked").Add(int64(done))
 
 	var out []ned.NED
 	for i := 0; i < done; i++ {
-		if hits[i].ok {
-			out = append(out, ned.NED{LHS: hits[i].terms, RHS: opts.RHS, Schema: r.Schema()})
+		if hits[i] != nil {
+			out = append(out, ned.NED{LHS: hits[i], RHS: opts.RHS, Schema: r.Schema()})
 		}
 	}
 	reg.Counter("nedisc.neds.valid").Add(int64(len(out)))
@@ -250,32 +206,4 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		run.SetAttr("stop", res.Reason)
 	}
 	return res
-}
-
-func candidateThresholds(dist []float64, k int) []float64 {
-	clean := make([]float64, 0, len(dist))
-	for _, d := range dist {
-		if d == d {
-			clean = append(clean, d)
-		}
-	}
-	if len(clean) == 0 {
-		return nil
-	}
-	sort.Float64s(clean)
-	seen := map[float64]bool{}
-	var out []float64
-	for i := 0; i < k; i++ {
-		div := k - 1
-		if div < 1 {
-			div = 1
-		}
-		v := clean[i*(len(clean)-1)/div]
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Float64s(out)
-	return out
 }

@@ -63,7 +63,7 @@ func (s *Server) runJob(ctx context.Context, spec jobs.Spec) (jobs.Result, error
 	}
 	defer s.adm.release(weight)
 
-	_, res, err := t.run(ctx, RunParams{
+	_, res := t.run(ctx, RunParams{
 		Workers: spec.Workers,
 		Budget: engine.Budget{
 			Timeout:  time.Duration(spec.TimeoutMs) * time.Millisecond,
@@ -71,7 +71,7 @@ func (s *Server) runJob(ctx context.Context, spec jobs.Spec) (jobs.Result, error
 		},
 		Obs: s.reg,
 	})
-	return res, err
+	return res, nil
 }
 
 // jobsOrFail returns the manager or writes the 503 explaining why the

@@ -621,12 +621,9 @@ func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, endpoint stri
 }
 
 // reply runs t for a sync reply. prepare has checked the algorithm, so
-// only the repair encoder can fail here.
+// the run cannot fail.
 func (t task) reply(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-	resp, res, err := t.run(ctx, p)
-	if err != nil {
-		return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "encode_failed", msg: err.Error()}
-	}
+	resp, res := t.run(ctx, p)
 	return resp, res.Partial, res.Reason, nil
 }
 
@@ -634,9 +631,8 @@ func (t task) reply(ctx context.Context, p RunParams) (response, bool, string, *
 // returns its output in both served forms: the sync reply and the job
 // result. It is the one kind switch behind the sync endpoints and the
 // job runner. prepare has looked the algorithm up and checked its
-// sampling support, so a discover run calls it directly; the only
-// error is the repair encoder's.
-func (t task) run(ctx context.Context, p RunParams) (response, jobs.Result, error) {
+// sampling support, so a discover run calls it directly.
+func (t task) run(ctx context.Context, p RunParams) (response, jobs.Result) {
 	p.MaxErr, p.SampleRows, p.SampleSeed = t.maxErr, t.sampleRows, t.sampleSeed
 	switch t.kind {
 	case "discover":
@@ -649,24 +645,21 @@ func (t task) run(ctx context.Context, p RunParams) (response, jobs.Result, erro
 				Algo: t.algo.Name, Count: len(out.Lines), Results: results,
 				Partial: out.Partial, Reason: out.Reason, out: out,
 			},
-			jobs.Result{Lines: out.Lines, Partial: out.Partial, Reason: out.Reason}, nil
+			jobs.Result{Lines: out.Lines, Partial: out.Partial, Reason: out.Reason}
 	case "validate":
 		out := RunValidate(ctx, t.rel, t.fds, p)
 		return validateResponse{
 				Report: out.Report, Checked: out.Completed, Rules: out.Rules,
 				Partial: out.Partial, Reason: out.Reason, out: out,
 			},
-			jobs.Result{Report: out.Text(), Partial: out.Partial, Reason: out.Reason}, nil
+			jobs.Result{Report: out.Text(), Partial: out.Partial, Reason: out.Reason}
 	default: // "repair"
-		out, err := RunRepair(ctx, t.rel, t.fds, p)
-		if err != nil {
-			return nil, jobs.Result{}, err
-		}
+		out, _ := RunRepair(ctx, t.rel, t.fds, p) // its error is always nil
 		changes := out.Changes
 		if changes == nil {
 			changes = []string{}
 		}
 		return repairResponse{CSV: out.CSV, Changes: changes, Partial: out.Partial, Reason: out.Reason},
-			jobs.Result{CSV: out.CSV, Changes: out.Changes, Partial: out.Partial, Reason: out.Reason}, nil
+			jobs.Result{CSV: out.CSV, Changes: out.Changes, Partial: out.Partial, Reason: out.Reason}
 	}
 }
