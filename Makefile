@@ -80,6 +80,7 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzProductEquivalence ./internal/partition/
 	$(FUZZ) -fuzz=FuzzRefinerMatchesBuild ./internal/partition/
 	$(FUZZ) -fuzz=FuzzDiscoverRequest ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeBodyMatchesJSON ./internal/server/
 	$(FUZZ) -fuzz=FuzzParseTableau ./internal/discovery/cfddisc/
 	$(FUZZ) -fuzz=FuzzSetODAgainstPairwise ./internal/discovery/oddisc/
 	$(FUZZ) -fuzz=FuzzAgreeSetsMatchOracle ./internal/discovery/fastfd/

@@ -17,19 +17,8 @@ import (
 // deadlineSlack is how far past its Timeout a discoverer may return.
 const deadlineSlack = 50 * time.Millisecond
 
-// deadlineAlgos are the discoverers held to their deadline. linePrefix
-// says whether a partial output is a line prefix of the complete one; cd
-// sorts the CDs of each incremental step, so its interrupted last step
-// contributes a subset, and its partial output is an ordered subsequence.
-var deadlineAlgos = []struct {
-	name       string
-	linePrefix bool
-}{
-	{"md", true},
-	{"dd", true},
-	{"ned", true},
-	{"cd", false},
-}
+// deadlineAlgos are the discoverers held to their deadline.
+var deadlineAlgos = []string{"md", "dd", "ned", "cd"}
 
 // keyLike is the adversarial shape of the similarity branch: a unique
 // ~35-character string per row, so no two values share a class, beside
@@ -52,8 +41,9 @@ func keyLike(rows int) *relation.Relation {
 // TestDeadlineConformance runs each discoverer of deadlineAlgos through
 // the registry, at workers 1 and 2, under 20 ms and 100 ms deadlines. Each
 // run must return within deadlineSlack of its deadline (not checked under
-// -race), leak no goroutine, and emit a partial output consistent with the
-// complete one. The 3,000-row hotels shape joins with DEPTREE_BENCH_LARGE.
+// -race), leak no goroutine, and emit a partial output that is a line
+// prefix of the complete one. The 3,000-row hotels shape joins with
+// DEPTREE_BENCH_LARGE.
 func TestDeadlineConformance(t *testing.T) {
 	type shape struct {
 		name string
@@ -68,13 +58,13 @@ func TestDeadlineConformance(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		for _, algo := range deadlineAlgos {
-			a, ok := Lookup(algo.name)
+			a, ok := Lookup(algo)
 			if !ok {
-				t.Fatalf("%s is not registered", algo.name)
+				t.Fatalf("%s is not registered", algo)
 			}
 			complete := a.Run(context.Background(), shape.r, RunOptions{Workers: 2})
 			if complete.Partial {
-				t.Fatalf("%s on %s: unbudgeted run is partial (%s)", algo.name, shape.name, complete.Reason)
+				t.Fatalf("%s on %s: unbudgeted run is partial (%s)", algo, shape.name, complete.Reason)
 			}
 			for _, workers := range []int{1, 2} {
 				for _, timeout := range []time.Duration{20 * time.Millisecond, 100 * time.Millisecond} {
@@ -82,14 +72,13 @@ func TestDeadlineConformance(t *testing.T) {
 					start := time.Now()
 					out := a.Run(context.Background(), shape.r, RunOptions{Workers: workers, Budget: engine.Budget{Timeout: timeout}})
 					elapsed := time.Since(start)
-					where := fmt.Sprintf("%s on %s, workers %d, deadline %v", algo.name, shape.name, workers, timeout)
+					where := fmt.Sprintf("%s on %s, workers %d, deadline %v", algo, shape.name, workers, timeout)
 					if !raceEnabled && elapsed > timeout+deadlineSlack {
 						t.Errorf("%s: returned after %v", where, elapsed)
 					}
-					if out.Partial && !consistent(out.Lines, complete.Lines, algo.linePrefix) {
-						t.Errorf("%s: partial output\n%s\nis not a %s of the complete output\n%s",
-							where, strings.Join(out.Lines, "\n"), map[bool]string{true: "prefix", false: "subsequence"}[algo.linePrefix],
-							strings.Join(complete.Lines, "\n"))
+					if out.Partial && !isPrefix(out.Lines, complete.Lines) {
+						t.Errorf("%s: partial output\n%s\nis not a line prefix of the complete output\n%s",
+							where, strings.Join(out.Lines, "\n"), strings.Join(complete.Lines, "\n"))
 					}
 					if !out.Partial && strings.Join(out.Lines, "\n") != strings.Join(complete.Lines, "\n") {
 						t.Errorf("%s: a complete run under the deadline differs from the unbudgeted run", where)
@@ -101,19 +90,9 @@ func TestDeadlineConformance(t *testing.T) {
 	}
 }
 
-// consistent reports whether part is a line prefix (or, with prefix
-// false, an ordered subsequence) of full.
-func consistent(part, full []string, prefix bool) bool {
-	if prefix {
-		return len(part) <= len(full) && strings.Join(part, "\n") == strings.Join(full[:len(part)], "\n")
-	}
-	i := 0
-	for _, line := range full {
-		if i < len(part) && part[i] == line {
-			i++
-		}
-	}
-	return i == len(part)
+// isPrefix reports whether part is a line prefix of full.
+func isPrefix(part, full []string) bool {
+	return len(part) <= len(full) && strings.Join(part, "\n") == strings.Join(full[:len(part)], "\n")
 }
 
 // requireGoroutinesSettle fails the test when the goroutine count does

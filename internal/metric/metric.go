@@ -71,15 +71,43 @@ func (Levenshtein) Name() string { return "levenshtein" }
 // EditDistance computes the Levenshtein distance between two strings over
 // runes, using the classic two-row dynamic program.
 func EditDistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
+	return levenshtein([]rune(a), []rune(b), new(dpRows))
+}
+
+// dpRows are the rows of the edit distances' dynamic programs, kept
+// between calls so that a table build allocates them once.
+type dpRows [3][]int
+
+// row returns row k with n cells, reusing its array when long enough.
+func (d *dpRows) row(k, n int) []int {
+	if cap(d[k]) < n {
+		d[k] = make([]int, n)
+	}
+	return d[k][:n]
+}
+
+// runeDistance returns the rune-level distance behind m when m is
+// Levenshtein or DamerauOSA, else nil: NewTable converts each class's
+// value to runes once and reuses one dpRows.
+func runeDistance(m Metric) func(ra, rb []rune, d *dpRows) int {
+	switch m.(type) {
+	case Levenshtein:
+		return levenshtein
+	case DamerauOSA:
+		return osa
+	}
+	return nil
+}
+
+// levenshtein is EditDistance over runes.
+func levenshtein(ra, rb []rune, d *dpRows) int {
 	if len(ra) == 0 {
 		return len(rb)
 	}
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	prev, cur := d.row(0, len(rb)+1), d.row(1, len(rb)+1)
 	for j := range prev {
 		prev[j] = j
 	}
@@ -115,37 +143,40 @@ func (DamerauOSA) Name() string { return "damerau-osa" }
 
 // OSADistance computes the optimal string alignment distance.
 func OSADistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
+	return osa([]rune(a), []rune(b), new(dpRows))
+}
+
+// osa is OSADistance over runes. A transposition reaches back two rows,
+// so the program keeps three.
+func osa(ra, rb []rune, d *dpRows) int {
 	if len(ra) == 0 {
 		return len(rb)
 	}
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	rows := make([][]int, len(ra)+1)
-	for i := range rows {
-		rows[i] = make([]int, len(rb)+1)
-		rows[i][0] = i
-	}
-	for j := 0; j <= len(rb); j++ {
-		rows[0][j] = j
+	pp, prev, cur := d.row(0, len(rb)+1), d.row(1, len(rb)+1), d.row(2, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
 	}
 	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
 		for j := 1; j <= len(rb); j++ {
 			cost := 1
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			d := min3(rows[i-1][j]+1, rows[i][j-1]+1, rows[i-1][j-1]+cost)
+			v := min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := rows[i-2][j-2] + 1; t < d {
-					d = t
+				if t := pp[j-2] + 1; t < v {
+					v = t
 				}
 			}
-			rows[i][j] = d
+			cur[j] = v
 		}
+		pp, prev, cur = prev, cur, pp
 	}
-	return rows[len(ra)][len(rb)]
+	return prev[len(rb)]
 }
 
 // QGramJaccard is 1 − Jaccard similarity of the q-gram multisets of the two

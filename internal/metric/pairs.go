@@ -79,13 +79,27 @@ func NewTable(pool *engine.Pool, r *relation.Relation, m Metric, cols ...int) *T
 	n := len(vals)
 	t.off = make([]int, n)
 	t.dist = make([]float64, n*(n+1)/2)
+	distance := func(a, b int) float64 { return m.Distance(vals[a], vals[b]) }
+	if rd := runeDistance(m); rd != nil {
+		runes := make([][]rune, n)
+		for a, v := range vals {
+			runes[a] = []rune(v.String())
+		}
+		var rows dpRows
+		distance = func(a, b int) float64 {
+			if vals[a].IsNull() || vals[b].IsNull() {
+				return math.NaN()
+			}
+			return float64(rd(runes[a], runes[b], &rows))
+		}
+	}
 	p := poller{pool: pool}
 	i := 0
 	for a := range vals {
 		t.off[a] = i
 		for b := a; b < n; b++ {
 			p.tick()
-			t.dist[i] = m.Distance(vals[a], vals[b])
+			t.dist[i] = distance(a, b)
 			i++
 		}
 	}

@@ -40,6 +40,12 @@ type JobRequest struct {
 	RunKnobs
 }
 
+func (q *JobRequest) fields() []field {
+	return q.RunKnobs.bind(field{"kind", &q.Kind}, field{"algo", &q.Algo}, field{"csv", &q.CSV},
+		field{"fds", &q.FDs}, field{"fd", &q.FD}, field{"maxerr", &q.MaxErr},
+		field{"sample_rows", &q.SampleRows}, field{"sample_seed", &q.SampleSeed})
+}
+
 // runJob executes one job attempt through the same prepare step,
 // admission gate and kind switch the synchronous endpoints use, so a
 // job's complete result is byte-identical to the equivalent direct

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -71,9 +70,18 @@ type RunKnobs struct {
 	MaxTasks int64 `json:"max_tasks,omitempty"`
 }
 
+// bind appends the knobs' fields, which every request envelope accepts
+// beside its own.
+func (k *RunKnobs) bind(own ...field) []field {
+	return append(own, field{"workers", &k.Workers}, field{"timeout_ms", &k.TimeoutMs}, field{"max_tasks", &k.MaxTasks})
+}
+
 // request is a decoded POST body of the request pipeline: every body
 // embeds RunKnobs, which supplies knobs.
-type request interface{ knobs() RunKnobs }
+type request interface {
+	envelope
+	knobs() RunKnobs
+}
 
 func (k RunKnobs) knobs() RunKnobs { return k }
 
@@ -94,12 +102,21 @@ type DiscoverRequest struct {
 	RunKnobs
 }
 
+func (q *DiscoverRequest) fields() []field {
+	return q.RunKnobs.bind(field{"csv", &q.CSV}, field{"maxerr", &q.MaxErr},
+		field{"sample_rows", &q.SampleRows}, field{"sample_seed", &q.SampleSeed})
+}
+
 // ValidateRequest is the body of POST /v1/validate.
 type ValidateRequest struct {
 	CSV string `json:"csv"`
 	// FDs is a ";"-separated list of "lhs1,lhs2->rhs" specs.
 	FDs string `json:"fds"`
 	RunKnobs
+}
+
+func (q *ValidateRequest) fields() []field {
+	return q.RunKnobs.bind(field{"csv", &q.CSV}, field{"fds", &q.FDs})
 }
 
 // RepairRequest is the body of POST /v1/repair.
@@ -110,27 +127,38 @@ type RepairRequest struct {
 	RunKnobs
 }
 
+func (q *RepairRequest) fields() []field {
+	return q.RunKnobs.bind(field{"csv", &q.CSV}, field{"fd", &q.FD})
+}
+
 // decodeBody decodes a JSON request body into dst under the server's
-// byte bound. Unknown fields are rejected so a misspelled knob fails
-// loudly instead of silently running with defaults.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *apiError {
+// byte bound, reading the body once (decodeJSON). Unknown fields are
+// rejected so a misspelled knob fails loudly instead of silently running
+// with defaults. A body over the bound is 413 whatever it holds, and a
+// declared Content-Length over it is 413 before any byte is read.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst envelope) *apiError {
 	// The JSON envelope around an at-most-MaxInputBytes CSV needs
 	// headroom for quoting and the other fields.
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxInputBytes+64<<10)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	limit := s.cfg.MaxInputBytes + 64<<10
+	tooLarge := func() *apiError {
+		return &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large",
+			msg: fmt.Sprintf("request body exceeds %d bytes", limit)}
+	}
+	if r.ContentLength > limit {
+		return tooLarge()
+	}
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large",
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+			return tooLarge()
 		}
 		return &apiError{status: http.StatusBadRequest, code: "bad_request",
-			msg: "malformed JSON body: " + err.Error()}
+			msg: "reading request body: " + err.Error()}
 	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
+	if err := decodeJSON(body, dst.fields()); err != nil {
 		return &apiError{status: http.StatusBadRequest, code: "bad_request",
-			msg: "trailing data after JSON body"}
+			msg: "malformed JSON body: " + err.Error()}
 	}
 	return nil
 }

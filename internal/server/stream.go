@@ -46,6 +46,10 @@ type StreamRequest struct {
 	RunKnobs
 }
 
+func (q *StreamRequest) fields() []field {
+	return q.RunKnobs.bind(field{"csv", &q.CSV}, field{"session", &q.Session})
+}
+
 // streamResponse is the JSON reply of POST /v1/stream/{algo}.
 type streamResponse struct {
 	Session     string   `json:"session"`
