@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test fmt-check race chaos recover torture fuzz bench bench-large bench-stream serve-smoke servebench-check verify
+.PHONY: build vet test fmt-check race chaos recover torture fuzz bench bench-large deadline bench-stream serve-smoke servebench-check verify
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,13 @@ bench:
 # partial while the sample-then-verify run completes.
 bench-large:
 	DEPTREE_BENCH_LARGE=1 $(GO) test -count=1 -run 'TestLarge' .
+
+# Deadline conformance on the large shape (opt-in; the complete
+# 3,000-row hotels runs the partial outputs are compared with take
+# seconds): md, dd, ned, cd and fastdc must return within 50 ms of a
+# 20 ms or 100 ms deadline with a line-prefix partial output.
+deadline:
+	DEPTREE_BENCH_LARGE=1 $(GO) test -count=1 -run TestDeadlineConformance ./internal/discovery/registry/
 
 # Streaming speedup pin (opt-in; seeds million-row sessions): incremental
 # revalidation of a 1% append must beat from-scratch discovery over the

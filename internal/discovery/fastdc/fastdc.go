@@ -14,7 +14,6 @@ package fastdc
 
 import (
 	"context"
-	"errors"
 	"sort"
 
 	"deptree/internal/deps/dc"
@@ -45,22 +44,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is a FASTDC run's outcome. Partial DC discovery is inherently
-// weaker than partial FD discovery: a DC validated against a row prefix
-// may be violated by an unscanned pair, so a Partial result is a
-// sample-style approximation — the DCs that hold on every pair whose
-// first tuple lies in the scanned prefix — not a sound subset of the full
-// answer. RowsCovered reports that prefix; it is deterministic for any
-// worker count under a MaxTasks budget (fixed stripe and batch widths).
+// Result is a FASTDC run's outcome. The DCs valid on r are fixed by the
+// evidence of every tuple pair, and a DC mined from some of the pairs may
+// be violated by another, so only a complete evidence scan is searched
+// for covers: a Partial result, whether the stop landed in the evidence
+// scan or in the cover search, carries no DCs — the empty prefix of the
+// full answer.
 type Result struct {
 	DCs []dc.DC
 	// Partial marks a run truncated by budget, cancellation or panic.
 	Partial bool
 	// Reason is the stable stop token ("deadline", "max-tasks", ...).
 	Reason string
-	// RowsCovered is the first-tuple row prefix the evidence scan
-	// completed (== Rows() on a full run).
-	RowsCovered int
 }
 
 // DiscoverContext runs FASTDC and returns minimal valid DCs, sorted by
@@ -81,34 +76,33 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	pool := opts.Pool(ctx)
 	defer pool.Close()
 
+	stopped := func(err error) Result {
+		reason := engine.Reason(err)
+		run.SetAttr("stop", reason)
+		return Result{Partial: true, Reason: reason}
+	}
 	evSpan := run.Child(obs.KindPhase, "evidence-scan")
 	evTimer := reg.Histogram("fastdc.evidence.seconds").Start()
-	evidence, counts, rowsCovered, evErr := evidencePrefix(r, space, pool)
+	evidence, counts, err := evidenceScan(r, space, pool)
 	evTimer()
 	evSpan.SetAttr("sets", len(evidence))
-	evSpan.SetAttr("rows_covered", rowsCovered)
 	evSpan.End()
+	if err != nil {
+		return stopped(err)
+	}
 	reg.Counter("fastdc.evidence.sets").Add(int64(len(evidence)))
-	reg.Counter("fastdc.rows.covered").Add(int64(rowsCovered))
-	if len(evidence) == 0 && evErr != nil {
-		run.SetAttr("stop", engine.Reason(evErr))
-		return Result{Partial: true, Reason: engine.Reason(evErr)}
-	}
 	// The cover search runs on the submitting goroutine, outside the
-	// pool's task accounting: MaxTasks only meters evidence stripes, so
-	// a max-tasks stop still searches the scanned prefix; deadline,
-	// cancellation and panics abort the search promptly.
-	stop := func() bool {
-		err := pool.Err()
-		return err != nil && !errors.Is(err, engine.ErrMaxTasks)
-	}
+	// pool's task accounting, and polls the pool for a deadline,
+	// cancellation or a panic elsewhere in the run.
 	coverSpan := run.Child(obs.KindPhase, "cover-search")
 	coverTimer := reg.Histogram("fastdc.covers.seconds").Start()
-	covers, aborted := minimalCovers(space, evidence, counts, opts, stop)
+	covers, err := minimalCovers(space, evidence, counts, opts, pool)
 	coverTimer()
 	coverSpan.SetAttr("covers", len(covers))
-	coverSpan.SetAttr("aborted", aborted)
 	coverSpan.End()
+	if err != nil {
+		return stopped(err)
+	}
 	out := make([]dc.DC, 0, len(covers))
 	for _, cover := range covers {
 		preds := make([]dc.Predicate, 0, len(cover))
@@ -118,23 +112,8 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		out = append(out, dc.DC{Predicates: preds, Schema: r.Schema()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	res := Result{DCs: out, RowsCovered: rowsCovered}
-	if evErr != nil || aborted {
-		res.Partial = true
-		err := evErr
-		if err == nil {
-			err = pool.Err()
-		}
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-		if aborted {
-			// An aborted cover search may have missed covers entirely;
-			// report the prefix scan but no unsound DC list.
-			res.DCs = nil
-		}
-	}
-	reg.Counter("fastdc.dcs.found").Add(int64(len(res.DCs)))
-	return res
+	reg.Counter("fastdc.dcs.found").Add(int64(len(out)))
+	return Result{DCs: out}
 }
 
 // PredicateSpace builds the two-tuple predicate space: for every column,
@@ -179,42 +158,37 @@ type evidenceKey string
 // pairs plus their multiplicities. The evidence set of a pair is the set
 // of space predicates it satisfies.
 func EvidenceSets(r *relation.Relation, space []dc.Predicate) ([][]bool, []int) {
-	sets, counts, _ := evidenceStripe(r, space, 0, r.Rows())
+	sets, counts, _ := evidenceStripe(nil, r, space, 0, r.Rows())
 	return sets, counts
 }
 
-// evidenceStripes is the fixed stripe count for the evidence scan and
-// evidenceBatch the budget batch width. Both are worker-independent: the
-// stripe boundaries, the order stripes are merged in, and the point where
-// a MaxTasks budget trips depend only on the row count, so evidence sets
-// — full or prefix — are identical for every worker count.
-const (
-	evidenceStripes = 64
-	evidenceBatch   = 8
-)
+// evidenceStripes is the fixed stripe count of the evidence scan: the
+// stripe boundaries and the order stripes are merged in depend only on
+// the row count, so the evidence sets are identical for every worker
+// count.
+const evidenceStripes = 64
 
-// evidencePrefix stripes the first-tuple index range across the pool;
-// each stripe deduplicates locally, and completed stripes are merged in
-// row order. On a budget/cancellation stop it returns the evidence of the
-// longest completed stripe prefix plus the first-tuple row bound that
-// prefix covers, with the stopping error.
-func evidencePrefix(r *relation.Relation, space []dc.Predicate, pool *engine.Pool) ([][]bool, []int, int, error) {
+// evidenceScan stripes the first-tuple index range across the pool; each
+// stripe deduplicates locally, and the stripes are merged in row order.
+// On a budget, cancellation or panic stop it returns no evidence and the
+// stopping error.
+func evidenceScan(r *relation.Relation, space []dc.Predicate, pool *engine.Pool) ([][]bool, []int, error) {
 	rows := r.Rows()
 	stripes := min(evidenceStripes, rows)
-	if stripes == 0 {
-		return nil, nil, 0, nil
-	}
 	type stripeOut struct {
 		sets   [][]bool
 		counts []int
 		keys   []evidenceKey
 	}
-	parts, done, err := engine.MapBudget(pool, stripes, evidenceBatch, func(s int) stripeOut {
+	parts, err := engine.MapErr(pool, stripes, func(s int) stripeOut {
 		lo := s * rows / stripes
 		hi := (s + 1) * rows / stripes
-		sets, counts, keys := evidenceStripe(r, space, lo, hi)
+		sets, counts, keys := evidenceStripe(pool, r, space, lo, hi)
 		return stripeOut{sets: sets, counts: counts, keys: keys}
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	seen := map[evidenceKey]int{}
 	var sets [][]bool
 	var counts []int
@@ -229,21 +203,25 @@ func evidencePrefix(r *relation.Relation, space []dc.Predicate, pool *engine.Poo
 			counts = append(counts, part.counts[i])
 		}
 	}
-	return sets, counts, done * rows / stripes, err
+	return sets, counts, nil
 }
 
 // evidenceStripe computes the deduplicated evidence sets of the ordered
 // pairs (i, j) with lo <= i < hi, j ranging over all rows. It also returns
-// the dedupe key per set so stripes can be merged.
-func evidenceStripe(r *relation.Relation, space []dc.Predicate, lo, hi int) ([][]bool, []int, []evidenceKey) {
+// the dedupe key per set so stripes can be merged. Every pair ticks a
+// Poller of pool (nil outside a run), so a stop ends the stripe's task
+// in the middle of the stripe.
+func evidenceStripe(pool *engine.Pool, r *relation.Relation, space []dc.Predicate, lo, hi int) ([][]bool, []int, []evidenceKey) {
 	seen := map[evidenceKey]int{}
 	var sets [][]bool
 	var counts []int
 	var keys []evidenceKey
 	buf := make([]bool, len(space))
 	keyBuf := make([]byte, (len(space)+7)/8)
+	poll := engine.NewPoller(pool)
 	for i := lo; i < hi; i++ {
 		for j := 0; j < r.Rows(); j++ {
+			poll.Tick()
 			if i == j {
 				continue
 			}
@@ -275,10 +253,10 @@ func evidenceStripe(r *relation.Relation, space []dc.Predicate, lo, hi int) ([][
 // evidence set E (up to the A-FASTDC violation budget), some p ∈ P is NOT
 // in E — then ¬(∧P) holds on the instance. Depth-first search with
 // minimality pruning against found covers. The search space is
-// exponential in the predicate count — the classic worker-pinning case —
-// so stop (when non-nil) is polled periodically; a true return abandons
-// the search and reports aborted.
-func minimalCovers(space []dc.Predicate, evidence [][]bool, counts []int, opts Options, stop func() bool) (_ [][]int, aborted bool) {
+// exponential in the predicate count, so every expansion counts on a
+// Poller of pool; a poll that finds the run stopped abandons the search
+// and returns the pool's error.
+func minimalCovers(space []dc.Predicate, evidence [][]bool, counts []int, opts Options, pool *engine.Pool) ([][]int, error) {
 	totalPairs := 0
 	for _, c := range counts {
 		totalPairs += c
@@ -293,15 +271,14 @@ func minimalCovers(space []dc.Predicate, evidence [][]bool, counts []int, opts O
 		}
 		return false
 	}
-	const stopCheckEvery = 1024
-	steps := 0
+	poll := engine.NewPoller(pool)
+	var err error
 	var dfs func(sel []int, startAt int)
 	dfs = func(sel []int, startAt int) {
-		if aborted {
+		if err != nil {
 			return
 		}
-		if steps++; stop != nil && steps%stopCheckEvery == 0 && stop() {
-			aborted = true
+		if err = poll.Err(1); err != nil {
 			return
 		}
 		// Count uncovered pairs: evidence sets containing ALL selected
@@ -341,8 +318,8 @@ func minimalCovers(space []dc.Predicate, evidence [][]bool, counts []int, opts O
 		}
 	}
 	dfs(nil, 0)
-	if aborted {
-		return nil, true
+	if err != nil {
+		return nil, err
 	}
 	// Final minimality pass: drop covers containing smaller covers.
 	var minimal [][]int
@@ -358,7 +335,7 @@ func minimalCovers(space []dc.Predicate, evidence [][]bool, counts []int, opts O
 			minimal = append(minimal, c)
 		}
 	}
-	return minimal, false
+	return minimal, nil
 }
 
 // containsAll reports whether sorted slice a contains all elements of b.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"deptree/internal/deps/dc"
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/relation"
 )
@@ -176,5 +177,32 @@ func TestTinyRelation(t *testing.T) {
 	r := relation.New("e", relation.Strings("a"))
 	if got := DiscoverContext(context.Background(), r, Options{}).DCs; got != nil {
 		t.Errorf("empty: %v", got)
+	}
+}
+
+// TestPartialIsSoundPrefix truncates the evidence scan with MaxTasks
+// budgets below the stripe count. The valid DCs are fixed by the evidence
+// of every tuple pair, so a partial run must emit a prefix of the
+// complete run's DCs, each of which holds on the whole relation.
+func TestPartialIsSoundPrefix(t *testing.T) {
+	r := gen.Hotels(gen.HotelConfig{Rows: 200, Seed: 7, VarietyRate: 0.05, ErrorRate: 0.02, DuplicateRate: 0.1})
+	complete := DiscoverContext(context.Background(), r, Options{MaxPredicates: 2, Exec: engine.Exec{Workers: 2}})
+	if complete.Partial {
+		t.Fatalf("unbudgeted run is partial (%s)", complete.Reason)
+	}
+	for _, maxTasks := range []int64{8, 16, 32} {
+		res := DiscoverContext(context.Background(), r, Options{MaxPredicates: 2,
+			Exec: engine.Exec{Workers: 2, Budget: engine.Budget{MaxTasks: maxTasks}}})
+		if !res.Partial || res.Reason != "max-tasks" {
+			t.Fatalf("max-tasks %d: partial=%v reason=%q, want a max-tasks stop", maxTasks, res.Partial, res.Reason)
+		}
+		for i, d := range res.DCs {
+			if i >= len(complete.DCs) || d.String() != complete.DCs[i].String() {
+				t.Errorf("max-tasks %d: DC %d %s is not at that place in the complete output", maxTasks, i, d)
+			}
+			if !d.Holds(r) {
+				t.Errorf("max-tasks %d: emitted DC %s does not hold on the relation", maxTasks, d)
+			}
+		}
 	}
 }

@@ -45,11 +45,6 @@ type Result struct {
 // heavy and relations rarely exceed a few dozen columns.
 const rhsBatch = 4
 
-// stopCheckEvery is how many steps of a quadratic or exponential loop (the
-// agree-set pair sweep, the cover DFS) run between polls of the run's
-// stop condition.
-const stopCheckEvery = 1024
-
 // DiscoverContext returns the minimal exact FDs with singleton RHS.
 // Results agree with TANE on every instance (a property the test suite
 // checks). It runs under a context and Options.Budget, reporting
@@ -87,18 +82,10 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	}
 	sort.Slice(agreeList, func(i, j int) bool { return agreeList[i] < agreeList[j] })
 
-	// stop aborts a pinned cover search once the run is cancelled; the
-	// aborted task does not count as completed, so its batch is excluded
-	// from the partial prefix.
-	stop := func() {
-		if err := pool.Err(); err != nil {
-			engine.Abort(err)
-		}
-	}
 	coverSpan := run.Child(obs.KindPhase, "rhs-covers")
 	coverTimer := reg.Histogram("fastfd.covers.seconds").Start()
 	perRHS, done, runErr := engine.MapBudget(pool, n, rhsBatch, func(a int) []fd.FD {
-		return rhsFDs(r, agreeList, a, stop)
+		return rhsFDs(r, agreeList, a, pool)
 	})
 	coverTimer()
 	coverSpan.SetAttr("completed", done)
@@ -123,9 +110,9 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 }
 
 // rhsFDs returns the minimal FDs X → a given the run's sorted agree sets:
-// the minimal covers of a's difference sets. stop is polled by the cover
-// search (see minimalHittingSets).
-func rhsFDs(r *relation.Relation, agreeList []attrset.Set, a int, stop func()) []fd.FD {
+// the minimal covers of a's difference sets. The cover search polls pool
+// (see minimalHittingSets), which may be nil.
+func rhsFDs(r *relation.Relation, agreeList []attrset.Set, a int, pool *engine.Pool) []fd.FD {
 	n := r.Cols()
 	full := attrset.Full(n)
 	// Difference sets for RHS a: D_A = {R \ ag \ {a} : pair disagrees
@@ -159,7 +146,7 @@ func rhsFDs(r *relation.Relation, agreeList []attrset.Set, a int, stop func()) [
 		return out
 	}
 	// Minimal covers: minimal X hitting every difference set.
-	covers := minimalHittingSets(diffs, full.Remove(a), stop)
+	covers := minimalHittingSets(diffs, full.Remove(a), pool)
 	for _, x := range covers {
 		out = append(out, fd.FD{LHS: x, RHS: attrset.Single(a), Schema: r.Schema()})
 	}
@@ -177,9 +164,10 @@ const agreeFilterBits = 8
 // once: in the sweep of column c it is skipped when some column before c
 // has equal codes for it, since it shares a class of that earlier column
 // and was visited there (the visiting column is min(ag)). The pair sweep
-// is quadratic, so it polls the pool between classes and every
-// stopCheckEvery pairs inside one, and stops early once the run's
-// deadline fires or it is cancelled.
+// is quadratic and runs on the submitting goroutine, so before each
+// row's sweep it counts the row and its pairs on an engine.Poller and
+// returns the pool's error once the run's deadline fires or it is
+// cancelled.
 //
 // Each column is dictionary-encoded once, straight into one row-major
 // int32 array, so a pair compares two contiguous rows. Few distinct
@@ -201,7 +189,7 @@ func agreeSets(r *relation.Relation, pool *engine.Pool) (map[attrset.Set]bool, e
 	column := make([]int, rows)
 	var filter [1 << agreeFilterBits]attrset.Set
 	out := make(map[attrset.Set]bool)
-	steps := 0
+	poll := engine.NewPoller(pool)
 	for c := 0; c < n; c++ {
 		for i := range column {
 			column[i] = int(codes[i*n+c])
@@ -209,41 +197,43 @@ func agreeSets(r *relation.Relation, pool *engine.Pool) (map[attrset.Set]bool, e
 		p := partition.FromCodes(column, cards[c])
 		for ci := 0; ci < p.NumClasses(); ci++ {
 			class := p.Class(ci)
-			if err := pool.Err(); err != nil {
-				return nil, err
-			}
-			for i := 0; i < len(class); i++ {
-				ri := codes[int(class[i])*n:][:n]
-			pairs:
-				for _, j := range class[i+1:] {
-					if steps++; steps%stopCheckEvery == 0 {
-						if err := pool.Err(); err != nil {
-							return nil, err
-						}
-					}
-					rj := codes[int(j)*n:][:n]
-					for col := 0; col < c; col++ {
-						if ri[col] == rj[col] {
-							continue pairs
-						}
-					}
-					ag := attrset.Single(c)
-					for col := c + 1; col < n; col++ {
-						if ri[col] == rj[col] {
-							ag = ag.Add(col)
-						}
-					}
-					// ag holds c, so it never equals an empty slot.
-					slot := &filter[uint64(ag)*0x9e3779b97f4a7c15>>(64-agreeFilterBits)]
-					if *slot != ag {
-						*slot = ag
-						out[ag] = true
-					}
+			for i := range class {
+				if err := poll.Err(len(class) - i); err != nil {
+					return nil, err
 				}
+				sweepRow(codes, n, c, class[i], class[i+1:], &filter, out)
 			}
 		}
 	}
 	return out, nil
+}
+
+// sweepRow is agreeSets' inner loop over the pairs of row i with rest,
+// the rows after it in its class of column c; on its own, its few live
+// values stay in registers.
+func sweepRow(codes []int32, n, c int, i int32, rest []int32, filter *[1 << agreeFilterBits]attrset.Set, out map[attrset.Set]bool) {
+	ri := codes[int(i)*n:][:n]
+pairs:
+	for _, j := range rest {
+		rj := codes[int(j)*n:][:n]
+		for col := 0; col < c; col++ {
+			if ri[col] == rj[col] {
+				continue pairs
+			}
+		}
+		ag := attrset.Single(c)
+		for col := c + 1; col < n; col++ {
+			if ri[col] == rj[col] {
+				ag = ag.Add(col)
+			}
+		}
+		// ag holds c, so it never equals an empty slot.
+		slot := &filter[uint64(ag)*0x9e3779b97f4a7c15>>(64-agreeFilterBits)]
+		if *slot != ag {
+			*slot = ag
+			out[ag] = true
+		}
+	}
 }
 
 // minimalHittingSets enumerates the minimal subsets of universe that
@@ -251,9 +241,9 @@ func agreeSets(r *relation.Relation, pool *engine.Pool) (map[attrset.Set]bool, e
 // A set failing to hit some difference set (because that set is empty)
 // yields no cover at all: an empty difference set means the FD cannot hold
 // with any LHS. The DFS is worst-case exponential — this is where an
-// adversarial input pins a worker — so stop (which may not return) is
-// polled every stopCheckEvery expansions.
-func minimalHittingSets(diffs []attrset.Set, universe attrset.Set, stop func()) []attrset.Set {
+// adversarial input pins a worker — so every expansion ticks a Poller of
+// pool, which unwinds the task (engine.Abort) once the run has stopped.
+func minimalHittingSets(diffs []attrset.Set, universe attrset.Set, pool *engine.Pool) []attrset.Set {
 	for _, d := range diffs {
 		if d.IsEmpty() {
 			return nil
@@ -263,12 +253,10 @@ func minimalHittingSets(diffs []attrset.Set, universe attrset.Set, stop func()) 
 	sorted := append([]attrset.Set(nil), diffs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Len() < sorted[j].Len() })
 	var covers []attrset.Set
-	steps := 0
+	poll := engine.NewPoller(pool)
 	var dfs func(current attrset.Set, idx int)
 	dfs = func(current attrset.Set, idx int) {
-		if steps++; stop != nil && steps%stopCheckEvery == 0 {
-			stop()
-		}
+		poll.Tick()
 		// Find the first uncovered difference set.
 		for idx < len(sorted) && sorted[idx].Intersects(current) {
 			idx++

@@ -38,15 +38,12 @@ type LexResult struct {
 const lexBatch = 8
 
 // LexHolds decides o on r from inside a task of pool. The check compares
-// every pair of rows, so it polls the pool as it goes and aborts the task
-// (engine.Abort) once the run has stopped: a deadline ends the run in the
-// middle of a check rather than after it.
+// every pair of rows, so each pair ticks a Poller of pool, which aborts
+// the task (engine.Abort) once the run has stopped: a deadline ends the
+// run in the middle of a check rather than after it.
 func LexHolds(pool *engine.Pool, r *relation.Relation, o od.LexOD) bool {
-	return o.HoldsPolling(r, func() {
-		if err := pool.Err(); err != nil {
-			engine.Abort(err)
-		}
-	})
+	poll := engine.NewPoller(pool)
+	return o.HoldsPolling(r, poll.Tick)
 }
 
 // DiscoverLexContext finds valid lexicographic ODs X̄ ~> Ȳ with list

@@ -18,7 +18,7 @@ import (
 const deadlineSlack = 50 * time.Millisecond
 
 // deadlineAlgos are the discoverers held to their deadline.
-var deadlineAlgos = []string{"md", "dd", "ned", "cd"}
+var deadlineAlgos = []string{"md", "dd", "ned", "cd", "fastdc"}
 
 // keyLike is the adversarial shape of the similarity branch: a unique
 // ~35-character string per row, so no two values share a class, beside

@@ -251,10 +251,9 @@ func TestPartialPrefixConsistency(t *testing.T) {
 					t.Errorf("max-tasks=%d sample-rows=%d %s: workers=1 and workers=4 disagree\n--- w1 (partial=%v %s) ---\n%s\n--- w4 (partial=%v %s) ---\n%s",
 						budget, mode.sampleRows, seq[i].name, seq[i].partial, seq[i].reason, seq[i].out, par[i].partial, par[i].reason, par[i].out)
 				}
-				// fastdc partial is a sample-style approximation, not a
-				// subset of the full answer (see fastdc.Result); every other
-				// discoverer must emit a line-subset of the full run.
-				if seq[i].partial && seq[i].name != "fastdc" {
+				// Every discoverer's partial output is a line-subset of
+				// the full run.
+				if seq[i].partial {
 					assertLineSubset(t, seq[i].name, budget, seq[i].out, full[seq[i].name])
 				}
 			}

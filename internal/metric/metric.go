@@ -99,8 +99,16 @@ func runeDistance(m Metric) func(ra, rb []rune, d *dpRows) int {
 	return nil
 }
 
-// levenshtein is EditDistance over runes.
+// levenshtein is EditDistance over runes. A common prefix or suffix costs
+// no edit in some optimal alignment, so it is stripped before the
+// program.
 func levenshtein(ra, rb []rune, d *dpRows) int {
+	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {
+		ra, rb = ra[1:], rb[1:]
+	}
+	for len(ra) > 0 && len(rb) > 0 && ra[len(ra)-1] == rb[len(rb)-1] {
+		ra, rb = ra[:len(ra)-1], rb[:len(rb)-1]
+	}
 	if len(ra) == 0 {
 		return len(rb)
 	}

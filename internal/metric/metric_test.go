@@ -2,6 +2,7 @@ package metric
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,64 @@ func TestEditDistanceMetricAxioms(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// untrimmedLevenshtein is the full two-row program over runes, with no
+// prefix or suffix stripping: the oracle of the trimmed levenshtein.
+func untrimmedLevenshtein(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	prev := make([]int, len(rb)+1)
+	cur := make([]int, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
+}
+
+// Random strings over a small alphabet with multibyte runes share
+// prefixes, suffixes and inner runes often, so stripping is exercised
+// on every shape, including one string inside the other.
+func TestLevenshteinTrimMatchesUntrimmed(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []rune("abé日🙂 ")
+	word := func() string {
+		rs := make([]rune, rng.Intn(12))
+		for i := range rs {
+			rs[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(rs)
+	}
+	var rows dpRows
+	for i := 0; i < 20000; i++ {
+		a, b := word(), word()
+		switch i % 4 {
+		case 1:
+			b = a + b
+		case 2:
+			b = b + a
+		case 3:
+			ra := []rune(a)
+			b = string(ra[:len(ra)/2]) + b + string(ra[len(ra)/2:])
+		}
+		want := untrimmedLevenshtein(a, b)
+		if got := levenshtein([]rune(a), []rune(b), &rows); got != want {
+			t.Fatalf("levenshtein(%q, %q) = %d, untrimmed %d", a, b, got, want)
+		}
+		if got := EditDistance(b, a); got != want {
+			t.Fatalf("EditDistance(%q, %q) = %d, untrimmed %d", b, a, got, want)
+		}
 	}
 }
 

@@ -14,32 +14,9 @@ import (
 // computes one distance per pair of value classes (Table), visits each
 // pair of distinct tuples once with the number of row pairs it stands for
 // (Pairs), and searches thresholds over one such walk (Loosest). All of
-// them poll the pool every pollStride steps and stop through
+// them count their steps on an engine.Poller and stop through
 // engine.Abort, so they must run inside a task of that pool; a nil pool
 // runs them unpolled.
-
-// pollStride is the number of distances or tuple pairs between two polls
-// of the pool.
-const pollStride = 1024
-
-// poller counts kernel steps and unwinds the calling task once the pool
-// has stopped.
-type poller struct {
-	pool *engine.Pool
-	left int
-}
-
-func (p *poller) tick() {
-	if p.left--; p.left > 0 {
-		return
-	}
-	p.left = pollStride
-	if p.pool != nil {
-		if err := p.pool.Err(); err != nil {
-			engine.Abort(err)
-		}
-	}
-}
 
 // Table is a metric's distance between every two value classes of one or
 // two columns. Cells are classed by relation.Dict, one dictionary over
@@ -93,12 +70,12 @@ func NewTable(pool *engine.Pool, r *relation.Relation, m Metric, cols ...int) *T
 			return float64(rd(runes[a], runes[b], &rows))
 		}
 	}
-	p := poller{pool: pool}
+	p := engine.NewPoller(pool)
 	i := 0
 	for a := range vals {
 		t.off[a] = i
 		for b := a; b < n; b++ {
-			p.tick()
+			p.Tick()
 			t.dist[i] = distance(a, b)
 			i++
 		}
@@ -165,7 +142,7 @@ func (t *Table) Thresholds(pool *engine.Pool, k int) []float64 {
 	settled := make([]bool, k)
 	hist := make([][256]bucket, k)
 	owner := make([]int, k)
-	p := poller{pool: pool}
+	p := engine.NewPoller(pool)
 	for shift := 56; shift >= 0; shift -= 8 {
 		var owners []int
 		for i := range key {
@@ -191,7 +168,7 @@ func (t *Table) Thresholds(pool *engine.Pool, k int) []float64 {
 		var total int64
 		for a := 0; a < n; a++ {
 			for b := a; b < n; b++ {
-				p.tick()
+				p.Tick()
 				w := cnt[a] * cnt[b]
 				if a == b {
 					w = cnt[a] * (cnt[a] - 1) / 2
@@ -261,14 +238,14 @@ func Pairs(pool *engine.Pool, r *relation.Relation, cols []int, fn func(a, b int
 		}
 		cnt[g]++
 	}
-	p := poller{pool: pool}
+	p := engine.NewPoller(pool)
 	for g := range rep {
-		p.tick()
+		p.Tick()
 		if c := cnt[g]; c > 1 {
 			fn(rep[g], rep[g], c*(c-1)/2)
 		}
 		for h := g + 1; h < card; h++ {
-			p.tick()
+			p.Tick()
 			fn(rep[g], rep[h], cnt[g]*cnt[h])
 		}
 	}
