@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"deptree/internal/jobs"
 	"deptree/internal/stream"
@@ -122,35 +125,49 @@ func TestFsckMidLogFlipQuarantine(t *testing.T) {
 	}
 }
 
+// TestFsckCompactFoldsJobsLog: -compact folds a jobs log to its
+// snapshot. The log predates terminal jobs dropping their CSV, so its
+// done and cancelled jobs' submits carry one: the folded log drops
+// those, keeps the queued job's, and replays to the same views.
 func TestFsckCompactFoldsJobsLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.wal")
 	writeJobsWAL(t, path,
-		`{"type":"submit","id":"j1","spec":{"kind":"discover"}}`,
+		`{"type":"submit","id":"j1","spec":{"kind":"discover","csv":"a,b\n1,2\n"}}`,
 		`{"type":"start","id":"j1","attempt":1}`,
 		`{"type":"retry","id":"j1","attempt":1,"reason":"transient"}`,
 		`{"type":"start","id":"j1","attempt":2}`,
-		`{"type":"result","id":"j1","state":"done"}`,
-		`{"type":"submit","id":"j2","spec":{"kind":"validate"}}`,
+		`{"type":"result","id":"j1","state":"done","result":{"lines":["a->b"]}}`,
+		`{"type":"submit","id":"j2","spec":{"kind":"validate","csv":"c,d\n3,4\n"}}`,
+		`{"type":"submit","id":"j3","spec":{"kind":"repair","csv":"e,f\n5,6\n"}}`,
+		`{"type":"cancel","id":"j3"}`,
 	)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "legacy.wal")
+	if err := os.WriteFile(legacy, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	out, err := capture(t, func() error { return cmdFsck([]string{"-compact", "-q", path}) })
 	if err != nil {
 		t.Fatalf("fsck -compact: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "compacted 6 -> ") {
+	if !strings.Contains(out, "compacted 8 -> ") {
 		t.Fatalf("compact output:\n%s", out)
 	}
 
-	// The folded log must replay to the same terminal state.
 	store, err := jobs.OpenWAL(path, jobs.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	got, err := store.Replay()
+	store.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) >= 6 {
+	if len(got) >= 8 {
 		t.Fatalf("compaction did not shrink the log: %d records", len(got))
 	}
 	byID := map[string][]jobs.Record{}
@@ -163,6 +180,49 @@ func TestFsckCompactFoldsJobsLog(t *testing.T) {
 	}
 	if len(byID["j2"]) != 1 || byID["j2"][0].Type != jobs.RecSubmit {
 		t.Fatalf("j2 folded records: %+v", byID["j2"])
+	}
+	for id, wantCSV := range map[string]string{"j1": "", "j2": "c,d\n3,4\n", "j3": ""} {
+		if csv := byID[id][0].Spec.CSV; csv != wantCSV {
+			t.Errorf("%s folded submit carries CSV %q, want %q", id, csv, wantCSV)
+		}
+	}
+
+	// Both logs replay to the same views and results; the queued j2
+	// runs over the CSV its folded submit kept.
+	replayViews := func(path string) []jobs.View {
+		t.Helper()
+		store, err := jobs.OpenWAL(path, jobs.WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := jobs.New(jobs.Config{Store: store, Run: func(ctx context.Context, s jobs.Spec) (jobs.Result, error) {
+			return jobs.Result{Report: s.CSV}, nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		var views []jobs.View
+		for _, id := range []string{"j1", "j2", "j3"} {
+			v, ok := m.Wait(context.Background(), id, 10*time.Second)
+			if !ok {
+				t.Fatalf("%s: job %s unknown after replay", path, id)
+			}
+			// A snapshot writes no start record for a terminal job, so
+			// compaction of any kind resets its Attempts to 0.
+			if v.State.Terminal() {
+				v.Attempts = 0
+			}
+			views = append(views, v)
+		}
+		return views
+	}
+	want := replayViews(legacy)
+	if want[1].State != jobs.StateDone || want[1].Result.Report != "c,d\n3,4\n" {
+		t.Fatalf("legacy replay ran j2 to %+v", want[1])
+	}
+	if folded := replayViews(path); !reflect.DeepEqual(folded, want) {
+		t.Fatalf("folded log replays to\n%+v\nwant\n%+v", folded, want)
 	}
 }
 

@@ -243,6 +243,38 @@ func waitRecoverTerminal(t *testing.T, base, id string, deadline time.Duration) 
 	}
 }
 
+// discoverText is the rendered result of an in-process discovery run
+// of algo over csv: what a recovered job must serve byte for byte.
+func discoverText(t *testing.T, csv, algo string) string {
+	t.Helper()
+	rel, err := relation.ReadCSVAuto("expect", []byte(csv), relation.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := server.RunDiscover(context.Background(), rel, algo, server.RunParams{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs.Result{Lines: out.Lines}.Text()
+}
+
+// waitRecoverRunning polls until the job is running, failing after the
+// deadline.
+func waitRecoverRunning(t *testing.T, base, id string, wait time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(wait)
+	for {
+		_, v := getRecoverJob(t, base, id, "")
+		if v.State == "running" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started running (state %q)", id, v.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestRecoverKillAndRestartCompletesJobs is the flagship crash-safety
 // scenario: a real server process is SIGKILLed while one job runs and
 // two more sit queued; a fresh process over the same WAL must replay
@@ -264,17 +296,7 @@ func TestRecoverKillAndRestartCompletesJobs(t *testing.T) {
 		}
 		ids[i] = v.ID
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, v := getRecoverJob(t, base1, ids[0], "")
-		if v.State == "running" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never started running (state %q)", ids[0], v.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRecoverRunning(t, base1, ids[0], 10*time.Second)
 	if err := child1.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,16 +313,7 @@ func TestRecoverKillAndRestartCompletesJobs(t *testing.T) {
 			t.Fatalf("job %s (%s) finished %q (%s), want done", id, algos[i], v.State, v.Reason)
 		}
 		got := jobResultText(t, base2, id)
-		rel, err := relation.ReadCSVAuto("expect", []byte(csv), relation.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := server.RunDiscover(context.Background(), rel, algos[i], server.RunParams{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := jobs.Result{Lines: out.Lines}.Text()
-		if got != want {
+		if want := discoverText(t, csv, algos[i]); got != want {
 			t.Errorf("job %s (%s) replayed result diverges:\ngot:\n%q\nwant:\n%q", id, algos[i], got, want)
 		}
 	}
@@ -312,6 +325,111 @@ func TestRecoverKillAndRestartCompletesJobs(t *testing.T) {
 	}
 	if hits := metricsGauge(t, base2, "deptree_jobs_cache_hits_total"); hits < 1 {
 		t.Errorf("deptree_jobs_cache_hits_total = %d, want >= 1", hits)
+	}
+}
+
+// TestRecoverKillAfterCompaction: a child crosses the default
+// 256-append compaction threshold with cache-hit resubmits of one tiny
+// finished job, so the finalize of the next job to finish compacts the
+// log while two more sit queued. The compacted log keeps the CSVs of
+// the unfinished jobs and of no finished one. SIGKILLed while the next
+// job runs, the child is replaced by a fresh process that runs the
+// unfinished jobs to results byte-identical to an in-process run and
+// serves the finished ones from the compacted log.
+func TestRecoverKillAfterCompaction(t *testing.T) {
+	dir := t.TempDir()
+	tiny, csv := jobCSV(t, 6), jobCSV(t, 40)
+	algos := []string{"tane", "fastfd", "cords"}
+
+	child1, base1 := startRecoverChild(t, dir, 15)
+	status, first := submitRecoverJob(t, base1, jobBody(t, "tane", tiny))
+	if status != 202 {
+		t.Fatalf("submit tiny job: status %d", status)
+	}
+	if v := waitRecoverTerminal(t, base1, first.ID, 60*time.Second); v.State != "done" {
+		t.Fatalf("tiny job finished %q (%s), want done", v.State, v.Reason)
+	}
+	// Each cache hit appends a submit and a result record: 130 of them
+	// cross the 256-append threshold with no job run.
+	finished := []string{first.ID}
+	for i := 0; i < 130; i++ {
+		status, v := submitRecoverJob(t, base1, jobBody(t, "tane", tiny))
+		if status != 200 || !v.CacheHit {
+			t.Fatalf("resubmit %d: status %d cache_hit %v, want 200 true", i, status, v.CacheHit)
+		}
+		finished = append(finished, v.ID)
+	}
+	if n := metricsGauge(t, base1, "deptree_jobs_compactions_total"); n != 0 {
+		t.Fatalf("compactions before any job finished = %d, want 0", n)
+	}
+	ids := make([]string, len(algos))
+	for i, algo := range algos {
+		status, v := submitRecoverJob(t, base1, jobBody(t, algo, csv))
+		if status != 202 {
+			t.Fatalf("submit %s: status %d", algo, status)
+		}
+		ids[i] = v.ID
+	}
+	// The one runner finalizes ids[0], compacting with ids[1] and ids[2]
+	// queued, before it takes ids[1].
+	waitRecoverRunning(t, base1, ids[1], 60*time.Second)
+	if n := metricsGauge(t, base1, "deptree_jobs_compactions_total"); n != 1 {
+		t.Fatalf("compactions once %s ran = %d, want 1", ids[1], n)
+	}
+	if err := child1.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	child1.Wait() // SIGKILL: non-zero exit is the point
+
+	store, err := jobs.OpenWAL(filepath.Join(dir, "jobs.wal"), jobs.WALOptions{SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := store.Replay()
+	store.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCSV := map[string]string{ids[0]: "", ids[1]: csv, ids[2]: csv}
+	for _, id := range finished {
+		wantCSV[id] = ""
+	}
+	submits := 0
+	for _, rec := range recs {
+		if rec.Type != jobs.RecSubmit {
+			continue
+		}
+		submits++
+		if want, ok := wantCSV[rec.ID]; !ok || rec.Spec.CSV != want {
+			t.Fatalf("compacted submit of %s carries a %d-byte CSV, want %d bytes", rec.ID, len(rec.Spec.CSV), len(want))
+		}
+	}
+	if submits != len(wantCSV) {
+		t.Fatalf("compacted log holds %d submit records, want %d", submits, len(wantCSV))
+	}
+
+	_, base2 := startRecoverChild(t, dir, 0)
+	if replayed := metricsGauge(t, base2, "deptree_jobs_replayed_total"); replayed < 1 {
+		t.Errorf("jobs replayed after restart = %d, want >= 1", replayed)
+	}
+	for i, id := range ids {
+		v := waitRecoverTerminal(t, base2, id, 60*time.Second)
+		if v.State != "done" {
+			t.Fatalf("job %s (%s) finished %q (%s), want done", id, algos[i], v.State, v.Reason)
+		}
+		if got, want := jobResultText(t, base2, id), discoverText(t, csv, algos[i]); got != want {
+			t.Errorf("job %s (%s) result diverges after restart:\ngot:\n%q\nwant:\n%q", id, algos[i], got, want)
+		}
+	}
+	wantTiny := discoverText(t, tiny, "tane")
+	for i, id := range finished {
+		status, v := getRecoverJob(t, base2, id, "")
+		if status != 200 || v.State != "done" || v.CacheHit != (i > 0) {
+			t.Fatalf("finished job %s after restart: status %d state %q cache_hit %v", id, status, v.State, v.CacheHit)
+		}
+		if got := jobResultText(t, base2, id); got != wantTiny {
+			t.Fatalf("finished job %s result diverges after restart:\ngot:\n%q\nwant:\n%q", id, got, wantTiny)
+		}
 	}
 }
 

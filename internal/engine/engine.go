@@ -370,7 +370,7 @@ func MapErr[T any](p *Pool, n int, fn func(i int) T) ([]T, error) {
 // busy, small enough that budget-truncated runs keep a useful prefix.
 const DefaultBatch = 32
 
-// MapBudget runs fn positionally like Map but in fixed-size batches, each
+// MapBudget runs fn positionally like MapErr but in fixed-size batches, each
 // reserved against the pool's task budget before it starts. It returns
 // the results for the longest prefix of fully-completed batches, the
 // number of indices that prefix covers, and the error that stopped the

@@ -8,9 +8,10 @@ const cancelReason = "cancelled by client"
 // fold applies a record sequence to job states: the one reduction behind
 // Manager replay, the online compactor and FoldRecords. The first submit
 // of an ID wins; a record for an unknown ID is dropped; attempt and retry
-// counters always apply, but a terminal job never changes state again.
-// It returns the jobs in submission order, without their runtime fields
-// (done channel, timestamps).
+// counters always apply, but a terminal job never changes state again,
+// and it keeps no CSV, as in the live manager. It returns the jobs in
+// submission order, without their runtime fields (done channel,
+// timestamps).
 func fold(recs []Record) []*job {
 	byID := make(map[string]*job)
 	var order []*job
@@ -43,10 +44,12 @@ func fold(recs []Record) []*job {
 		case RecResult:
 			if !j.state.Terminal() {
 				j.state, j.result, j.reason = rec.State, rec.Result, rec.Reason
+				j.spec.CSV = ""
 			}
 		case RecCancel:
 			if !j.state.Terminal() {
 				j.state, j.reason = StateCancelled, cancelReason
+				j.spec.CSV = ""
 			}
 		}
 	}
@@ -57,12 +60,16 @@ func fold(recs []Record) []*job {
 // states: one submit per job, its surviving attempt and retry counters,
 // and its terminal transition — a cancel record for a cancelled job or
 // for a pending cancel request, whose own record may still be in flight,
-// so a replay cancels instead of re-running.
+// so a replay cancels instead of re-running. A terminal job's submit
+// carries no CSV, since its job dropped it. Each submit holds its own
+// copy of the spec: the store may marshal it after the caller releases
+// the manager's lock.
 func snapshot(jobs []*job) []Record {
 	var out []Record
 	for _, j := range jobs {
+		spec := j.spec
 		out = append(out, Record{
-			Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &j.spec,
+			Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &spec,
 			Fingerprint: j.fingerprint, IdemKey: j.idemKey, CacheHit: j.cacheHit,
 		})
 		if j.attempts > 0 && !j.state.Terminal() {

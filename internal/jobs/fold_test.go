@@ -6,9 +6,19 @@ import (
 	"testing"
 )
 
+// withoutCSV is a submit record as a snapshot writes it for a terminal
+// job: the spec without its CSV.
+func withoutCSV(rec Record) Record {
+	spec := *rec.Spec
+	spec.CSV = ""
+	rec.Spec = &spec
+	return rec
+}
+
 // TestFoldRecordsMinimalSnapshot: the offline fold reduces history the
 // same way the online compactor does — one submit per job plus its
-// surviving counters and terminal state, in submission order.
+// surviving counters and terminal state, in submission order. Terminal
+// jobs' submits lose their CSV; the running job's keeps it.
 func TestFoldRecordsMinimalSnapshot(t *testing.T) {
 	s1, s2, s3 := submitRec("j1", 1), submitRec("j2", 2), submitRec("j3", 3)
 	history := []Record{
@@ -25,13 +35,16 @@ func TestFoldRecordsMinimalSnapshot(t *testing.T) {
 		{Type: RecStart, ID: "unknown", Attempt: 1},     // record for a never-submitted ID: dropped
 	}
 	got := FoldRecords(history)
+	if s1.Spec.CSV != smallCSV || s3.Spec.CSV != smallCSV {
+		t.Fatal("fold cleared the CSV of its input records")
+	}
 	want := []Record{
-		s1,
+		withoutCSV(s1),
 		{Type: RecRetry, ID: "j1", Attempt: 1},
 		{Type: RecResult, ID: "j1", State: StateDone, Result: &Result{Lines: []string{"ok"}}},
 		s2,
 		{Type: RecStart, ID: "j2", Attempt: 1},
-		s3,
+		withoutCSV(s3),
 		{Type: RecCancel, ID: "j3"},
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -90,7 +90,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is the manager's mutable record of one submission.
+// job is the manager's mutable record of one submission. Its spec drops
+// the CSV at the terminal transition: a finished job's complete result
+// is cached under its fingerprint, so nothing reads the CSV again.
 type job struct {
 	id          string
 	seq         int64
@@ -295,7 +297,8 @@ func (m *Manager) isDraining() bool {
 // kind, algo, params) key. The returned View reflects the state at
 // return (queued, or a terminal cache/idempotency hit). A set spec.Rel
 // is fingerprinted in place of parsing the CSV, and a queued job keeps
-// it for its runs.
+// it for its runs. Each record gets its own copy of the spec, so a store
+// that keeps records (MemStore) still holds the CSV the job later drops.
 func (m *Manager) Submit(spec Spec, idemKey string) (View, error) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
@@ -321,8 +324,9 @@ func (m *Manager) Submit(spec Spec, idemKey string) (View, error) {
 		j.cacheHit = true
 		j.state = StateDone
 		j.result = cached
+		j.spec.CSV = ""
 		recs := []Record{
-			{Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &j.spec, Fingerprint: fp, IdemKey: idemKey, CacheHit: true},
+			{Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &spec, Fingerprint: fp, IdemKey: idemKey, CacheHit: true},
 			{Type: RecResult, ID: j.id, State: StateDone, Result: cached},
 		}
 		for _, rec := range recs {
@@ -347,7 +351,7 @@ func (m *Manager) Submit(spec Spec, idemKey string) (View, error) {
 	}
 	j := m.newJobLocked(spec, fp, idemKey)
 	j.rel = rel
-	rec := Record{Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &j.spec, Fingerprint: fp, IdemKey: idemKey}
+	rec := Record{Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &spec, Fingerprint: fp, IdemKey: idemKey}
 	// Persist before exposing: a crash between the append and the
 	// enqueue replays the job from the submit record. The store append
 	// happens under m.mu so the job is never visible half-registered.
@@ -465,6 +469,7 @@ func (m *Manager) Cancel(id string) (View, error) {
 		j.state = StateCancelled
 		j.reason = cancelReason
 		j.rel = nil
+		j.spec.CSV = ""
 		m.nQueued--
 		m.gQueued.Set(int64(m.nQueued))
 		close(j.done)
@@ -730,6 +735,7 @@ func (m *Manager) finalize(j *job, state State, res *Result, reason string) {
 	j.result = res
 	j.reason = reason
 	j.rel = nil
+	j.spec.CSV = ""
 	if state == StateDone && res != nil && !res.Partial {
 		m.cache[j.spec.CacheKey(j.fingerprint)] = res
 	}
