@@ -52,9 +52,11 @@ recover:
 torture:
 	DEPTREE_TORTURE=1 $(GO) test -race -count=1 -run 'Torture' ./internal/engine/chaos/
 
-# Short fuzz passes: the CSV codec round trip, the one-pass CSV decoder
-# (ReadCSVAuto, ReadCSVLimits with string and fixed kinds) against the
-# retained two-stage reader under random Limits, the typed dictionary
+# Short fuzz passes: the CSV codec round trip, the hand-written CSV
+# scanner (ReadCSVAuto, ReadCSVLimits with string and fixed kinds)
+# against the retained encoding/csv two-stage reader under random
+# Limits, error texts included, the append writer (WriteCSV) against the
+# retained csv.Writer encoder byte for byte, the typed dictionary
 # encoding (Codes/GroupCodes/Dict/SameKey) vs a Value.Key string
 # reference, the CSR partition product vs the retained map-based oracle,
 # the append refiner vs a from-scratch Build after every batch, the server's
@@ -76,6 +78,7 @@ FUZZ = $(GO) test -run=X -fuzztime=30s -fuzzminimizetime=1s
 fuzz:
 	$(FUZZ) -fuzz=FuzzCSVRoundTrip ./internal/relation/
 	$(FUZZ) -fuzz=FuzzCSVMatchesOracle ./internal/relation/
+	$(FUZZ) -fuzz=FuzzWriteCSVMatchesOracle ./internal/relation/
 	$(FUZZ) -fuzz=FuzzCodesMatchKey ./internal/relation/
 	$(FUZZ) -fuzz=FuzzProductEquivalence ./internal/partition/
 	$(FUZZ) -fuzz=FuzzRefinerMatchesBuild ./internal/partition/

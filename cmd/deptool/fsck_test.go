@@ -208,11 +208,6 @@ func TestFsckCompactFoldsJobsLog(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: job %s unknown after replay", path, id)
 			}
-			// A snapshot writes no start record for a terminal job, so
-			// compaction of any kind resets its Attempts to 0.
-			if v.State.Terminal() {
-				v.Attempts = 0
-			}
 			views = append(views, v)
 		}
 		return views

@@ -57,7 +57,8 @@ func fold(recs []Record) []*job {
 }
 
 // snapshot emits the minimal record set that folds back to the given job
-// states: one submit per job, its surviving attempt and retry counters,
+// states: one submit per job, its surviving attempt and retry counters
+// (a finished job's too, so its Attempts survives compaction),
 // and its terminal transition — a cancel record for a cancelled job or
 // for a pending cancel request, whose own record may still be in flight,
 // so a replay cancels instead of re-running. A terminal job's submit
@@ -72,7 +73,7 @@ func snapshot(jobs []*job) []Record {
 			Type: RecSubmit, ID: j.id, Seq: j.seq, Spec: &spec,
 			Fingerprint: j.fingerprint, IdemKey: j.idemKey, CacheHit: j.cacheHit,
 		})
-		if j.attempts > 0 && !j.state.Terminal() {
+		if j.attempts > 0 {
 			out = append(out, Record{Type: RecStart, ID: j.id, Attempt: j.attempts})
 		}
 		if j.retries > 0 {

@@ -17,8 +17,9 @@ func withoutCSV(rec Record) Record {
 
 // TestFoldRecordsMinimalSnapshot: the offline fold reduces history the
 // same way the online compactor does — one submit per job plus its
-// surviving counters and terminal state, in submission order. Terminal
-// jobs' submits lose their CSV; the running job's keeps it.
+// surviving counters and terminal state, in submission order. The done
+// job keeps its start record, so its Attempts survives. Terminal jobs'
+// submits lose their CSV; the running job's keeps it.
 func TestFoldRecordsMinimalSnapshot(t *testing.T) {
 	s1, s2, s3 := submitRec("j1", 1), submitRec("j2", 2), submitRec("j3", 3)
 	history := []Record{
@@ -40,6 +41,7 @@ func TestFoldRecordsMinimalSnapshot(t *testing.T) {
 	}
 	want := []Record{
 		withoutCSV(s1),
+		{Type: RecStart, ID: "j1", Attempt: 2},
 		{Type: RecRetry, ID: "j1", Attempt: 1},
 		{Type: RecResult, ID: "j1", State: StateDone, Result: &Result{Lines: []string{"ok"}}},
 		s2,

@@ -628,8 +628,8 @@ func TestCompactionPreservesState(t *testing.T) {
 	m.Drain()
 
 	recs, _ := store.Replay()
-	// Compaction collapsed history: at most submit+result per job plus
-	// the records appended after the last compaction.
+	// Compaction collapsed history: at most submit, start and result per
+	// job plus the records appended after the last compaction.
 	if len(recs) > 9 {
 		t.Fatalf("store holds %d records after compaction, want <= 9", len(recs))
 	}

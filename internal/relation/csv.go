@@ -1,12 +1,14 @@
 package relation
 
 import (
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // MaxSupportedRows is the hard ceiling on relation cardinality: row
@@ -133,11 +135,6 @@ func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
 	return decodeCSV(name, data, nil, nil, true, lim)
 }
 
-// errReader fails every read with err.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
-
 // decodeCSV is the one CSV decoder. It decodes data, then fails with
 // readErr (nil: data is the whole input) where the source did, in one
 // pass that writes every cell straight into its column. Kinds fixes the
@@ -146,28 +143,24 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // payload plus its float while its column still parses, and the columns
 // that parsed throughout become KindFloat at the end.
 //
+// Data is copied into one string, and every field is a substring of it
+// (see csvScanner), so the string cells of the relation share that one
+// copy of the input for as long as the relation lives.
+//
 // Every column is pre-sized to rowBound rows, so a decode that ends
 // without error grows no column (see rowBound for why that cannot
 // over-allocate).
 func decodeCSV(name string, data []byte, readErr error, kinds []Kind, infer bool, lim Limits) (*Relation, error) {
-	var src io.Reader = bytes.NewReader(data)
-	if readErr != nil {
-		src = io.MultiReader(src, errReader{readErr})
+	sc := &csvScanner{s: string(data), err: readErr, maxField: lim.MaxFieldBytes}
+	if sc.maxField <= 0 {
+		sc.maxField = math.MaxInt
 	}
-	cr := csv.NewReader(src)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	header, err := sc.record(nil)
 	if err != nil {
 		return nil, fmt.Errorf("relation: read CSV header: %w", err)
 	}
-	if err := checkFields(header, lim); err != nil {
+	if err := sc.fieldErr(); err != nil {
 		return nil, err
-	}
-	// csv.Reader only yields a '\r' the input holds.
-	fold := bytes.IndexByte(data, '\r') >= 0
-	if fold {
-		foldCRLF(header)
 	}
 	if kinds != nil && len(kinds) != len(header) {
 		return nil, fmt.Errorf("relation: %d kinds for %d header columns", len(kinds), len(header))
@@ -188,7 +181,7 @@ func decodeCSV(name string, data []byte, readErr error, kinds []Kind, infer bool
 		}
 	}
 	maxRows := lim.effectiveMaxRows()
-	bound := rowBound(data, len(attrs), maxRows)
+	bound := rowBound(sc.s, len(attrs), maxRows)
 	cols := make([][]Value, len(attrs))
 	for c := range cols {
 		cols[c] = make([]Value, bound)
@@ -198,9 +191,10 @@ func decodeCSV(name string, data []byte, readErr error, kinds []Kind, infer bool
 	for c := range numeric {
 		numeric[c] = infer
 	}
-	rows := 0
+	// rec reuses the header's storage: the names live on in attrs.
+	rows, rec := 0, header
 	for line := 2; ; line++ {
-		rec, err := cr.Read()
+		rec, err = sc.record(rec)
 		if err == io.EOF {
 			break
 		}
@@ -211,14 +205,11 @@ func decodeCSV(name string, data []byte, readErr error, kinds []Kind, infer bool
 			return nil, fmt.Errorf("relation: read CSV: %w",
 				&ErrInputTooLarge{What: "rows", Limit: int64(maxRows), Got: int64(line - 1)})
 		}
-		if err := checkFields(rec, lim); err != nil {
+		if err := sc.fieldErr(); err != nil {
 			return nil, err
 		}
 		if len(rec) != len(attrs) {
 			return nil, fmt.Errorf("relation: CSV line %d has %d fields, want %d", line, len(rec), len(attrs))
-		}
-		if fold {
-			foldCRLF(rec)
 		}
 		if rows == len(cols[0]) {
 			// Past rowBound, which CSV that decodes cannot reach: grow
@@ -270,6 +261,211 @@ func decodeCSV(name string, data []byte, readErr error, kinds []Kind, infer bool
 	return &Relation{name: name, schema: NewSchema(attrs...), cols: cols, rows: rows}, nil
 }
 
+// csvScanner splits CSV held in one string into records by the rules of
+// encoding/csv's Reader with FieldsPerRecord -1 (readLine and readRecord
+// in its reader.go), so it yields the same records and the same
+// *csv.ParseError values, whose texts the decoder's errors carry:
+//
+//   - a physical line ends at '\n'; a "\r\n" ending reads as "\n", and a
+//     '\r' that ends the input is dropped;
+//   - a blank line is skipped;
+//   - an unquoted field runs to the next ',' or the line's end, and a '"'
+//     in it is ErrBareQuote;
+//   - a quoted field runs, across lines, to a '"' that a ',' or the
+//     line's end follows; "" in it reads as one '"', and any other '"',
+//     or the input ending first, is ErrQuote;
+//   - a record that runs into the end of a source that failed (err) ends
+//     with that error, unless it breaks one of the rules above first.
+//
+// Lines and columns count as encoding/csv counts them: physical lines,
+// blank ones included, and 1-based bytes of the line.
+//
+// One rule goes further: a quoted field drops every run of '\r' that
+// ends one of its lines, where encoding/csv keeps all but the last '\r'
+// of the run. A field that read as "x\r\ny" would render back as
+// "x\r\ny", which reads as "x\ny" next time; folding it keeps every
+// field a value that round-trips (found by FuzzCSVRoundTrip).
+//
+// Fields are substrings of s: only a quoted field holding "" or a folded
+// line end is built anew.
+type csvScanner struct {
+	s   string
+	err error // what the source raised after s; nil: s ends at EOF
+	pos int   // offset of the next unread line
+	// line counts the physical lines read, like csv.Reader's numLine.
+	line int
+	// maxField bounds a field's length as encoding/csv gives it, before
+	// the fold; wide is the length of the last record's first field over
+	// the bound, 0 when none is.
+	maxField, wide int
+	buf            []byte // scratch for the fields unquote builds
+}
+
+// readLine consumes the next physical line and returns its content
+// s[start:end] without the line end, whether a '\n' ended it, and the
+// error the read met: io.EOF when no byte was left, sc.err when the line
+// ran into the end of a source that failed.
+func (sc *csvScanner) readLine() (start, end int, nl bool, err error) {
+	sc.line++
+	start = sc.pos
+	if i := strings.IndexByte(sc.s[start:], '\n'); i >= 0 {
+		end = start + i
+		sc.pos = end + 1
+		if end > start && sc.s[end-1] == '\r' {
+			end--
+		}
+		return start, end, true, nil
+	}
+	end = len(sc.s)
+	sc.pos = end
+	switch {
+	case sc.err != nil:
+		return start, end, false, sc.err
+	case end == start:
+		return start, end, false, io.EOF
+	case sc.s[end-1] == '\r':
+		end--
+	}
+	return start, end, false, nil
+}
+
+// record reads the next record into rec's storage and returns it. It
+// returns io.EOF when no record is left.
+func (sc *csvScanner) record(rec []string) ([]string, error) {
+	s := sc.s
+	var start, end int
+	var nl bool
+	var errRead error
+	for {
+		start, end, nl, errRead = sc.readLine()
+		if errRead != nil || start < end {
+			break
+		}
+	}
+	if errRead == io.EOF {
+		return nil, io.EOF
+	}
+	rec, sc.wide = rec[:0], 0
+	recLine, lineStart, p := sc.line, start, start
+	for {
+		if p == end || s[p] != '"' {
+			j := p
+			for ; j < end && s[j] != ','; j++ {
+				if s[j] == '"' {
+					return nil, &csv.ParseError{StartLine: recLine, Line: sc.line, Column: j - lineStart + 1, Err: csv.ErrBareQuote}
+				}
+			}
+			rec = append(rec, s[p:j])
+			if j-p > sc.maxField && sc.wide == 0 {
+				sc.wide = j - p
+			}
+			if j == end {
+				return rec, errRead
+			}
+			p = j + 1
+			continue
+		}
+		// A quoted field: scan line by line for its closing quote.
+		// posLine and endCol are where csv.Reader reports a field that
+		// the input ends: its last non-empty line, past that line's end.
+		p++
+		open, posLine, endCol := p, sc.line, 0
+		escapes, folds := 0, 0
+		for {
+			if i := strings.IndexByte(s[p:end], '"'); i >= 0 {
+				q := p + i
+				p = q + 1
+				if p < end && s[p] == '"' {
+					escapes++
+					p++
+					continue
+				}
+				if p < end && s[p] != ',' {
+					// A closing quote must end the field.
+					return nil, &csv.ParseError{StartLine: recLine, Line: sc.line, Column: q - lineStart + 1, Err: csv.ErrQuote}
+				}
+				rec = append(rec, sc.unquote(s[open:q], escapes, folds))
+				if w := q - open - escapes - folds; w > sc.maxField && sc.wide == 0 {
+					sc.wide = w
+				}
+				if p == end {
+					return rec, errRead
+				}
+				p++
+				break
+			}
+			if errRead != nil {
+				return nil, errRead
+			}
+			if p == end && !nl {
+				// The input ends inside the field.
+				if endCol == 0 {
+					endCol = p - lineStart + 1
+				}
+				return nil, &csv.ParseError{StartLine: recLine, Line: posLine, Column: endCol, Err: csv.ErrQuote}
+			}
+			endCol = end - lineStart + 1
+			if nl {
+				endCol++
+				if s[end] == '\r' {
+					folds++
+				}
+			}
+			start, end, nl, errRead = sc.readLine()
+			if start < end || nl {
+				lineStart, posLine, endCol = start, sc.line, 0
+			}
+			if errRead == io.EOF {
+				errRead = nil
+			}
+			p = start
+		}
+	}
+}
+
+// unquote returns the quoted field whose content between its quotes is
+// raw, holding escapes "" pairs and folds line ends that had a '\r'
+// before their '\n': raw itself when it holds neither.
+func (sc *csvScanner) unquote(raw string, escapes, folds int) string {
+	if escapes == 0 && folds == 0 {
+		return raw
+	}
+	b := sc.buf[:0]
+	for len(raw) > 0 {
+		i := strings.IndexAny(raw, "\"\r")
+		if i < 0 {
+			b = append(b, raw...)
+			break
+		}
+		b = append(b, raw[:i]...)
+		if raw[i] == '"' {
+			// Quotes in raw come in pairs.
+			b = append(b, '"')
+			raw = raw[i+2:]
+			continue
+		}
+		j := i + 1
+		for j < len(raw) && raw[j] == '\r' {
+			j++
+		}
+		if j == len(raw) || raw[j] != '\n' {
+			b = append(b, raw[i:j]...)
+		}
+		raw = raw[j:]
+	}
+	sc.buf = b
+	return string(b)
+}
+
+// fieldErr reports the field byte bound the last record broke, if any.
+func (sc *csvScanner) fieldErr() error {
+	if sc.wide == 0 {
+		return nil
+	}
+	return fmt.Errorf("relation: read CSV: %w",
+		&ErrInputTooLarge{What: "field bytes", Limit: int64(sc.maxField), Got: int64(sc.wide)})
+}
+
 // parseFloat is strconv.ParseFloat(s, 64) reporting only success, with
 // a fast path for the short unsigned decimal integers numeric columns
 // mostly hold: up to 15 digits, every such value is an exact float64.
@@ -309,15 +505,15 @@ func parseFloat(s string) (float64, bool) {
 //
 // So a legitimate input of this length can hold the rows the bound
 // sizes, while a malformed one (say, blank lines) sizes no more.
-func rowBound(data []byte, cols, maxRows int) int {
+func rowBound(data string, cols, maxRows int) int {
 	newlines, quoted := 0, false
 	for rest := data; len(rest) > 0; {
-		i := bytes.IndexByte(rest, '"')
+		i := strings.IndexByte(rest, '"')
 		if i < 0 {
 			i = len(rest)
 		}
 		if !quoted {
-			newlines += bytes.Count(rest[:i], []byte{'\n'})
+			newlines += strings.Count(rest[:i], "\n")
 		}
 		if i < len(rest) {
 			quoted = !quoted
@@ -328,83 +524,91 @@ func rowBound(data []byte, cols, maxRows int) int {
 	return max(0, min(newlines, len(data)/max(cols, 2), maxRows))
 }
 
-// foldCRLF rewrites every run of "\r" that ends a field's "\r\n" to a
-// bare "\n". csv.Reader folds a line-ending "\r\n" but keeps any "\r"
-// just before it, so a quoted field can read as "\r\n" — which WriteCSV
-// cannot render back, because the reader folds it on the next read.
-// Folding here makes every field read a value that round-trips (found by
-// FuzzCSVRoundTrip). One linear pass; fields without "\r\n" are kept.
-func foldCRLF(rec []string) {
-	for i, f := range rec {
-		if !strings.Contains(f, "\r\n") {
-			continue
-		}
-		b := make([]byte, 0, len(f))
-		for j := 0; j < len(f); j++ {
-			if f[j] == '\r' {
-				k := j
-				for k < len(f) && f[k] == '\r' {
-					k++
-				}
-				if k < len(f) && f[k] == '\n' {
-					j = k - 1 // drop the run; the '\n' is copied next
-					continue
-				}
-			}
-			b = append(b, f[j])
-		}
-		rec[i] = string(b)
-	}
-}
+// writeChunk is the size at which WriteCSV hands its buffer to the
+// destination; writeSlack is the headroom left for the record that
+// crosses it, so a record shorter than that never grows the buffer.
+const (
+	writeChunk = 64 << 10
+	writeSlack = 4 << 10
+)
 
-// checkFields enforces the per-field byte bound on one CSV record.
-func checkFields(rec []string, lim Limits) error {
-	if lim.MaxFieldBytes <= 0 {
-		return nil
-	}
-	for _, f := range rec {
-		if len(f) > lim.MaxFieldBytes {
-			return fmt.Errorf("relation: read CSV: %w",
-				&ErrInputTooLarge{What: "field bytes", Limit: int64(lim.MaxFieldBytes), Got: int64(len(f))})
+// WriteCSV encodes the relation as CSV with a header record. Records
+// are appended to one buffer that goes to dst whenever it holds about
+// writeChunk bytes, so a large relation streams (into a hash, say)
+// without being held whole. Fields are quoted by encoding/csv's Writer
+// rules (see appendField), and a record of one empty field is written
+// as "", where encoding/csv writes a blank line that every reader skips
+// (found by FuzzCSVRoundTrip).
+func WriteCSV(r *Relation, dst io.Writer) error {
+	buf := make([]byte, 0, writeChunk+writeSlack)
+	cols := r.Cols()
+	for row := -1; row < r.Rows(); row++ {
+		mark := len(buf)
+		for c := 0; c < cols; c++ {
+			if c > 0 {
+				buf = append(buf, ',')
+			}
+			if row < 0 {
+				buf = appendField(buf, r.schema.Attr(c).Name)
+				continue
+			}
+			switch v := r.cols[c][row]; {
+			case v.null:
+			case v.kind == KindString:
+				buf = appendField(buf, v.str)
+			default:
+				// A rendered number never needs quotes.
+				buf = appendValue(buf, v)
+			}
+		}
+		if cols == 1 && len(buf) == mark {
+			buf = append(buf, `""`...)
+		}
+		buf = append(buf, '\n')
+		if len(buf) >= writeChunk || row == r.Rows()-1 {
+			if _, err := dst.Write(buf); err != nil {
+				return fmt.Errorf("relation: write CSV: %w", err)
+			}
+			buf = buf[:0]
 		}
 	}
 	return nil
 }
 
-// WriteCSV encodes the relation as CSV with a header record.
-func WriteCSV(r *Relation, dst io.Writer) error {
-	cw := csv.NewWriter(dst)
-	writeRecord := func(rec []string) error {
-		// encoding/csv renders a lone empty field as a blank line, which
-		// readers then skip as empty — the record would vanish on a round
-		// trip (found by FuzzCSVRoundTrip). Emit an explicit "" instead.
-		if len(rec) == 1 && rec[0] == "" {
-			cw.Flush()
-			if err := cw.Error(); err != nil {
-				return err
-			}
-			_, err := io.WriteString(dst, "\"\"\n")
-			return err
-		}
-		return cw.Write(rec)
+// appendField appends f as one CSV field, quoted when encoding/csv's
+// Writer would quote it: when it holds ',', '"', '\r' or '\n', is `\.`,
+// or starts with a Unicode space.
+func appendField(b []byte, f string) []byte {
+	if !fieldNeedsQuotes(f) {
+		return append(b, f...)
 	}
-	if err := writeRecord(r.Schema().Names()); err != nil {
-		return fmt.Errorf("relation: write CSV header: %w", err)
-	}
-	rec := make([]string, r.Cols())
-	for i := 0; i < r.Rows(); i++ {
-		for c := 0; c < r.Cols(); c++ {
-			v := r.Value(i, c)
-			if v.IsNull() {
-				rec[c] = ""
-			} else {
-				rec[c] = v.String()
-			}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(f, '"')
+		if i < 0 {
+			break
 		}
-		if err := writeRecord(rec); err != nil {
-			return fmt.Errorf("relation: write CSV row %d: %w", i, err)
+		b = append(b, f[:i+1]...)
+		b = append(b, '"')
+		f = f[i+1:]
+	}
+	b = append(b, f...)
+	return append(b, '"')
+}
+
+func fieldNeedsQuotes(f string) bool {
+	if f == "" {
+		return false
+	}
+	if f == `\.` {
+		return true
+	}
+	for i := 0; i < len(f); i++ {
+		switch f[i] {
+		case ',', '"', '\r', '\n':
+			return true
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	r, _ := utf8.DecodeRuneInString(f)
+	return unicode.IsSpace(r)
 }

@@ -3,6 +3,7 @@ package relation_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -67,19 +68,41 @@ func TestReadCSVPresizeNoWorseThanLegitimate(t *testing.T) {
 	}
 }
 
-// TestReadCSVAllocsPerRow pins the decoder at about one allocation a
-// row (the record string encoding/csv builds): columns are pre-sized,
-// records reused and kinds inferred in the same pass.
-func TestReadCSVAllocsPerRow(t *testing.T) {
-	const rows = 5000
-	data := hotelsCSVBytes(t, rows)
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := relation.ReadCSVAuto("hotels", data, relation.Limits{}); err != nil {
+// TestReadCSVAllocsBounded pins the decoder's allocations to a count
+// that does not grow with rows: one copy of the input, the pre-sized
+// columns and the schema. Every field is a substring of the copy.
+func TestReadCSVAllocsBounded(t *testing.T) {
+	const bound = 50
+	for _, rows := range []int{500, 5000} {
+		data := hotelsCSVBytes(t, rows)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := relation.ReadCSVAuto("hotels", data, relation.Limits{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("ReadCSVAuto made %.0f allocations for %d rows, want at most %d", allocs, rows, bound)
+		}
+	}
+}
+
+// TestWriteCSVAllocsBounded pins WriteCSV's allocations to a count that
+// does not grow with rows: its one buffer, reused for every chunk.
+func TestWriteCSVAllocsBounded(t *testing.T) {
+	const bound = 2
+	for _, rows := range []int{500, 5000} {
+		r, err := relation.ReadCSVAuto("hotels", hotelsCSVBytes(t, rows), relation.Limits{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > rows+100 {
-		t.Fatalf("ReadCSVAuto made %.0f allocations for %d rows, want at most %d", allocs, rows, rows+100)
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := relation.WriteCSV(r, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("WriteCSV made %.0f allocations for %d rows, want at most %d", allocs, rows, bound)
+		}
 	}
 }
 

@@ -163,9 +163,9 @@ func TestReadCSVAutoMatchesTwoPass(t *testing.T) {
 	}
 }
 
-// TestFoldCRLFLinear pins the CRLF fold to one pass: a quoted field of a
-// long run of "\r" before "\n" folds to a single "\n" with one allocation,
-// and a 1 MiB such field reads back promptly through ReadCSVAuto.
+// TestFoldCRLFLinear pins the CRLF fold to one pass: the oracle's
+// foldCRLF folds a long run of "\r" before "\n" to a single "\n" with one
+// allocation, and the decoder reads a 1 MiB such field back promptly.
 func TestFoldCRLFLinear(t *testing.T) {
 	cases := map[string]string{
 		"a\r\nb":       "a\nb",

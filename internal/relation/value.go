@@ -156,25 +156,37 @@ func (v Value) Key() string {
 	}
 }
 
-// String renders the value for display. A whole float strictly inside
-// ±1e6, other than -0, renders through the integer formatter: 'g' with
-// the shortest precision prints those without an exponent, so the bytes
-// are the same and the float digit search is skipped.
+// String renders the value for display, as appendValue does.
 func (v Value) String() string {
+	if v.kind == KindString && !v.null {
+		return v.str
+	}
+	var buf [32]byte
+	return string(appendValue(buf[:0], v))
+}
+
+// appendValue appends v's display form to b: NULL for a null, a
+// string's payload, or a number's shortest 'g' form. A whole float
+// strictly inside ±1e6, other than -0, renders through the integer
+// formatter: 'g' with the shortest precision prints those without an
+// exponent, so the bytes are the same and the float digit search is
+// skipped. WriteCSV renders numeric cells through it too, so display
+// and CSV cannot drift.
+func appendValue(b []byte, v Value) []byte {
 	if v.null {
-		return "NULL"
+		return append(b, "NULL"...)
 	}
 	switch v.kind {
 	case KindString:
-		return v.str
+		return append(b, v.str...)
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.AppendInt(b, int64(v.num), 10)
 	default:
 		f := v.num
 		if f > -1e6 && f < 1e6 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
-			return strconv.FormatInt(int64(f), 10)
+			return strconv.AppendInt(b, int64(f), 10)
 		}
-		return strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendFloat(b, f, 'g', -1, 64)
 	}
 }
 
