@@ -1,6 +1,8 @@
 # Verify flow for deptree. `make verify` is the tier-1 gate plus vet, the
-# gofmt check and the race pass over the parallel discovery engine and
-# every discovery package: the first steps of CI's test job.
+# gofmt check, the race pass over the parallel discovery engine and
+# every discovery package, and servebench-check, which builds and tests
+# the benchmark driver against the internal API it reads: the steps of
+# CI's test job.
 
 GO ?= go
 
@@ -142,4 +144,4 @@ deadline:
 bench-stream:
 	DEPTREE_BENCH_STREAM=1 $(GO) test -count=1 -timeout 30m -run 'TestStreamSpeedup' .
 
-verify: build vet fmt-check test race
+verify: build vet fmt-check test race servebench-check

@@ -511,12 +511,12 @@ func cmdProfile(args []string) error {
 	// Each budgeted section appends its stop reason here; any entry turns
 	// the whole profile into a PARTIAL exit.
 	var partials []string
-	note := func(section string, partial bool, reason string) string {
-		if !partial {
+	note := func(section string, stop engine.Stop) string {
+		if !stop.Partial {
 			return ""
 		}
-		partials = append(partials, section+": "+reason)
-		return fmt.Sprintf("  [partial: %s]", reason)
+		partials = append(partials, section+": "+stop.Reason)
+		return fmt.Sprintf("  [partial: %s]", stop.Reason)
 	}
 	// The TANE passes share one partition cache: the approximate pass
 	// reuses every partition the exact pass already built.
@@ -536,7 +536,7 @@ func cmdProfile(args []string) error {
 
 	exactRes := tane.DiscoverContext(ctx, r, tane.Options{MaxLHS: 2, Exec: x, Cache: cache})
 	exact := exactRes.FDs
-	fmt.Printf("exact minimal FDs (LHS <= 2): %d%s\n", len(exact), note("exact FDs", exactRes.Partial, exactRes.Reason))
+	fmt.Printf("exact minimal FDs (LHS <= 2): %d%s\n", len(exact), note("exact FDs", exactRes.Stop))
 	for i, f := range exact {
 		if i == 10 {
 			fmt.Printf("  ... and %d more\n", len(exact)-10)
@@ -546,7 +546,7 @@ func cmdProfile(args []string) error {
 	}
 
 	approxRes := tane.DiscoverContext(ctx, r, tane.Options{MaxError: 0.05, MaxLHS: 1, Exec: x, Cache: cache})
-	fmt.Printf("\napproximate FDs (g3 <= 0.05, LHS = 1): %d%s\n", len(approxRes.FDs), note("approximate FDs", approxRes.Partial, approxRes.Reason))
+	fmt.Printf("\napproximate FDs (g3 <= 0.05, LHS = 1): %d%s\n", len(approxRes.FDs), note("approximate FDs", approxRes.Stop))
 
 	soft := cords.DiscoverContext(ctx, r, cords.Options{MinStrength: 0.9, Exec: x})
 	flagged := 0
@@ -555,15 +555,15 @@ func cmdProfile(args []string) error {
 			flagged++
 		}
 	}
-	fmt.Printf("soft FDs (CORDS, s >= 0.9): %d; chi-square-correlated pairs: %d%s\n", len(soft.SFDs), flagged, note("CORDS", soft.Partial, soft.Reason))
+	fmt.Printf("soft FDs (CORDS, s >= 0.9): %d; chi-square-correlated pairs: %d%s\n", len(soft.SFDs), flagged, note("CORDS", soft.Stop))
 
 	minSupport := max(2, r.Rows()/20)
 	constRes := cfddisc.DiscoverContext(ctx, r, cfddisc.Options{MinSupport: minSupport, MaxLHS: 1, Exec: x})
-	fmt.Printf("constant CFDs (support >= %d): %d%s\n", minSupport, len(constRes.CFDs), note("constant CFDs", constRes.Partial, constRes.Reason))
+	fmt.Printf("constant CFDs (support >= %d): %d%s\n", minSupport, len(constRes.CFDs), note("constant CFDs", constRes.Stop))
 
 	odRes := oddisc.DiscoverContext(ctx, r, oddisc.Options{Exec: x})
 	ods := oddisc.Minimal(odRes.ODs)
-	fmt.Printf("minimal order dependencies: %d%s\n", len(ods), note("order dependencies", odRes.Partial, odRes.Reason))
+	fmt.Printf("minimal order dependencies: %d%s\n", len(ods), note("order dependencies", odRes.Stop))
 	for i, o := range ods {
 		if i == 6 {
 			fmt.Printf("  ... and %d more\n", len(ods)-6)
@@ -577,7 +577,7 @@ func cmdProfile(args []string) error {
 		sample = r.Select(func(row int) bool { return row < 80 })
 	}
 	dcRes := fastdc.DiscoverContext(ctx, sample, fastdc.Options{MaxPredicates: 2, Exec: x})
-	fmt.Printf("denial constraints (FASTDC on %d rows, <= 2 predicates): %d%s\n", sample.Rows(), len(dcRes.DCs), note("FASTDC", dcRes.Partial, dcRes.Reason))
+	fmt.Printf("denial constraints (FASTDC on %d rows, <= 2 predicates): %d%s\n", sample.Rows(), len(dcRes.DCs), note("FASTDC", dcRes.Stop))
 
 	if *verbose {
 		st := cache.Stats()

@@ -63,8 +63,7 @@ func cmdStream(args []string) error {
 		return err
 	}
 	n := r.Rows()
-	var lastPartial bool
-	var lastReason string
+	var last engine.Stop
 	for lo := 0; lo == 0 || lo < n; lo += *batchRows {
 		hi := lo + *batchRows
 		if hi > n {
@@ -80,7 +79,7 @@ func cmdStream(args []string) error {
 			finishObs(obsDone, nil)
 			return err
 		}
-		lastPartial, lastReason = res.Partial, res.Reason
+		last = res.Stop
 		if !*quiet {
 			fmt.Printf("batch %d: +%d rows, total %d, %d rules, %s, fp %s\n",
 				res.Seq, res.Rows, res.TotalRows, len(res.Lines),
@@ -103,8 +102,8 @@ func cmdStream(args []string) error {
 		fmt.Println(l)
 	}
 	var runErr error
-	if lastPartial {
-		fmt.Printf("PARTIAL: %s\n", lastReason)
+	if last.Partial {
+		fmt.Printf("PARTIAL: %s\n", last.Reason)
 		runErr = errPartial
 	}
 	return finishObs(obsDone, runErr)

@@ -41,10 +41,7 @@ type Options struct {
 // count, since rules fan out one per task in order.
 type RunResult struct {
 	Reports []Report
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Stop
 	// Completed is the number of rules fully checked.
 	Completed int
 }
@@ -86,18 +83,13 @@ func RunContext(ctx context.Context, r *relation.Relation, rules []deps.Dependen
 	})
 	ruleTimer()
 	reg.Counter("detect.rules.checked").Add(int64(done))
-	res := RunResult{Completed: done}
+	res := RunResult{Completed: done, Stop: engine.StopAt(run, err)}
 	for i := 0; i < done; i++ {
 		if len(reps[i].Violations) > 0 {
 			res.Reports = append(res.Reports, reps[i])
 		}
 	}
 	reg.Counter("detect.rules.violated").Add(int64(len(res.Reports)))
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
 	return res
 }
 

@@ -47,12 +47,10 @@ func (c Change) String() string {
 type Result struct {
 	Repaired *relation.Relation
 	Changes  []Change
-	// Partial marks a run truncated by budget, cancellation or panic; the
-	// Repaired instance then reflects the changes applied so far (a valid
-	// relation, but the dependencies may still be violated).
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	// Stop is how the run ended. A Partial run's Repaired instance
+	// reflects the changes applied so far (a valid relation, but the
+	// dependencies may still be violated).
+	engine.Stop
 }
 
 // Options configures the budgeted repair entry points.
@@ -91,13 +89,7 @@ func FDRepairContext(ctx context.Context, r *relation.Relation, fds []fd.FD, opt
 	finish := func(err error) Result {
 		reg.Counter("repair.cells.changed").Add(int64(len(changes)))
 		run.SetAttr("changes", len(changes))
-		res := Result{Repaired: out, Changes: changes}
-		if err != nil {
-			res.Partial = true
-			res.Reason = engine.Reason(err)
-			run.SetAttr("stop", res.Reason)
-		}
-		return res
+		return Result{Repaired: out, Changes: changes, Stop: engine.StopAt(run, err)}
 	}
 	// Iterate to a fixpoint: repairing one FD can break another.
 	passes := 0

@@ -27,6 +27,17 @@ type Dependency interface {
 	Violations(r *relation.Relation, limit int) []Violation
 }
 
+// Lines renders one dependency per line via fmt.Sprint, nil for none:
+// the form in which the registry prints a discovery run and a stream
+// session its ruleset, so the two cannot drift apart.
+func Lines[T fmt.Stringer](xs []T) []string {
+	var out []string
+	for _, x := range xs {
+		out = append(out, fmt.Sprint(x))
+	}
+	return out
+}
+
 // Violation is a witness that an instance does not satisfy a dependency:
 // the offending rows plus a human-readable explanation.
 type Violation struct {

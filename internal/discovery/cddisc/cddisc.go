@@ -207,10 +207,7 @@ func (s *Session) check(pool *engine.Pool, c candidate) bool {
 // prefix of the incremental candidate enumeration.
 type Result struct {
 	CDs []cd.CD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of candidates validated.
 	Completed int
 }
@@ -268,11 +265,5 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	stepSpan.End()
 	reg.Counter("cddisc.candidates.checked").Add(int64(completed))
 	reg.Counter("cddisc.cds.valid").Add(int64(len(s.found)))
-	res := Result{CDs: s.found, Completed: completed}
-	if stopErr != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(stopErr)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{CDs: s.found, Completed: completed, Stop: engine.StopAt(run, stopErr)}
 }

@@ -73,10 +73,7 @@ func (p pattern) id() string {
 // deterministic prefix of the level-wise pattern enumeration.
 type Result struct {
 	CFDs []cfd.CFD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of pattern nodes whose conclusions were
 	// checked.
 	Completed int
@@ -229,13 +226,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	mineSpan.End()
 	reg.Counter("cfddisc.nodes.checked").Add(int64(completed))
 	reg.Counter("cfddisc.cfds.valid").Add(int64(len(results)))
-	res := Result{CFDs: results, Completed: completed}
-	if stopErr != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(stopErr)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{CFDs: results, Completed: completed, Stop: engine.StopAt(run, stopErr)}
 }
 
 // subPattern reports whether a ⊆ b as item sets.

@@ -77,10 +77,7 @@ type Correlation struct {
 type Result struct {
 	SFDs         []sfd.SFD
 	Correlations []Correlation
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Stop
 	// Completed is the number of ordered column pairs analyzed.
 	Completed int
 }
@@ -127,12 +124,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	pairSpan.SetAttr("completed", done)
 	pairSpan.End()
 	reg.Counter("cords.pairs.analyzed").Add(int64(done))
-	res := Result{Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
+	res := Result{Stop: engine.StopAt(run, err), Completed: done}
 	for _, corr := range corrs {
 		res.Correlations = append(res.Correlations, corr)
 		if corr.Correlated {

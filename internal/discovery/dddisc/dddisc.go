@@ -52,10 +52,7 @@ func (o Options) withDefaults() Options {
 // prefix of the candidate-attribute order.
 type Result struct {
 	DDs []dd.DD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of candidate attributes searched.
 	Completed int
 }
@@ -104,8 +101,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	err := pool.ForEach(1, func(int) { rhs = metric.NewTable(pool, r, opts.RHS.Metric, opts.RHS.Col) })
 	rhsSpan.End()
 	if err != nil {
-		run.SetAttr("stop", engine.Reason(err))
-		return Result{Partial: true, Reason: engine.Reason(err)}
+		return Result{Stop: engine.StopAt(run, err)}
 	}
 
 	searchSpan := run.Child(obs.KindPhase, "threshold-search")
@@ -134,11 +130,5 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LHS[0].Col < out[j].LHS[0].Col })
 	reg.Counter("dddisc.dds.valid").Add(int64(len(out)))
-	res := Result{DDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{DDs: out, Completed: done, Stop: engine.StopAt(run, err)}
 }

@@ -52,10 +52,7 @@ func (o Options) withDefaults() Options {
 // full answer.
 type Result struct {
 	DCs []dc.DC
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Stop
 }
 
 // DiscoverContext runs FASTDC and returns minimal valid DCs, sorted by
@@ -76,11 +73,6 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	pool := opts.Pool(ctx)
 	defer pool.Close()
 
-	stopped := func(err error) Result {
-		reason := engine.Reason(err)
-		run.SetAttr("stop", reason)
-		return Result{Partial: true, Reason: reason}
-	}
 	evSpan := run.Child(obs.KindPhase, "evidence-scan")
 	evTimer := reg.Histogram("fastdc.evidence.seconds").Start()
 	evidence, counts, err := evidenceScan(r, space, pool)
@@ -88,7 +80,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	evSpan.SetAttr("sets", len(evidence))
 	evSpan.End()
 	if err != nil {
-		return stopped(err)
+		return Result{Stop: engine.StopAt(run, err)}
 	}
 	reg.Counter("fastdc.evidence.sets").Add(int64(len(evidence)))
 	// The cover search runs on the submitting goroutine, outside the
@@ -101,7 +93,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	coverSpan.SetAttr("covers", len(covers))
 	coverSpan.End()
 	if err != nil {
-		return stopped(err)
+		return Result{Stop: engine.StopAt(run, err)}
 	}
 	out := make([]dc.DC, 0, len(covers))
 	for _, cover := range covers {

@@ -31,10 +31,7 @@ type Options struct {
 // any worker count under a MaxTasks budget.
 type Result struct {
 	FDs []fd.FD
-	// Partial marks a truncated run.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Stop
 	// Completed is the number of RHS attributes fully searched.
 	Completed int
 }
@@ -72,8 +69,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	agreeSpan.End()
 	reg.Counter("fastfd.agree_sets").Add(int64(len(agree)))
 	if err != nil {
-		run.SetAttr("stop", engine.Reason(err))
-		return Result{Partial: true, Reason: engine.Reason(err)}
+		return Result{Stop: engine.StopAt(run, err)}
 	}
 	// Deterministic agree-set order, shared by every RHS search.
 	agreeList := make([]attrset.Set, 0, len(agree))
@@ -102,11 +98,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return results[i].RHS < results[j].RHS
 	})
 	reg.Counter("fastfd.fds.found").Add(int64(len(results)))
-	if runErr != nil {
-		run.SetAttr("stop", engine.Reason(runErr))
-		return Result{FDs: results, Partial: true, Reason: engine.Reason(runErr), Completed: done}
-	}
-	return Result{FDs: results, Completed: n}
+	return Result{FDs: results, Stop: engine.StopAt(run, runErr), Completed: done}
 }
 
 // rhsFDs returns the minimal FDs X → a given the run's sorted agree sets:

@@ -55,10 +55,7 @@ func (o Options) withDefaults(r *relation.Relation) Options {
 // deterministic prefix of the level-wise candidate enumeration.
 type Result struct {
 	FFDs []ffd.FFD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of candidates validated.
 	Completed int
 }
@@ -164,13 +161,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	sort.Slice(found, func(i, j int) bool { return found[i].String() < found[j].String() })
 	reg.Counter("ffddisc.candidates.checked").Add(int64(completed))
 	reg.Counter("ffddisc.ffds.valid").Add(int64(len(found)))
-	res := Result{FFDs: found, Completed: completed}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{FFDs: found, Completed: completed, Stop: engine.StopAt(run, err)}
 }
 
 func key(cols []int, rhs int) string {

@@ -62,10 +62,7 @@ func (o Options) withDefaults() Options {
 // deterministic prefix of the candidate-attribute enumeration order.
 type Result struct {
 	MDs []md.MD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Stop
 	// Completed is the number of candidate attributes searched.
 	Completed int
 }
@@ -156,13 +153,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LHS[0].Col < out[j].LHS[0].Col })
 	reg.Counter("mddisc.mds.valid").Add(int64(len(out)))
-	res := Result{MDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{MDs: out, Completed: done, Stop: engine.StopAt(run, err)}
 }
 
 // RelativeCandidateKeys finds the minimal attribute sets X (within

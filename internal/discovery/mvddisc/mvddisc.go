@@ -42,10 +42,7 @@ func (o Options) withDefaults() Options {
 // deterministic prefix of the (X, Y) candidate enumeration.
 type Result struct {
 	MVDs []mvd.MVD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of candidates validated.
 	Completed int
 }
@@ -166,11 +163,5 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	searchSpan.End()
 	reg.Counter("mvddisc.candidates.checked").Add(int64(completed))
 	reg.Counter("mvddisc.mvds.valid").Add(int64(len(found)))
-	res := Result{MVDs: found, Completed: completed}
-	if stopErr != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(stopErr)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{MVDs: found, Completed: completed, Stop: engine.StopAt(run, stopErr)}
 }

@@ -57,10 +57,7 @@ func (o Options) withDefaults() Options {
 // order, then pairs in lexicographic order).
 type Result struct {
 	NEDs []ned.NED
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of attribute combinations searched.
 	Completed int
 }
@@ -129,7 +126,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	if preErr != nil {
 		// Budget tripped before any combination was searched: the
 		// deterministic empty prefix.
-		return Result{Partial: true, Reason: engine.Reason(preErr)}
+		return Result{Stop: engine.StopAt(run, preErr)}
 	}
 	rhsTabs := tabs[len(cols):]
 	var rhsCols []int
@@ -199,11 +196,5 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg.Counter("nedisc.neds.valid").Add(int64(len(out)))
-	res := Result{NEDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{NEDs: out, Completed: done, Stop: engine.StopAt(run, err)}
 }

@@ -25,10 +25,7 @@ type LexOptions struct {
 // a deterministic prefix of the width-level candidate enumeration.
 type LexResult struct {
 	ODs []od.LexOD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of candidates validated.
 	Completed int
 }
@@ -184,11 +181,5 @@ func DiscoverLexContext(ctx context.Context, r *relation.Relation, opts LexOptio
 
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	reg.Counter("lexdisc.ods.valid").Add(int64(len(out)))
-	res := LexResult{ODs: out, Completed: completed}
-	if stopErr != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(stopErr)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return LexResult{ODs: out, Stop: engine.StopAt(run, stopErr), Completed: completed}
 }

@@ -35,10 +35,7 @@ type Options struct {
 // deterministic prefix of the candidate enumeration order.
 type Result struct {
 	ODs []od.OD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Stop
 	// Completed is the number of candidate ODs checked.
 	Completed int
 }
@@ -88,13 +85,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	reg.Counter("oddisc.ods.valid").Add(int64(len(out)))
-	res := Result{ODs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{ODs: out, Completed: done, Stop: engine.StopAt(run, err)}
 }
 
 // candidates returns the searched columns (Options.Columns, or every

@@ -28,12 +28,7 @@ func discoverPairwise(ctx context.Context, r *relation.Relation, opts Options) R
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	res := Result{ODs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-	}
-	return res
+	return Result{ODs: out, Completed: done, Stop: engine.StopAt(nil, err)}
 }
 
 // BenchmarkLargeODPairwise is the baseline the set-based core must beat

@@ -170,7 +170,7 @@ func (s *Stream) Revalidate(ctx context.Context) (removed []od.OD, res Result) {
 	kept := make([]od.OD, 0, len(s.held))
 	for done, o := range s.held {
 		if err := ctx.Err(); err != nil {
-			return nil, Result{ODs: s.held, Partial: true, Reason: engine.Reason(err), Completed: done}
+			return nil, Result{ODs: s.held, Stop: engine.StopAt(nil, err), Completed: done}
 		}
 		if s.survives(o, pairsFor) {
 			kept = append(kept, o)

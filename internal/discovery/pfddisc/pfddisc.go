@@ -53,10 +53,7 @@ func (o Options) withDefaults() Options {
 // prefix of the level-wise candidate enumeration.
 type Result struct {
 	PFDs []pfd.PFD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of candidates checked.
 	Completed int
 }
@@ -147,13 +144,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return out[i].RHS < out[j].RHS
 	})
 	reg.Counter("pfddisc.pfds.valid").Add(int64(len(out)))
-	res := Result{PFDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{PFDs: out, Completed: done, Stop: engine.StopAt(run, err)}
 }
 
 // SourceProbability is the per-source probability of one FD, used by the

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"deptree/internal/deps"
 	"deptree/internal/deps/dd"
 	"deptree/internal/deps/fd"
 	"deptree/internal/deps/ned"
@@ -74,14 +75,14 @@ func (o RunOptions) Exec() engine.Exec {
 // sample, then keep the candidates that the verifier (built only in that
 // mode) confirms on the full relation. Both phases share one budget.
 func sampled[T any](ctx context.Context, r *relation.Relation, o RunOptions,
-	discover func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]T, bool, string),
-	verifier func() func(*engine.Pool, T) bool) ([]T, bool, string) {
+	discover func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]T, engine.Stop),
+	verifier func() func(*engine.Pool, T) bool) ([]T, engine.Stop) {
 	if o.SampleRows <= 0 {
 		return discover(ctx, r, o.Exec())
 	}
 	res := sampling.Run(ctx, r, sampling.Options{Rows: o.SampleRows, Seed: o.SampleSeed, Exec: o.Exec()},
 		discover, verifier())
-	return res.Verified, res.Partial, res.Reason
+	return res.Verified, res.Stop
 }
 
 // fdVerifier builds the exact-verification predicate sampled FD
@@ -112,12 +113,9 @@ func fdVerifier(r *relation.Relation, maxErr float64, x engine.Exec) func(*engin
 type Output struct {
 	// Lines holds one rendered dependency per line, in the CLI's order.
 	Lines []string
-	// Partial marks a budget/cancellation/panic-truncated run; Lines is
-	// then a deterministic prefix of the full run's lines.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks",
-	// "cancelled", "panic: ..."); empty when complete.
-	Reason string
+	// Stop is how the run ended; a Partial run's Lines are a
+	// deterministic prefix of the full run's lines.
+	engine.Stop
 }
 
 // Text renders the output exactly as `deptool discover` writes it to
@@ -155,14 +153,9 @@ type Algo struct {
 	Run func(ctx context.Context, r *relation.Relation, o RunOptions) Output
 }
 
-// render maps a discovery result slice to output lines via fmt.Sprint
-// (every dependency type carries a String method).
-func render[T fmt.Stringer](xs []T, partial bool, reason string) Output {
-	out := Output{Partial: partial, Reason: reason}
-	for _, x := range xs {
-		out.Lines = append(out.Lines, fmt.Sprint(x))
-	}
-	return out
+// render maps a discovery result slice and its stop to an Output.
+func render[T fmt.Stringer](xs []T, stop engine.Stop) Output {
+	return Output{Lines: deps.Lines(xs), Stop: stop}
 }
 
 // lastCol returns the default RHS column for RHS-directed discoverers:
@@ -180,9 +173,9 @@ var algos = []Algo{
 		Sampling: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			return render(sampled(ctx, r, o,
-				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]fd.FD, bool, string) {
+				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]fd.FD, engine.Stop) {
 					res := tane.DiscoverContext(ctx, r, tane.Options{MaxError: o.MaxErr, Exec: x})
-					return res.FDs, res.Partial, res.Reason
+					return res.FDs, res.Stop
 				},
 				func() func(*engine.Pool, fd.FD) bool { return fdVerifier(r, o.MaxErr, o.Exec()) }))
 		},
@@ -193,9 +186,9 @@ var algos = []Algo{
 		Sampling: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			return render(sampled(ctx, r, o,
-				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]fd.FD, bool, string) {
+				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]fd.FD, engine.Stop) {
 					res := fastfd.DiscoverContext(ctx, r, fastfd.Options{Exec: x})
-					return res.FDs, res.Partial, res.Reason
+					return res.FDs, res.Stop
 				},
 				func() func(*engine.Pool, fd.FD) bool { return fdVerifier(r, 0, o.Exec()) }))
 		},
@@ -205,7 +198,7 @@ var algos = []Algo{
 		Doc: "CORDS soft-FD (correlation) discovery",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := cords.DiscoverContext(ctx, r, cords.Options{Exec: o.Exec()})
-			return render(res.SFDs, res.Partial, res.Reason)
+			return render(res.SFDs, res.Stop)
 		},
 	},
 	{
@@ -213,7 +206,7 @@ var algos = []Algo{
 		Doc: "FastDC denial-constraint discovery (2-predicate)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := fastdc.DiscoverContext(ctx, r, fastdc.Options{MaxPredicates: 2, Exec: o.Exec()})
-			return render(res.DCs, res.Partial, res.Reason)
+			return render(res.DCs, res.Stop)
 		},
 	},
 	{
@@ -221,10 +214,10 @@ var algos = []Algo{
 		Doc:      "Set-based order dependency discovery (minimal ODs)",
 		Sampling: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			ods, partial, reason := sampled(ctx, r, o,
-				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]od.OD, bool, string) {
+			ods, stop := sampled(ctx, r, o,
+				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]od.OD, engine.Stop) {
 					res := oddisc.DiscoverContext(ctx, r, oddisc.Options{Exec: x})
-					return res.ODs, res.Partial, res.Reason
+					return res.ODs, res.Stop
 				},
 				// One set-based verifier over the full relation: per-column
 				// rank arrays are built once, each candidate check is a
@@ -235,7 +228,7 @@ var algos = []Algo{
 				})
 			// Minimality is re-derived after verification, which can thin
 			// the transitive structure.
-			return render(oddisc.Minimal(ods), partial, reason)
+			return render(oddisc.Minimal(ods), stop)
 		},
 	},
 	{
@@ -244,9 +237,9 @@ var algos = []Algo{
 		Sampling: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			return render(sampled(ctx, r, o,
-				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]od.LexOD, bool, string) {
+				func(ctx context.Context, r *relation.Relation, x engine.Exec) ([]od.LexOD, engine.Stop) {
 					res := oddisc.DiscoverLexContext(ctx, r, oddisc.LexOptions{Exec: x})
-					return res.ODs, res.Partial, res.Reason
+					return res.ODs, res.Stop
 				},
 				func() func(*engine.Pool, od.LexOD) bool {
 					return func(p *engine.Pool, c od.LexOD) bool { return oddisc.LexHolds(p, r, c) }
@@ -258,15 +251,15 @@ var algos = []Algo{
 		Doc: "CFDMiner-style minimal constant CFD mining",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := cfddisc.DiscoverContext(ctx, r, cfddisc.Options{Exec: o.Exec()})
-			return render(res.CFDs, res.Partial, res.Reason)
+			return render(res.CFDs, res.Stop)
 		},
 	},
 	{
-		Name: "pfd", Class: "pFD",
+		Name: "pfd", Class: "PFD",
 		Doc: "Probabilistic FD discovery (majority-probability counting)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := pfddisc.DiscoverContext(ctx, r, pfddisc.Options{Exec: o.Exec()})
-			return render(res.PFDs, res.Partial, res.Reason)
+			return render(res.PFDs, res.Stop)
 		},
 	},
 	{
@@ -274,7 +267,7 @@ var algos = []Algo{
 		Doc: "Fuzzy FD discovery over resemblance relations",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := ffddisc.DiscoverContext(ctx, r, ffddisc.Options{Exec: o.Exec()})
-			return render(res.FFDs, res.Partial, res.Reason)
+			return render(res.FFDs, res.Stop)
 		},
 	},
 	{
@@ -282,7 +275,7 @@ var algos = []Algo{
 		Doc: "Matching dependency discovery (RHS: last column)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := mddisc.DiscoverContext(ctx, r, mddisc.Options{Exec: o.Exec()})
-			return render(res.MDs, res.Partial, res.Reason)
+			return render(res.MDs, res.Stop)
 		},
 	},
 	{
@@ -297,7 +290,7 @@ var algos = []Algo{
 				RHS:  dd.DiffFunc{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Op: dd.OpLe, Threshold: 0},
 				Exec: o.Exec(),
 			})
-			return render(res.DDs, res.Partial, res.Reason)
+			return render(res.DDs, res.Stop)
 		},
 	},
 	{
@@ -312,7 +305,7 @@ var algos = []Algo{
 				RHS:  ned.Predicate{{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Threshold: 0}},
 				Exec: o.Exec(),
 			})
-			return render(res.NEDs, res.Partial, res.Reason)
+			return render(res.NEDs, res.Stop)
 		},
 	},
 	{
@@ -320,7 +313,7 @@ var algos = []Algo{
 		Doc: "Comparable dependency discovery (pay-as-you-go session)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := cddisc.DiscoverContext(ctx, r, cddisc.Options{Exec: o.Exec()})
-			return render(res.CDs, res.Partial, res.Reason)
+			return render(res.CDs, res.Stop)
 		},
 	},
 	{
@@ -328,7 +321,7 @@ var algos = []Algo{
 		Doc: "Multivalued dependency discovery (top-down search)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := mvddisc.DiscoverContext(ctx, r, mvddisc.Options{Exec: o.Exec()})
-			return render(res.MVDs, res.Partial, res.Reason)
+			return render(res.MVDs, res.Stop)
 		},
 	},
 	{
@@ -336,7 +329,7 @@ var algos = []Algo{
 		Doc: "Sequential dependency discovery (fitted gap intervals)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := sddisc.DiscoverContext(ctx, r, sddisc.Options{Exec: o.Exec()})
-			return render(res.SDs, res.Partial, res.Reason)
+			return render(res.SDs, res.Stop)
 		},
 	},
 }

@@ -6,10 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"deptree/internal/core"
 )
 
 // TestRegistryWellFormed pins the enrollment invariants: unique names,
-// a class and one-line doc per algorithm, and Lookup agreeing with All.
+// a class of the family tree (core.Lookup resolves it) and a one-line
+// doc per algorithm, and Lookup agreeing with All.
 func TestRegistryWellFormed(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range All() {
@@ -20,6 +23,9 @@ func TestRegistryWellFormed(t *testing.T) {
 			t.Errorf("duplicate registry name %q", a.Name)
 		}
 		seen[a.Name] = true
+		if _, ok := core.Lookup(a.Class); !ok {
+			t.Errorf("%s: class %q is not a family-tree acronym", a.Name, a.Class)
+		}
 		got, ok := Lookup(a.Name)
 		if !ok || got.Name != a.Name {
 			t.Errorf("Lookup(%q) = %+v, %v", a.Name, got, ok)

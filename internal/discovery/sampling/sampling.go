@@ -61,12 +61,10 @@ type Result[T any] struct {
 	// Sampled reports whether a strict sample was used (false when Rows
 	// covered the whole relation and discovery was exact).
 	Sampled bool
-	// Partial marks a truncated run: the sample discovery stopped early,
-	// or the verification budget ran out. Verified then covers a
-	// deterministic prefix of the candidates.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	// Stop is how the run ended. It is Partial when the sample discovery
+	// stopped early or the verification budget ran out; Verified then
+	// covers a deterministic prefix of the candidates.
+	engine.Stop
 }
 
 // Sample returns the deterministic seeded row sample: rows rows chosen
@@ -90,7 +88,7 @@ func Sample(r *relation.Relation, rows int, seed int64) *relation.Relation {
 }
 
 // Run executes one sample-then-verify pass: discover proposes candidates
-// on the sample (returning its own partial/reason state), verify decides
+// on the sample (returning its own engine.Stop), verify decides
 // one candidate exactly against the full relation from inside a task of
 // the verification pool. Only verified candidates are returned; refuted
 // ones are counted and dropped.
@@ -99,7 +97,7 @@ func Sample(r *relation.Relation, rows int, seed int64) *relation.Relation {
 // run under the Exec it is passed, and verification gets what the
 // discovery phase left of the deadline and of MaxTasks.
 func Run[T any](ctx context.Context, full *relation.Relation, opts Options,
-	discover func(ctx context.Context, sample *relation.Relation, x engine.Exec) ([]T, bool, string),
+	discover func(ctx context.Context, sample *relation.Relation, x engine.Exec) ([]T, engine.Stop),
 	verify func(pool *engine.Pool, cand T) bool) Result[T] {
 
 	ctx, x, cancel := opts.Share(ctx)
@@ -112,13 +110,14 @@ func Run[T any](ctx context.Context, full *relation.Relation, opts Options,
 	span.SetAttr("sample_rows", sample.Rows())
 	defer span.End()
 
-	cands, partial, reason := discover(ctx, sample, x)
+	cands, stop := discover(ctx, sample, x)
+	stop.On(span)
 	reg.Counter("sampling.candidates").Add(int64(len(cands)))
 
 	if sample == full {
 		// Trivial sample: discovery was exact, nothing to verify.
 		reg.Counter("sampling.verified").Add(int64(len(cands)))
-		return Result[T]{Verified: cands, Candidates: len(cands), Partial: partial, Reason: reason}
+		return Result[T]{Verified: cands, Candidates: len(cands), Stop: stop}
 	}
 
 	pool := x.Pool(ctx)
@@ -128,7 +127,12 @@ func Run[T any](ctx context.Context, full *relation.Relation, opts Options,
 	verifySpan.SetAttr("completed", done)
 	verifySpan.End()
 
-	res := Result[T]{Candidates: len(cands), Sampled: true, Partial: partial, Reason: reason}
+	// A discovery stop outranks a verification stop: it names what cut
+	// the candidate list.
+	if !stop.Partial {
+		stop = engine.StopAt(span, err)
+	}
+	res := Result[T]{Candidates: len(cands), Sampled: true, Stop: stop}
 	for i := 0; i < done; i++ {
 		if ok[i] {
 			res.Verified = append(res.Verified, cands[i])
@@ -138,11 +142,5 @@ func Run[T any](ctx context.Context, full *relation.Relation, opts Options,
 	}
 	reg.Counter("sampling.verified").Add(int64(len(res.Verified)))
 	reg.Counter("sampling.refuted").Add(int64(res.Refuted))
-	if err != nil {
-		res.Partial = true
-		if res.Reason == "" {
-			res.Reason = engine.Reason(err)
-		}
-	}
 	return res
 }

@@ -56,11 +56,11 @@ func TestRunTrivialSampleSkipsVerification(t *testing.T) {
 	reg := obs.New()
 	verifyCalls := 0
 	res := Run(context.Background(), r, Options{Rows: 0, Exec: engine.Exec{Obs: reg}},
-		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
+		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, engine.Stop) {
 			if s != r {
 				t.Fatal("trivial sample is not the relation itself")
 			}
-			return []int{1, 2, 3}, false, ""
+			return []int{1, 2, 3}, engine.Stop{}
 		},
 		func(*engine.Pool, int) bool { verifyCalls++; return false })
 	if verifyCalls != 0 {
@@ -78,11 +78,11 @@ func TestRunPartitionsVerifiedAndRefuted(t *testing.T) {
 	r := gen.Categorical(100, []int{10}, 1)
 	reg := obs.New()
 	res := Run(context.Background(), r, Options{Rows: 10, Seed: 2, Exec: engine.Exec{Workers: 3, Obs: reg}},
-		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
+		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, engine.Stop) {
 			if s.Rows() != 10 {
 				t.Fatalf("sample has %d rows, want 10", s.Rows())
 			}
-			return []int{0, 1, 2, 3, 4, 5}, false, ""
+			return []int{0, 1, 2, 3, 4, 5}, engine.Stop{}
 		},
 		func(_ *engine.Pool, c int) bool { return c%2 == 0 })
 	if !res.Sampled || res.Partial {
@@ -106,8 +106,8 @@ func TestRunBudgetTruncatesVerificationDeterministically(t *testing.T) {
 	for i := range cands {
 		cands[i] = i
 	}
-	discover := func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
-		return cands, false, ""
+	discover := func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, engine.Stop) {
+		return cands, engine.Stop{}
 	}
 	verify := func(_ *engine.Pool, c int) bool { return c%3 != 0 }
 	var first []int
@@ -132,8 +132,8 @@ func TestRunBudgetTruncatesVerificationDeterministically(t *testing.T) {
 func TestRunPropagatesDiscoveryPartial(t *testing.T) {
 	r := gen.Categorical(50, []int{5}, 1)
 	res := Run(context.Background(), r, Options{Rows: 10, Seed: 1},
-		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
-			return []int{1}, true, "deadline"
+		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, engine.Stop) {
+			return []int{1}, engine.Stop{Partial: true, Reason: "deadline"}
 		},
 		func(*engine.Pool, int) bool { return true })
 	if !res.Partial || res.Reason != "deadline" {
@@ -146,8 +146,8 @@ func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res := Run(ctx, r, Options{Rows: 10, Seed: 1},
-		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, bool, string) {
-			return []int{1, 2}, false, ""
+		func(ctx context.Context, s *relation.Relation, _ engine.Exec) ([]int, engine.Stop) {
+			return []int{1, 2}, engine.Stop{}
 		},
 		func(*engine.Pool, int) bool { return true })
 	if !res.Partial {

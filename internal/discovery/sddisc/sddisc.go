@@ -32,10 +32,7 @@ type Options struct {
 // Result is an SD discovery outcome.
 type Result struct {
 	SDs []sd.SD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Stop
 	// Completed is the number of (X, Y) candidate pairs fitted.
 	Completed int
 }
@@ -51,6 +48,11 @@ const batch = 4
 // of Golab et al.'s discovery problem, with the interval chosen by
 // FitInterval's central-quantile heuristic. It runs under a context and
 // Options.Budget.
+//
+// The output is approximate, not exact: an SD is emitted once its
+// Confidence reaches MinConfidence, and the rendered X ->_[g] Y does
+// not carry that confidence, so an emitted SD need not satisfy
+// sd.SD.Holds — on dirty data most do not (DESIGN.md §5).
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Result {
 	if opts.MinConfidence == 0 {
 		opts.MinConfidence = 0.9
@@ -110,13 +112,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return out[i].Y < out[j].Y
 	})
 	reg.Counter("sddisc.sds.valid").Add(int64(len(out)))
-	res := Result{SDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{SDs: out, Completed: done, Stop: engine.StopAt(run, err)}
 }
 
 // FitInterval returns the tightest gap interval g containing at least

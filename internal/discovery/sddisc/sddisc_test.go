@@ -1,6 +1,7 @@
 package sddisc
 
 import (
+	"context"
 	"testing"
 
 	"deptree/internal/deps/sd"
@@ -110,5 +111,24 @@ func TestTableauDPTiny(t *testing.T) {
 	s := sd.Must(r.Schema(), []string{"seq"}, "value", sd.Interval{Lo: 9, Hi: 11})
 	if spans := TableauDP(r, s, 1, 10); spans != nil {
 		t.Errorf("single row: %v", spans)
+	}
+}
+
+// TestDiscoverEmitsOnlyConfidentSDs: sddisc's output is approximate —
+// an emitted SD need not hold exactly (sd.SD.Holds) — but every SD it
+// emits reaches MinConfidence on the relation it was mined from.
+func TestDiscoverEmitsOnlyConfidentSDs(t *testing.T) {
+	const minConfidence = 0.9 // Options' default
+	for seed := int64(1); seed <= 3; seed++ {
+		r := gen.Hotels(gen.HotelConfig{Rows: 120, Seed: seed, VarietyRate: 0.1, ErrorRate: 0.05, DuplicateRate: 0.2})
+		res := DiscoverContext(context.Background(), r, Options{})
+		if res.Partial || len(res.SDs) == 0 {
+			t.Fatalf("seed %d: %d SDs, partial %v; want a complete run that emits SDs", seed, len(res.SDs), res.Partial)
+		}
+		for _, s := range res.SDs {
+			if c := s.Confidence(r); c < minConfidence {
+				t.Errorf("seed %d: %s has confidence %.3f, below %.1f", seed, s, c, minConfidence)
+			}
+		}
 	}
 }

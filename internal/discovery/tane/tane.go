@@ -50,12 +50,9 @@ type Options struct {
 // MaxTasks budget — rather than nothing.
 type Result struct {
 	FDs []fd.FD
-	// Partial marks a truncated run; FDs then covers only the completed
-	// lattice levels.
-	Partial bool
-	// Reason is the stable token for what stopped the run ("deadline",
-	// "max-tasks", "cancelled", "panic: ..."); empty when complete.
-	Reason string
+	// Stop is how the run ended; a Partial run's FDs cover only the
+	// completed lattice levels.
+	engine.Stop
 	// Levels is the number of lattice levels whose validation completed.
 	Levels int
 }
@@ -92,19 +89,10 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	run.SetAttr("cols", n)
 	defer run.End()
 	var levelSpan *obs.Span
-
-	// partial finalizes a truncated run: everything committed so far —
-	// whole fan-out phases, so identical for every worker count under a
-	// MaxTasks budget — plus the stop reason.
-	partial := func(results []fd.FD, levels int, err error) Result {
-		sortFDs(results)
-		reason := engine.Reason(err)
-		levelSpan.SetAttr("stop", reason)
-		levelSpan.End()
-		run.SetAttr("stop", reason)
-		reg.Counter("tane.fds.found").Add(int64(len(results)))
-		return Result{FDs: results, Partial: true, Reason: reason, Levels: levels}
-	}
+	// stopErr cuts the walk; a truncated run keeps everything committed
+	// before it — whole fan-out phases, so identical for every worker
+	// count under a MaxTasks budget.
+	var stopErr error
 
 	fullSet := attrset.Full(n)
 	var results []fd.FD
@@ -123,8 +111,8 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	prev := make(map[attrset.Set]*node, n)
 	var constCols attrset.Set
 	for c := 0; c < n; c++ {
-		if err := pool.Err(); err != nil {
-			return partial(nil, 0, err)
+		if stopErr = pool.Err(); stopErr != nil {
+			break
 		}
 		p := cache.Get(attrset.Single(c))
 		prev[attrset.Single(c)] = &node{part: p, cand: fullSet}
@@ -139,6 +127,9 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 
 	level := 1
 	completed := 1 // singleton level is done once prev is seeded
+	if stopErr != nil {
+		results, prev, completed = nil, nil, 0
+	}
 	for len(prev) > 0 {
 		if opts.MaxLHS > 0 && level > opts.MaxLHS+1 {
 			break
@@ -187,7 +178,8 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 				return validated{fds: fds, cand: cand}
 			})
 			if err != nil {
-				return partial(results, completed, err)
+				stopErr = err
+				break
 			}
 			for i, x := range nodes {
 				prev[x].cand = checked[i].cand
@@ -237,7 +229,8 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 			return pruned{keep: true}
 		})
 		if err != nil {
-			return partial(results, completed, err)
+			stopErr = err
+			break
 		}
 		var keep []attrset.Set
 		for i, x := range nodes {
@@ -261,7 +254,8 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 			return &node{part: cache.Get(x), cand: cand}
 		})
 		if err != nil {
-			return partial(results, completed, err)
+			stopErr = err
+			break
 		}
 		next := make(map[attrset.Set]*node)
 		for i, x := range cands {
@@ -278,9 +272,11 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		levelSpan.End()
 		reg.Counter("tane.levels.completed").Inc()
 	}
+	stop := engine.StopAt(levelSpan, stopErr).On(run)
+	levelSpan.End()
 	sortFDs(results)
 	reg.Counter("tane.fds.found").Add(int64(len(results)))
-	return Result{FDs: results, Levels: completed}
+	return Result{FDs: results, Stop: stop, Levels: completed}
 }
 
 func sortFDs(fds []fd.FD) {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"deptree/internal/obs"
 )
 
 // ErrPoolClosed is returned by Submit/ForEach when the pool has been
@@ -39,6 +41,39 @@ type Budget struct {
 // Unlimited reports whether the budget imposes no limit at all.
 func (b Budget) Unlimited() bool {
 	return b.Timeout == 0 && b.MaxTasks == 0 && b.MaxCacheBytes == 0
+}
+
+// Stop is how a budgeted run ended. Every in-process run result embeds
+// it: a run cut by its deadline, its task budget, cancellation or a
+// worker panic reports Partial with the Reason token, and its output is
+// then a deterministic prefix of the complete run's output. The zero
+// Stop is a complete run.
+type Stop struct {
+	// Partial marks a truncated run.
+	Partial bool
+	// Reason is the stable stop token ("deadline", "max-tasks",
+	// "cancelled", "panic: ..."); empty when complete.
+	Reason string
+}
+
+// StopAt turns the error that cut a run into the run's Stop (the zero
+// Stop for a nil error) and records it on span; see Stop.On.
+func StopAt(span *obs.Span, err error) Stop {
+	if err == nil {
+		return Stop{}
+	}
+	return Stop{Partial: true, Reason: Reason(err)}.On(span)
+}
+
+// On records a partial Stop's token as the "stop" attribute of span and
+// returns s; a complete Stop leaves span as it is. A run that passes on
+// the Stop of a run nested inside it marks its own span with it, so the
+// last run span to end always names why the run stopped.
+func (s Stop) On(span *obs.Span) Stop {
+	if s.Partial {
+		span.SetAttr("stop", s.Reason)
+	}
+	return s
 }
 
 // Reason renders the error that stopped a run as a short, stable token

@@ -374,7 +374,8 @@ const DefaultBatch = 32
 // reserved against the pool's task budget before it starts. It returns
 // the results for the longest prefix of fully-completed batches, the
 // number of indices that prefix covers, and the error that stopped the
-// run (nil when all n completed). Because the batch boundaries and the
+// run (nil when all n completed), which the caller turns into its
+// result's Stop with StopAt. Because the batch boundaries and the
 // all-or-nothing reservations are independent of the worker count, a
 // MaxTasks-truncated run covers the same prefix for every worker count.
 func MapBudget[T any](p *Pool, n, batch int, fn func(i int) T) ([]T, int, error) {

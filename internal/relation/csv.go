@@ -524,23 +524,25 @@ func rowBound(data string, cols, maxRows int) int {
 	return max(0, min(newlines, len(data)/max(cols, 2), maxRows))
 }
 
-// writeChunk is the size at which WriteCSV hands its buffer to the
-// destination; writeSlack is the headroom left for the record that
-// crosses it, so a record shorter than that never grows the buffer.
+// writeChunk is the most WriteCSV holds before it hands its buffer to
+// the destination; writeSlack is the headroom left for the record that
+// fills it, so a record shorter than that never grows the buffer.
 const (
 	writeChunk = 64 << 10
 	writeSlack = 4 << 10
 )
 
 // WriteCSV encodes the relation as CSV with a header record. Records
-// are appended to one buffer that goes to dst whenever it holds about
-// writeChunk bytes, so a large relation streams (into a hash, say)
-// without being held whole. Fields are quoted by encoding/csv's Writer
-// rules (see appendField), and a record of one empty field is written
-// as "", where encoding/csv writes a blank line that every reader skips
-// (found by FuzzCSVRoundTrip).
+// are appended to one buffer, sized by csvSizeHint to the relation's
+// CSV up to writeChunk bytes, that goes to dst whenever it is within
+// writeSlack of full, so a large relation streams (into a hash, say)
+// without being held whole and a small one allocates little more than
+// its own size. Fields are quoted by encoding/csv's Writer rules (see
+// appendField), and a record of one empty field is written as "", where
+// encoding/csv writes a blank line that every reader skips (found by
+// FuzzCSVRoundTrip).
 func WriteCSV(r *Relation, dst io.Writer) error {
-	buf := make([]byte, 0, writeChunk+writeSlack)
+	buf := make([]byte, 0, csvSizeHint(r, writeChunk)+writeSlack)
 	cols := r.Cols()
 	for row := -1; row < r.Rows(); row++ {
 		mark := len(buf)
@@ -565,7 +567,7 @@ func WriteCSV(r *Relation, dst io.Writer) error {
 			buf = append(buf, `""`...)
 		}
 		buf = append(buf, '\n')
-		if len(buf) >= writeChunk || row == r.Rows()-1 {
+		if len(buf) >= cap(buf)-writeSlack || row == r.Rows()-1 {
 			if _, err := dst.Write(buf); err != nil {
 				return fmt.Errorf("relation: write CSV: %w", err)
 			}
@@ -573,6 +575,41 @@ func WriteCSV(r *Relation, dst io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// hintRows is about how many rows csvSizeHint renders to estimate a
+// relation's CSV size.
+const hintRows = 32
+
+// csvSizeHint estimates the bytes WriteCSV writes for r, up to limit:
+// the header, plus the widths of about hintRows evenly spaced records
+// scaled to all of them. A short hint costs WriteCSV an early write,
+// not an allocation; it leaves out the quotes of quoted fields.
+func csvSizeHint(r *Relation, limit int) int {
+	cols := r.Cols()
+	n := 0
+	for c := 0; c < cols; c++ {
+		n += len(r.schema.Attr(c).Name) + 1 // the name, then a comma or the newline
+	}
+	var num [32]byte
+	sampled, width := 0, 0
+	for row := 0; row < r.rows; row += max(1, r.rows/hintRows) {
+		sampled++
+		width += cols
+		for c := 0; c < cols; c++ {
+			switch v := r.cols[c][row]; {
+			case v.null:
+			case v.kind == KindString:
+				width += len(v.str)
+			default:
+				width += len(appendValue(num[:0], v))
+			}
+		}
+	}
+	if sampled > 0 {
+		n += width * r.rows / sampled
+	}
+	return min(n, limit)
 }
 
 // appendField appends f as one CSV field, quoted when encoding/csv's

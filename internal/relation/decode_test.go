@@ -106,6 +106,32 @@ func TestWriteCSVAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestWriteCSVAllocSizedToOutput pins WriteCSV's buffer to the size of
+// what it writes: 500 hotels rows (about 28 KB of CSV) allocate at most
+// 1.25 times their output bytes, not a fixed 64 KB chunk buffer.
+func TestWriteCSVAllocSizedToOutput(t *testing.T) {
+	const runs = 10
+	r, err := relation.ReadCSVAuto("hotels", hotelsCSVBytes(t, 500), relation.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := relation.WriteCSV(r, &out); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := relation.WriteCSV(r, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(out.Len())*5/4; got > limit {
+		t.Errorf("WriteCSV allocated %d bytes to write %d, want at most %d", got, out.Len(), limit)
+	}
+}
+
 // BenchmarkReadCSV measures the parse layer in MB/s: ReadCSVAuto on the
 // hotels CSV a served request carries, and ReadCSVLimits with fixed
 // kinds on a stream append batch.

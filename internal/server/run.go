@@ -39,6 +39,7 @@ import (
 	"deptree/internal/deps"
 	"deptree/internal/deps/fd"
 	"deptree/internal/discovery/registry"
+	"deptree/internal/engine"
 	"deptree/internal/relation"
 )
 
@@ -123,9 +124,8 @@ type ValidateOutput struct {
 	// for the completed prefix, exactly as `deptool validate` prints
 	// them.
 	Report string
-	// Partial, Reason, Completed mirror detect.RunResult.
-	Partial   bool
-	Reason    string
+	// Stop and Completed mirror detect.RunResult.
+	engine.Stop
 	Completed int
 	// Rules is the number of rules requested.
 	Rules int
@@ -158,8 +158,7 @@ func RunValidate(ctx context.Context, r *relation.Relation, fds []fd.FD, p RunPa
 	}
 	return ValidateOutput{
 		Report:    b.String(),
-		Partial:   res.Partial,
-		Reason:    res.Reason,
+		Stop:      res.Stop,
 		Completed: res.Completed,
 		Rules:     len(rules),
 	}
@@ -174,9 +173,8 @@ type RepairOutput struct {
 	// Changes holds one rendered cell change per entry, in application
 	// order.
 	Changes []string
-	// Partial, Reason mirror repair.Result.
-	Partial bool
-	Reason  string
+	// Stop mirrors repair.Result.
+	engine.Stop
 }
 
 // RunRepair repairs the FDs' violations by in-class majority vote, the
@@ -187,7 +185,7 @@ func RunRepair(ctx context.Context, r *relation.Relation, fds []fd.FD, p RunPara
 	res := repair.FDRepairContext(ctx, r, fds, repair.Options{Exec: p.Exec()})
 	var buf bytes.Buffer
 	relation.WriteCSV(res.Repaired, &buf) // a bytes.Buffer write never fails
-	out := RepairOutput{CSV: buf.String(), Partial: res.Partial, Reason: res.Reason}
+	out := RepairOutput{CSV: buf.String(), Stop: res.Stop}
 	for _, ch := range res.Changes {
 		out.Changes = append(out.Changes, ch.String())
 	}

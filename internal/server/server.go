@@ -455,24 +455,18 @@ func (rr repairResponse) writeText(w http.ResponseWriter) {
 // panics always count; deadline expiry counts only when the deadline
 // was server-imposed (a client that asked for a tight budget and got a
 // partial result is the graceful-degradation path, not a fault).
-func engineFault(partial bool, reason string, clientTimeout bool) bool {
-	if !partial {
-		return false
-	}
-	if engine.IsPanicReason(reason) {
-		return true
-	}
-	return engine.IsDeadlineReason(reason) && !clientTimeout
+func engineFault(stop engine.Stop, clientTimeout bool) bool {
+	return engine.IsPanicReason(stop.Reason) || engine.IsDeadlineReason(stop.Reason) && !clientTimeout
 }
 
 // outcomeError maps a degraded run to its HTTP error, or nil for the
 // 200 path (complete, or budget-truncated partial).
-func outcomeError(partial bool, reason string) *apiError {
+func outcomeError(stop engine.Stop) *apiError {
 	switch {
-	case partial && engine.IsPanicReason(reason):
+	case engine.IsPanicReason(stop.Reason):
 		return &apiError{status: http.StatusInternalServerError, code: "engine_panic",
-			msg: "engine task panicked: " + reason}
-	case partial && reason == "cancelled":
+			msg: "engine task panicked: " + stop.Reason}
+	case stop.Reason == "cancelled":
 		return &apiError{status: http.StatusServiceUnavailable, code: "cancelled",
 			msg: "run cancelled before completion (server draining or client gone)"}
 	default:
@@ -487,9 +481,8 @@ func (s *Server) fail(w http.ResponseWriter, endpoint string, e *apiError) {
 }
 
 // runFunc is a checked and parsed request, ready to run under admission:
-// it returns the reply with the run's partial/reason outcome, or a
-// typed error.
-type runFunc func(ctx context.Context, p RunParams) (response, bool, string, *apiError)
+// it returns the reply with the run's engine.Stop, or a typed error.
+type runFunc func(ctx context.Context, p RunParams) (response, engine.Stop, *apiError)
 
 // serve is the one request pipeline of the sync and stream endpoints:
 // decode the body into req, check and parse it, then run the result
@@ -559,7 +552,7 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	start := time.Now()
-	resp, partial, reason, apiErr := fn(ctx, RunParams{
+	resp, outcome, apiErr := fn(ctx, RunParams{
 		Workers: spec.workers,
 		Budget:  engine.Budget{Timeout: spec.timeout, MaxTasks: spec.maxTasks},
 		Obs:     s.reg,
@@ -568,13 +561,13 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string
 	latency.Observe(elapsed)
 	s.lat.observe(elapsed)
 
-	if engineFault(partial, reason, spec.clientTimeout) {
+	if engineFault(outcome, spec.clientTimeout) {
 		done(breakerFault)
 	} else {
 		done(breakerOK)
 	}
 	if apiErr == nil {
-		apiErr = outcomeError(partial, reason)
+		apiErr = outcomeError(outcome)
 	}
 	if apiErr != nil {
 		s.fail(w, endpoint, apiErr)
@@ -622,9 +615,9 @@ func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, endpoint stri
 
 // reply runs t for a sync reply. prepare has checked the algorithm, so
 // the run cannot fail.
-func (t task) reply(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
+func (t task) reply(ctx context.Context, p RunParams) (response, engine.Stop, *apiError) {
 	resp, res := t.run(ctx, p)
-	return resp, res.Partial, res.Reason, nil
+	return resp, engine.Stop{Partial: res.Partial, Reason: res.Reason}, nil
 }
 
 // run executes a prepared task under the execution knobs in p and

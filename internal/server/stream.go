@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"deptree/internal/discovery/registry"
+	"deptree/internal/engine"
 	"deptree/internal/obs"
 	"deptree/internal/relation"
 	"deptree/internal/stream"
@@ -350,9 +351,9 @@ func (s *Server) checkStream(algo string, req StreamRequest) (runFunc, *apiError
 			return nil, &apiError{status: http.StatusBadRequest, code: "streaming_unsupported", msg: err.Error()}
 		}
 		st, rows := &serverStream{sess: sess}, streamTuples(rel)
-		return func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
+		return func(ctx context.Context, p RunParams) (response, engine.Stop, *apiError) {
 			if e := s.streams.admit(); e != nil {
-				return nil, false, "", e
+				return nil, engine.Stop{}, e
 			}
 			return s.streamBatch(ctx, algo, st, rows, p)
 		}, nil
@@ -371,7 +372,7 @@ func (s *Server) checkStream(algo string, req StreamRequest) (runFunc, *apiError
 		return nil, e
 	}
 	rows := streamTuples(rel)
-	return func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
+	return func(ctx context.Context, p RunParams) (response, engine.Stop, *apiError) {
 		return s.streamBatch(ctx, algo, st, rows, p)
 	}, nil
 }
@@ -383,18 +384,18 @@ func (s *Server) checkStream(algo string, req StreamRequest) (runFunc, *apiError
 // first batch answers 200 (budget-partial included): a creation that
 // ends in an engine panic or a cancellation leaves nothing behind.
 func (s *Server) streamBatch(ctx context.Context, algo string, st *serverStream,
-	rows [][]relation.Value, p RunParams) (response, bool, string, *apiError) {
+	rows [][]relation.Value, p RunParams) (response, engine.Stop, *apiError) {
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.sess.SetRun(p.Workers, p.Budget)
 	res, err := st.sess.AppendBatch(ctx, rows)
 	if err != nil {
-		return nil, false, "", ingestError(err, "invalid_batch")
+		return nil, engine.Stop{}, ingestError(err, "invalid_batch")
 	}
-	if st.id == "" && outcomeError(res.Partial, res.Reason) == nil {
+	if st.id == "" && outcomeError(res.Stop) == nil {
 		if e := s.streams.commit(st, algo); e != nil {
-			return nil, false, "", e
+			return nil, engine.Stop{}, e
 		}
 		s.reg.Gauge("server.stream.sessions").Add(1)
 	}
@@ -402,7 +403,7 @@ func (s *Server) streamBatch(ctx context.Context, algo string, st *serverStream,
 		if err := s.streams.walAppend(func(w *stream.WAL) error {
 			return w.AppendBatch(st.id, res.Seq, rows)
 		}); err != nil {
-			return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "stream_wal_failed", msg: err.Error()}
+			return nil, engine.Stop{}, &apiError{status: http.StatusInternalServerError, code: "stream_wal_failed", msg: err.Error()}
 		}
 		s.reg.Counter("server.stream.batches").Inc()
 	}
@@ -414,7 +415,7 @@ func (s *Server) streamBatch(ctx context.Context, algo string, st *serverStream,
 		Session: st.id, Algo: algo, Seq: res.Seq, Rows: res.Rows, TotalRows: res.TotalRows,
 		Fingerprint: res.Fingerprint, Count: len(res.Lines), Results: results,
 		Added: res.Added, Removed: res.Removed, Partial: res.Partial, Reason: res.Reason,
-	}, res.Partial, res.Reason, nil
+	}, res.Stop, nil
 }
 
 func streamTuples(r *relation.Relation) [][]relation.Value {

@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"deptree/internal/attrset"
+	"deptree/internal/deps"
 	"deptree/internal/deps/fd"
 	"deptree/internal/discovery/fastfd"
 	"deptree/internal/discovery/tane"
@@ -61,21 +62,21 @@ type fdEngine struct {
 	seeds map[int]map[attrset.Set]bool
 }
 
-func (e *fdEngine) Lines() []string { return renderLines(e.held) }
+func (e *fdEngine) Lines() []string { return deps.Lines(e.held) }
 
-func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
+func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, opts Options) engine.Stop {
 	var fds []fd.FD
 	switch e.algo {
 	case "tane":
 		res := tane.DiscoverContext(ctx, r, tane.Options{Exec: opts.exec()})
 		if res.Partial {
-			return true, res.Reason
+			return res.Stop
 		}
 		fds = res.FDs
 	default:
 		res := fastfd.DiscoverContext(ctx, r, fastfd.Options{Exec: opts.exec()})
 		if res.Partial {
-			return true, res.Reason
+			return res.Stop
 		}
 		fds = res.FDs
 	}
@@ -84,7 +85,7 @@ func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, opts Options)
 	e.ingested = r.Rows()
 	e.ready = r.Rows() > 0 && r.Cols() > 0 && r.Cols() <= attrset.MaxAttrs
 	if !e.ready {
-		return false, ""
+		return engine.Stop{}
 	}
 	e.colRef = make([]*partition.Refiner, r.Cols())
 	e.cache = engine.NewPartitionCache(r, opts.Budget.MaxCacheBytes)
@@ -97,10 +98,10 @@ func (e *fdEngine) Init(ctx context.Context, r *relation.Relation, opts Options)
 	}
 	e.setRef = map[attrset.Set]*partition.Refiner{}
 	e.seeds = map[int]map[attrset.Set]bool{}
-	return false, ""
+	return engine.Stop{}
 }
 
-func (e *fdEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
+func (e *fdEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) engine.Stop {
 	if !e.ready {
 		// Fallback: re-run from scratch (empty seed relation, or wider
 		// than attrset can address — exactly what the registry would do).
@@ -145,7 +146,7 @@ func (e *fdEngine) Sync(ctx context.Context, r *relation.Relation, opts Options)
 	}
 	if len(e.seeds) == 0 {
 		e.pruneRefiners()
-		return false, ""
+		return engine.Stop{}
 	}
 	return e.rediscover(ctx, r, opts)
 }
@@ -220,7 +221,7 @@ func uniformAll(r *relation.Relation, p *partition.Partition, a int) bool {
 // rediscover runs the seeded level-wise search for each RHS with pending
 // seeds. Completion clears that RHS's seeds; a budget stop keeps them
 // and reports partial, with everything committed so far final.
-func (e *fdEngine) rediscover(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
+func (e *fdEngine) rediscover(ctx context.Context, r *relation.Relation, opts Options) engine.Stop {
 	pool := opts.exec().Pool(ctx)
 	defer pool.Close()
 	cols := r.Cols()
@@ -288,14 +289,14 @@ func (e *fdEngine) rediscover(ctx context.Context, r *relation.Relation, opts Op
 			}
 			if err != nil {
 				sortFDs(e.held)
-				return true, engine.Reason(err)
+				return engine.StopAt(nil, err)
 			}
 		}
 		delete(e.seeds, a)
 	}
 	sortFDs(e.held)
 	e.pruneRefiners()
-	return false, ""
+	return engine.Stop{}
 }
 
 // pruneRefiners drops multi-attribute refiners no held rule needs, so a

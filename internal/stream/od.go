@@ -22,6 +22,7 @@ import (
 	"context"
 	"sort"
 
+	"deptree/internal/deps"
 	"deptree/internal/deps/od"
 	"deptree/internal/discovery/oddisc"
 	"deptree/internal/engine"
@@ -37,27 +38,27 @@ func (e *odEngine) Lines() []string {
 	if e.st == nil {
 		return nil
 	}
-	return renderLines(oddisc.Minimal(e.st.Held()))
+	return deps.Lines(oddisc.Minimal(e.st.Held()))
 }
 
-func (e *odEngine) Init(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
+func (e *odEngine) Init(ctx context.Context, r *relation.Relation, opts Options) engine.Stop {
 	st, res := oddisc.NewStream(ctx, r, oddisc.Options{Exec: opts.exec()})
 	if st == nil {
-		return true, res.Reason
+		return res.Stop
 	}
 	e.st = st
 	e.ingested = r.Rows()
-	return false, ""
+	return engine.Stop{}
 }
 
-func (e *odEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
+func (e *odEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) engine.Stop {
 	if e.st == nil {
 		return e.Init(ctx, r, opts)
 	}
 	e.st.Ingest(e.ingested)
 	e.ingested = r.Rows()
 	_, res := e.st.Revalidate(ctx)
-	return res.Partial, res.Reason
+	return res.Stop
 }
 
 // lexMaxWidth mirrors lexdisc's default LHS width bound; the registry
@@ -82,12 +83,12 @@ type lexEngine struct {
 	seeds    []lexSeed
 }
 
-func (e *lexEngine) Lines() []string { return renderLines(e.held) }
+func (e *lexEngine) Lines() []string { return deps.Lines(e.held) }
 
-func (e *lexEngine) Init(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
+func (e *lexEngine) Init(ctx context.Context, r *relation.Relation, opts Options) engine.Stop {
 	res := oddisc.DiscoverLexContext(ctx, r, oddisc.LexOptions{Exec: opts.exec()})
 	if res.Partial {
-		return true, res.Reason
+		return res.Stop
 	}
 	e.held = res.ODs
 	e.seeds = nil
@@ -99,10 +100,10 @@ func (e *lexEngine) Init(ctx context.Context, r *relation.Relation, opts Options
 	}
 	e.ingested = r.Rows()
 	e.inited = true
-	return false, ""
+	return engine.Stop{}
 }
 
-func (e *lexEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
+func (e *lexEngine) Sync(ctx context.Context, r *relation.Relation, opts Options) engine.Stop {
 	if !e.inited {
 		return e.Init(ctx, r, opts)
 	}
@@ -122,7 +123,7 @@ func (e *lexEngine) Sync(ctx context.Context, r *relation.Relation, opts Options
 		e.held = kept
 	}
 	if len(e.seeds) == 0 {
-		return false, ""
+		return engine.Stop{}
 	}
 	return e.rediscover(ctx, r, opts)
 }
@@ -131,7 +132,7 @@ func (e *lexEngine) Sync(ctx context.Context, r *relation.Relation, opts Options
 // Completion clears the seeds (an invalid extension can never become
 // valid later); a budget stop keeps them, with the committed additions
 // final for the same antitone reason as in fdEngine.
-func (e *lexEngine) rediscover(ctx context.Context, r *relation.Relation, opts Options) (bool, string) {
+func (e *lexEngine) rediscover(ctx context.Context, r *relation.Relation, opts Options) engine.Stop {
 	pool := opts.exec().Pool(ctx)
 	defer pool.Close()
 	heldKey := make(map[string]bool, len(e.held))
@@ -161,11 +162,10 @@ func (e *lexEngine) rediscover(ctx context.Context, r *relation.Relation, opts O
 		}
 	}
 	sort.Slice(e.held, func(i, j int) bool { return e.held[i].String() < e.held[j].String() })
-	if err != nil {
-		return true, engine.Reason(err)
+	if err == nil {
+		e.seeds = nil
 	}
-	e.seeds = nil
-	return false, ""
+	return engine.StopAt(nil, err)
 }
 
 func inMarkedList(ms []od.Marked, col int) bool {

@@ -78,28 +78,26 @@ type BatchResult struct {
 	// Fingerprint is the chained content fingerprint of the relation
 	// state (relation.Appender).
 	Fingerprint string
-	// Lines is the current ruleset, rendered exactly as the registry
-	// renders a from-scratch run over the same rows.
+	// Lines is the current ruleset, rendered by deps.Lines exactly as the
+	// registry renders a from-scratch run over the same rows.
 	Lines []string
 	// Added/Removed are the ruleset diff against the previous batch.
 	Added   []string
 	Removed []string
-	// Partial marks a budget/cancellation-truncated sync: Lines is then
-	// a sound subset (survivors plus committed re-discoveries) and the
-	// session expects a retry. Reason is the stable engine stop token.
-	Partial bool
-	Reason  string
+	// Stop is how the sync ended. A Partial sync's Lines are a sound
+	// subset (survivors plus committed re-discoveries) and the session
+	// expects a retry.
+	engine.Stop
 }
 
 // incEngine is one algorithm's append-aware revalidation engine. Init
 // seeds it with a from-scratch run over the relation's current rows;
 // Sync folds rows the engine has not yet ingested and revalidates. Both
-// report (partial, reason) with the engine package's stop tokens; a
-// partial Init leaves the engine unseeded for a later retry, a partial
-// Sync retains its seeds.
+// report how they ended as an engine.Stop; a partial Init leaves the
+// engine unseeded for a later retry, a partial Sync retains its seeds.
 type incEngine interface {
-	Init(ctx context.Context, r *relation.Relation, opts Options) (partial bool, reason string)
-	Sync(ctx context.Context, r *relation.Relation, opts Options) (partial bool, reason string)
+	Init(ctx context.Context, r *relation.Relation, opts Options) engine.Stop
+	Sync(ctx context.Context, r *relation.Relation, opts Options) engine.Stop
 	Lines() []string
 }
 
@@ -179,15 +177,12 @@ func (s *Session) AppendBatch(ctx context.Context, rows [][]relation.Value) (Bat
 		return BatchResult{}, err
 	}
 	r := s.app.Relation()
-	var partial bool
-	var reason string
+	var stop engine.Stop
 	if !s.inited {
-		partial, reason = s.eng.Init(ctx, r, s.opts)
-		if !partial {
-			s.inited = true
-		}
+		stop = s.eng.Init(ctx, r, s.opts)
+		s.inited = !stop.Partial
 	} else {
-		partial, reason = s.eng.Sync(ctx, r, s.opts)
+		stop = s.eng.Sync(ctx, r, s.opts)
 	}
 	old := s.lines
 	s.lines = append([]string(nil), s.eng.Lines()...)
@@ -200,8 +195,7 @@ func (s *Session) AppendBatch(ctx context.Context, rows [][]relation.Value) (Bat
 		Lines:       append([]string(nil), s.lines...),
 		Added:       added,
 		Removed:     removed,
-		Partial:     partial,
-		Reason:      reason,
+		Stop:        stop,
 	}, nil
 }
 
@@ -234,14 +228,4 @@ func diffLines(old, new []string) (added, removed []string) {
 		}
 	}
 	return added, removed
-}
-
-// renderLines renders dependencies exactly as the registry's render
-// helper does (fmt.Sprint per element, nil for empty).
-func renderLines[T fmt.Stringer](xs []T) []string {
-	var out []string
-	for _, x := range xs {
-		out = append(out, fmt.Sprint(x))
-	}
-	return out
 }
