@@ -25,10 +25,11 @@ fmt-check:
 # Race coverage for the worker pool, the shared partition cache, all
 # parallelized discovery algorithms (the differential harness runs both
 # sequential and parallel paths under the detector), the HTTP serving
-# layer (admission semaphore, breakers, drain) and the async job service
-# (runner pool, WAL, retry/backoff paths).
+# layer (admission semaphore, breakers, drain), the async job service
+# (runner pool, WAL, retry/backoff paths) and the CLI (its run frame's
+# metrics-listener teardown, its differentials against the server).
 race:
-	$(GO) test -race ./internal/engine/... ./internal/discovery/... ./internal/server/ ./internal/jobs/ ./internal/stream/ ./internal/wal/ ./internal/fsx/
+	$(GO) test -race ./internal/engine/... ./internal/discovery/... ./internal/server/ ./internal/jobs/ ./internal/stream/ ./internal/wal/ ./internal/fsx/ ./cmd/deptool/
 
 # Fault-injection suite (DESIGN.md "Failure model"): injected panics,
 # stalls and mid-run cancellations across the pool and every discoverer,

@@ -10,8 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"deptree/internal/engine"
 	"deptree/internal/gen"
 	"deptree/internal/relation"
+	"deptree/internal/server"
 )
 
 // capture runs f with stdout redirected and returns what it printed.
@@ -98,17 +100,17 @@ func TestLoadCSVInfersKinds(t *testing.T) {
 
 func TestParseFD(t *testing.T) {
 	r := gen.Table1()
-	f, err := parseFD(r.Schema(), "address, name -> region")
+	f, err := server.ParseFD(r.Schema(), "address, name -> region")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.LHS.Len() != 2 || f.RHS.Len() != 1 {
 		t.Errorf("parsed %v", f)
 	}
-	if _, err := parseFD(r.Schema(), "no arrow"); err == nil {
+	if _, err := server.ParseFD(r.Schema(), "no arrow"); err == nil {
 		t.Error("missing arrow accepted")
 	}
-	if _, err := parseFD(r.Schema(), "bogus->region"); err == nil {
+	if _, err := server.ParseFD(r.Schema(), "bogus->region"); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 }
@@ -348,14 +350,13 @@ func TestCmdDiscoverTraceOut(t *testing.T) {
 // The -metrics-addr server must expose the run's registry as Prometheus
 // text and the expvar JSON dump.
 func TestMetricsServer(t *testing.T) {
-	ms, to := "127.0.0.1:0", ""
-	o := obsFlags{metricsAddr: &ms, traceOut: &to}
-	reg, done, err := o.start()
+	f := &runFrame{metricsAddr: "127.0.0.1:0"}
+	x, err := f.start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer done()
-	reg.Counter("test.requests").Add(3)
+	defer f.finish(engine.Stop{}, nil)
+	x.Obs.Counter("test.requests").Add(3)
 	get := func(path string) string {
 		resp, err := http.Get("http://" + metricsAddrBound + path)
 		if err != nil {

@@ -43,12 +43,7 @@ func FuzzDiscoverRequest(f *testing.F) {
 	f.Add(`{"csv":"a,b\n\"unterminated`, uint8(255))
 	// One create per stream route, then an append and a mismatched
 	// header on the first session.
-	var streamAlgos []string
-	for _, a := range algos {
-		if stream.Supported(a) {
-			streamAlgos = append(streamAlgos, a)
-		}
-	}
+	streamAlgos := stream.Algorithms()
 	for i := range streamAlgos {
 		f.Add(`{"csv":"a,b\n1,2\n"}`, uint8(len(algos)+i))
 	}

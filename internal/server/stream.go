@@ -306,10 +306,8 @@ func (s *Server) openStreamWAL(path string) error {
 // route: one per incremental discoverer.
 func streamEndpoints() []string {
 	var eps []string
-	for _, a := range Algorithms() {
-		if stream.Supported(a) {
-			eps = append(eps, "stream."+a)
-		}
+	for _, a := range stream.Algorithms() {
+		eps = append(eps, "stream."+a)
 	}
 	return eps
 }

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 
+	"deptree/internal/discovery/registry"
 	"deptree/internal/engine"
 	"deptree/internal/obs"
 	"deptree/internal/relation"
@@ -103,7 +104,8 @@ type incEngine interface {
 
 // newEngine maps an algorithm name to its incremental engine, nil if the
 // algorithm has none. It is the one list of streamable algorithms:
-// Supported, the CLI and the HTTP stream route all read it.
+// Supported and Algorithms read it, and through them the CLI and the
+// HTTP stream route.
 func newEngine(algo string) incEngine {
 	switch algo {
 	case "tane", "fastfd":
@@ -118,6 +120,18 @@ func newEngine(algo string) incEngine {
 
 // Supported reports whether algo has an incremental engine.
 func Supported(algo string) bool { return newEngine(algo) != nil }
+
+// Algorithms lists the algorithms with an incremental engine, in the
+// registry's order.
+func Algorithms() []string {
+	var out []string
+	for _, a := range registry.Names() {
+		if Supported(a) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
 
 // Session is one incremental discovery stream: a relation, its appender
 // and one algorithm's engine. Not safe for concurrent use; callers
@@ -177,6 +191,9 @@ func (s *Session) AppendBatch(ctx context.Context, rows [][]relation.Value) (Bat
 		return BatchResult{}, err
 	}
 	r := s.app.Relation()
+	// One run span per sync, the last to end, so a trace says why a
+	// partial sync stopped wherever inside the engine the budget ran out.
+	span := s.opts.Obs.StartSpan(obs.KindRun, "stream.sync")
 	var stop engine.Stop
 	if !s.inited {
 		stop = s.eng.Init(ctx, r, s.opts)
@@ -184,6 +201,8 @@ func (s *Session) AppendBatch(ctx context.Context, rows [][]relation.Value) (Bat
 	} else {
 		stop = s.eng.Sync(ctx, r, s.opts)
 	}
+	stop.On(span)
+	span.End()
 	old := s.lines
 	s.lines = append([]string(nil), s.eng.Lines()...)
 	added, removed := diffLines(old, s.lines)
