@@ -349,10 +349,10 @@ func TestRecoverKillAfterCompaction(t *testing.T) {
 	if v := waitRecoverTerminal(t, base1, first.ID, 60*time.Second); v.State != "done" {
 		t.Fatalf("tiny job finished %q (%s), want done", v.State, v.Reason)
 	}
-	// Each cache hit appends a submit and a result record: 130 of them
-	// cross the 256-append threshold with no job run.
+	// Each cache hit appends one submit record that carries its result:
+	// 260 of them cross the 256-append threshold with no job run.
 	finished := []string{first.ID}
-	for i := 0; i < 130; i++ {
+	for i := 0; i < 260; i++ {
 		status, v := submitRecoverJob(t, base1, jobBody(t, "tane", tiny))
 		if status != 200 || !v.CacheHit {
 			t.Fatalf("resubmit %d: status %d cache_hit %v, want 200 true", i, status, v.CacheHit)

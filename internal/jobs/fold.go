@@ -26,6 +26,10 @@ func fold(recs []Record) []*job {
 				fingerprint: rec.Fingerprint, idemKey: rec.IdemKey,
 				cacheHit: rec.CacheHit, state: StateQueued,
 			}
+			if rec.CacheHit && rec.Result != nil {
+				// A cache hit is answered in its own submit record.
+				j.state, j.result = StateDone, rec.Result
+			}
 			byID[rec.ID] = j
 			order = append(order, j)
 			continue

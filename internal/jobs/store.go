@@ -38,13 +38,15 @@ type Record struct {
 	Spec        *Spec  `json:"spec,omitempty"`
 	Fingerprint string `json:"fp,omitempty"`
 	IdemKey     string `json:"idem,omitempty"`
-	// CacheHit marks a submit answered from the result cache.
+	// CacheHit marks a submit answered from the result cache; such a
+	// submit carries the cached Result and no CSV, and folds as done.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Attempt is the 1-based attempt number (start/retry records).
 	Attempt int `json:"attempt,omitempty"`
 	// State is the terminal state a result record sets.
 	State State `json:"state,omitempty"`
-	// Result is the payload for done/partial result records.
+	// Result is the payload for done/partial result records and for
+	// cache-hit submit records.
 	Result *Result `json:"result,omitempty"`
 	// Reason is the failure/retry reason token.
 	Reason string `json:"reason,omitempty"`
