@@ -184,13 +184,14 @@ func sniffKind(payload []byte, path string) string {
 	return "jobs"
 }
 
-// decodeRecord runs one payload through the kind's codec and returns a
-// short human description, or an error when the codec rejects it.
+// decodeRecord runs one payload through the kind's record codec and
+// returns a short human description, or an error when the codec
+// rejects it.
 func decodeRecord(kind string, payload []byte) (string, error) {
 	switch kind {
 	case "stream":
-		var rec stream.WALRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := wal.Decode[stream.WALRecord](payload)
+		if err != nil {
 			return "", err
 		}
 		switch rec.Op {
@@ -202,8 +203,8 @@ func decodeRecord(kind string, payload []byte) (string, error) {
 			return "", fmt.Errorf("unknown stream op %q", rec.Op)
 		}
 	default: // jobs
-		var rec jobs.Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := wal.Decode[jobs.Record](payload)
+		if err != nil {
 			return "", err
 		}
 		switch rec.Type {
@@ -246,48 +247,37 @@ func fsckRepair(w io.Writer, path string, maxRec int64) error {
 	return nil
 }
 
-// fsckCompact rewrites a clean log minimally and atomically. A jobs log
-// folds to the per-job state snapshot (jobs.FoldRecords); a stream log
-// has no redundant records, so compaction just rewrites the verified
-// frames (reclaiming nothing unless a quarantine or truncation left
-// slack in the file).
+// fsckCompact rewrites a clean log minimally and atomically, through
+// the same record codec the server writes with. A jobs log folds to the
+// per-job state snapshot (jobs.FoldRecords); a stream log has no
+// redundant records, so compaction just rewrites them (reclaiming
+// nothing unless a quarantine or truncation left slack in the file).
 func fsckCompact(w io.Writer, path, kind string, maxRec int64) error {
-	l, err := wal.Open(path, wal.Options{MaxRecordBytes: maxRec})
+	if kind == "jobs" {
+		return compactStore(w, path, maxRec, jobs.FoldRecords)
+	}
+	return compactStore(w, path, maxRec, func(recs []stream.WALRecord) []stream.WALRecord { return recs })
+}
+
+func compactStore[R any](w io.Writer, path string, maxRec int64, fold func([]R) []R) error {
+	st, err := wal.OpenStore[R](path, wal.Options{MaxRecordBytes: maxRec})
 	if err != nil {
 		return fmt.Errorf("fsck: compact: %w", err)
 	}
-	defer l.Close()
-	var payloads [][]byte
-	if err := l.Replay(func(p []byte) error {
-		payloads = append(payloads, append([]byte(nil), p...))
+	defer st.Close()
+	var recs []R
+	if err := st.Replay(func(rec R) error {
+		recs = append(recs, rec)
 		return nil
 	}); err != nil {
 		return fmt.Errorf("fsck: compact: %w", err)
 	}
-	recsBefore, sizeBefore := l.Records(), l.Size()
-	if kind == "jobs" {
-		recs := make([]jobs.Record, 0, len(payloads))
-		for i, p := range payloads {
-			var rec jobs.Record
-			if err := json.Unmarshal(p, &rec); err != nil {
-				return fmt.Errorf("fsck: compact: record %d: %w", i+1, err)
-			}
-			recs = append(recs, rec)
-		}
-		folded := jobs.FoldRecords(recs)
-		payloads = payloads[:0]
-		for i, rec := range folded {
-			p, err := json.Marshal(rec)
-			if err != nil {
-				return fmt.Errorf("fsck: compact: folded record %d: %w", i+1, err)
-			}
-			payloads = append(payloads, p)
-		}
-	}
-	if err := l.ReplaceWith(payloads); err != nil {
+	sizeBefore := st.Size()
+	folded := fold(recs)
+	if err := st.Compact(folded); err != nil {
 		return fmt.Errorf("fsck: compact: %w", err)
 	}
 	fmt.Fprintf(w, "%s: compacted %d -> %d record(s), %d -> %d bytes\n",
-		path, recsBefore, len(payloads), sizeBefore, l.Size())
+		path, len(recs), len(folded), sizeBefore, st.Size())
 	return nil
 }

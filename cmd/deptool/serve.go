@@ -14,8 +14,8 @@ import (
 	"deptree/internal/server"
 )
 
-// cmdServe runs the hardened discovery service: the five discoverers,
-// validate and repair behind HTTP with admission control, per-endpoint
+// cmdServe runs the hardened discovery service: the registry's 15
+// discoverers, validate and repair behind HTTP with admission control, per-endpoint
 // circuit breakers and graceful drain. It serves until rootCtx is
 // cancelled (SIGTERM/SIGINT), then drains: /readyz flips to 503, new
 // work is rejected, in-flight requests finish within -drain-timeout.

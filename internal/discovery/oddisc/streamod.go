@@ -142,20 +142,28 @@ func (s *Stream) Ingest(oldRows int) {
 	}
 }
 
-// Revalidate re-decides every held OD against the ingested rows and
-// drops the broken ones, returning the removed ODs. On cancellation it
-// commits nothing and reports Partial with the engine's stop token; the
-// rows stay dirty and a retry re-checks from the same state.
-func (s *Stream) Revalidate(ctx context.Context) (removed []od.OD, res Result) {
+// revalidateStripe is Revalidate's fixed MapBudget stripe: the held
+// ODs a MaxTasks-truncated revalidation decided are the same prefix for
+// every worker count.
+const revalidateStripe = 8
+
+// Revalidate re-decides every held OD against the ingested rows on the
+// pool, in fixed stripes reserved against its task budget, and drops the
+// broken ones, returning the removed ODs. On a budget stop or
+// cancellation it commits nothing and reports Partial with the engine's
+// stop token; the rows stay dirty and a retry re-checks from the same
+// state.
+func (s *Stream) Revalidate(pool *engine.Pool) (removed []od.OD, res Result) {
 	if s.dirtyRow < 0 {
 		return nil, Result{ODs: s.held, Completed: len(s.held)}
 	}
-	// Adjacent pairs involving a dirty row, per LHS column, computed
-	// lazily: only columns appearing as a held LHS pay the scan.
-	pairIdx := make(map[int][]int32)
-	pairsFor := func(col int) []int32 {
-		if ps, ok := pairIdx[col]; ok {
-			return ps
+	// Adjacent pairs involving a dirty row, per LHS column of a held OD
+	// that survives' localized check reads.
+	pairs := make(map[int][]int32)
+	for _, o := range s.held {
+		col := o.LHS[0].Col
+		if _, ok := pairs[col]; ok || !s.localized(o) {
+			continue
 		}
 		cs := s.streams[col]
 		var ps []int32
@@ -164,15 +172,17 @@ func (s *Stream) Revalidate(ctx context.Context) (removed []od.OD, res Result) {
 				ps = append(ps, int32(i))
 			}
 		}
-		pairIdx[col] = ps
-		return ps
+		pairs[col] = ps
+	}
+	holds, done, err := engine.MapBudget(pool, len(s.held), revalidateStripe, func(i int) bool {
+		return s.survives(s.held[i], pairs[s.held[i].LHS[0].Col])
+	})
+	if err != nil {
+		return nil, Result{ODs: s.held, Stop: engine.StopAt(nil, err), Completed: done}
 	}
 	kept := make([]od.OD, 0, len(s.held))
-	for done, o := range s.held {
-		if err := ctx.Err(); err != nil {
-			return nil, Result{ODs: s.held, Stop: engine.StopAt(nil, err), Completed: done}
-		}
-		if s.survives(o, pairsFor) {
+	for i, o := range s.held {
+		if holds[i] {
 			kept = append(kept, o)
 		} else {
 			removed = append(removed, o)
@@ -183,16 +193,24 @@ func (s *Stream) Revalidate(ctx context.Context) (removed []od.OD, res Result) {
 	return removed, Result{ODs: s.held, Completed: len(kept) + len(removed)}
 }
 
-// survives decides one held OD against the dirty rows: the localized
-// adjacent-pair check when both columns are numKey-total, the exact pair
-// logic otherwise.
-func (s *Stream) survives(o od.OD, pairsFor func(col int) []int32) bool {
+// localized reports whether both of o's columns are numKey-total, so
+// survives can decide o from the adjacent pairs alone.
+func (s *Stream) localized(o od.OD) bool {
 	a, b := s.streams[o.LHS[0].Col], s.streams[o.RHS[0].Col]
-	if a == nil || b == nil || !a.total || !b.total {
+	return a != nil && b != nil && a.total && b.total
+}
+
+// survives decides one held OD against the dirty rows: the localized
+// adjacent-pair check over pairs (the dirty adjacent pairs of its LHS
+// column) when both columns are numKey-total, the exact pair logic
+// otherwise.
+func (s *Stream) survives(o od.OD, pairs []int32) bool {
+	if !s.localized(o) {
 		return o.Holds(s.r)
 	}
+	a, b := s.streams[o.LHS[0].Col], s.streams[o.RHS[0].Col]
 	desc := o.RHS[0].Desc
-	for _, i := range pairsFor(o.LHS[0].Col) {
+	for _, i := range pairs {
 		x, y := a.sorted[i], a.sorted[i+1]
 		if a.keys[x] == a.keys[y] {
 			if b.keys[x] != b.keys[y] {

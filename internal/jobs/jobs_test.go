@@ -652,6 +652,82 @@ func TestCompactionPreservesState(t *testing.T) {
 	}
 }
 
+// TestCompactionCannotSplitAStart forces a compaction into the moment
+// between a runner bumping a job's attempt and logging its start
+// record. The test holds storeMu across the job's second attempt, so
+// its start append waits, and compacts the way maybeCompact does
+// (snapshot under m.mu, swap under storeMu) as soon as m.mu shows the
+// bumped attempt. A start logged apart from its bump lands after a
+// snapshot that already holds it, and the log carries that attempt
+// twice. Logged as one step, the bump keeps m.mu until its record is
+// appended: m.mu stays held while the test holds storeMu, the test
+// gives up after 200 ms of that, and each attempt is logged once.
+func TestCompactionCannotSplitAStart(t *testing.T) {
+	store := NewMemStore()
+	retried := make(chan struct{})
+	var once sync.Once
+	store.SetFaultHook(func(op string, rec Record) error {
+		if op == "append" && rec.Type == RecRetry {
+			once.Do(func() { close(retried) })
+		}
+		return nil
+	})
+	var calls atomic.Int32
+	cfg := fastCfg(func(ctx context.Context, s Spec) (Result, error) {
+		if calls.Add(1) == 1 {
+			return Result{}, Transient{errors.New("injected")}
+		}
+		return Result{Lines: []string{"ok"}}, nil
+	})
+	cfg.Store = store
+	cfg.Runners = 1
+	cfg.RetryBackoff = 50 * time.Millisecond // the window to take storeMu in
+	cfg.RetryMaxBackoff = 50 * time.Millisecond
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	v, err := m.Submit(discoverSpec("tane"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := m.jobs[v.ID]
+	<-retried
+	m.storeMu.Lock() // granted once the retry record is appended
+	held := time.Now()
+	for time.Since(held) < 200*time.Millisecond {
+		if !m.mu.TryLock() {
+			time.Sleep(100 * time.Microsecond)
+			continue
+		}
+		if j.attempts == 2 {
+			snap := snapshot(m.order)
+			m.mu.Unlock()
+			if err := store.Compact(snap); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		m.mu.Unlock()
+		held = time.Now()
+		time.Sleep(100 * time.Microsecond)
+	}
+	m.storeMu.Unlock()
+	waitState(t, m, v.ID, StateDone)
+
+	recs, _ := store.Replay()
+	starts := map[int]int{}
+	for _, rec := range recs {
+		if rec.Type == RecStart {
+			starts[rec.Attempt]++
+		}
+	}
+	if starts[1] > 1 || starts[2] != 1 {
+		t.Fatalf("start records per attempt = %v, want attempt 2 logged once: %+v", starts, recs)
+	}
+}
+
 func TestListOrdersBySubmission(t *testing.T) {
 	m, err := New(fastCfg(func(ctx context.Context, s Spec) (Result, error) {
 		return Result{}, nil

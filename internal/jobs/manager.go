@@ -167,7 +167,8 @@ type Manager struct {
 	// snapshots and swaps the log while holding it, so no record can
 	// land in the old file between the snapshot and the rename and be
 	// silently discarded. Lock order is m.mu before storeMu (Submit
-	// appends while holding m.mu); nothing acquires m.mu under storeMu.
+	// appends while holding m.mu; appendUnlock takes storeMu before it
+	// releases m.mu); nothing acquires m.mu under storeMu.
 	storeMu sync.Mutex
 
 	draining  chan struct{} // closed when Drain begins
@@ -252,7 +253,7 @@ func (m *Manager) replay() error {
 		return err
 	}
 	if w, ok := m.store.(*WALStore); ok {
-		m.cTruncatedTail.Add(int64(w.TruncatedTail()))
+		m.cTruncatedTail.Add(int64(w.TornTail()))
 	}
 	// Finalize terminal jobs, re-enqueue the rest in submission order.
 	m.order = fold(recs)
@@ -478,12 +479,10 @@ func (m *Manager) Cancel(id string) (View, error) {
 		j.cancelRun()
 	}
 	v := j.view()
-	m.mu.Unlock()
 	// The cancel record is what keeps the cancellation across a restart
 	// (without it the job replays as queued and re-runs work the client
 	// was told is cancelled), so transient store faults are retried like
-	// finalize retries the result record. State was updated first, so a
-	// concurrent compaction snapshot carries the cancellation itself.
+	// finalize retries the result record.
 	m.appendRetried(Record{Type: RecCancel, ID: j.id})
 	return v, nil
 }
@@ -625,12 +624,11 @@ func (m *Manager) runJob(j *job) {
 		spec.Rel = j.rel
 		wait := time.Since(j.enqueuedAt).Seconds()
 		m.gQueued.Set(int64(m.nQueued))
-		m.mu.Unlock()
+		runErr := m.appendUnlock(Record{Type: RecStart, ID: j.id, Attempt: attempt})
 		m.gRunning.Add(1)
 		m.hQueueSec.Observe(wait)
 
 		var res Result
-		runErr := m.append(Record{Type: RecStart, ID: j.id, Attempt: attempt})
 		if runErr == nil {
 			m.bumpAppends(1)
 			start := time.Now()
@@ -668,14 +666,14 @@ func (m *Manager) runJob(j *job) {
 			m.mu.Lock()
 			j.retries++
 			k := j.retries
-			m.mu.Unlock()
 			if k >= m.cfg.MaxAttempts {
+				m.mu.Unlock()
 				m.finalize(j, StateFailed, nil,
 					fmt.Sprintf("retries exhausted after %d attempts: %s", j.attempts, reason))
 				return
 			}
 			m.cRetries.Inc()
-			if err := m.append(Record{Type: RecRetry, ID: j.id, Attempt: k, Reason: reason}); err != nil {
+			if err := m.appendUnlock(Record{Type: RecRetry, ID: j.id, Attempt: k, Reason: reason}); err != nil {
 				m.cWALAppendErrs.Inc()
 			} else {
 				m.bumpAppends(1)
@@ -724,12 +722,11 @@ func (m *Manager) requeueAndSleep(j *job, k int) bool {
 // finalize records a terminal transition, closes waiters, feeds the
 // cache and maybe compacts the store.
 func (m *Manager) finalize(j *job, state State, res *Result, reason string) {
-	// In-memory state first, record second: once the state is set, any
-	// concurrent compaction snapshot emits this terminal transition
-	// itself, so the result record can never exist only in the file a
-	// compaction rename discards. (If the append also lands before the
-	// snapshot the replay fold drops the duplicate — a result record on
-	// an already-terminal job is a no-op.)
+	// In-memory state first, record second, as one step to a compaction
+	// (appendUnlock): a snapshot that carries the terminal transition
+	// is taken after the result record, so the record can neither exist
+	// only in the file a compaction rename discards nor follow its own
+	// snapshot.
 	m.mu.Lock()
 	j.state = state
 	j.result = res
@@ -740,7 +737,6 @@ func (m *Manager) finalize(j *job, state State, res *Result, reason string) {
 		m.cache[j.spec.CacheKey(j.fingerprint)] = res
 	}
 	close(j.done)
-	m.mu.Unlock()
 	// The result record is the durability point: retry the append a few
 	// times (transient store faults heal), then fall back to in-memory
 	// state — the job re-runs after a crash, which is safe because runs
@@ -770,23 +766,37 @@ func (m *Manager) append(rec Record) error {
 	return m.store.Append(rec)
 }
 
-// appendRetried appends rec, retrying transient store faults with the
-// same jittered backoff schedule attempts use, and maintains the
-// append/error counters. It reports whether the record became durable;
-// on false the in-memory state stands alone until the next record for
-// the job (or is lost at crash, which replays the job — safe, because
-// runs are deterministic).
+// appendUnlock appends the record of a transition the caller has just
+// applied under m.mu, and releases m.mu. storeMu is taken before m.mu
+// is let go, so a compaction — which snapshots under both — sees either
+// neither the transition nor its record, or both: it can never snapshot
+// the transition and then have the record land after its snapshot.
+func (m *Manager) appendUnlock(rec Record) error {
+	m.storeMu.Lock()
+	m.mu.Unlock()
+	defer m.storeMu.Unlock()
+	return m.store.Append(rec)
+}
+
+// appendRetried appends rec as appendUnlock does, releasing m.mu, then
+// retries transient store faults with the same jittered backoff
+// schedule attempts use, and maintains the append/error counters. It
+// reports whether the record became durable; on false the in-memory
+// state stands alone until the next record for the job (or is lost at
+// crash, which replays the job — safe, because runs are deterministic).
 func (m *Manager) appendRetried(rec Record) bool {
-	for i := 0; ; i++ {
-		if err := m.append(rec); err == nil {
+	err := m.appendUnlock(rec)
+	for i := 1; ; i++ {
+		if err == nil {
 			m.bumpAppends(1)
 			return true
 		}
 		m.cWALAppendErrs.Inc()
-		if i >= 2 {
+		if i > 2 {
 			return false
 		}
-		time.Sleep(m.backoff(i + 1))
+		time.Sleep(m.backoff(i))
+		err = m.append(rec)
 	}
 }
 

@@ -1,8 +1,9 @@
 package jobs
 
 import (
-	"errors"
 	"sync"
+
+	"deptree/internal/wal"
 )
 
 // RecordType enumerates the event-sourced transitions a store holds.
@@ -52,8 +53,9 @@ type Record struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// ErrStoreClosed is returned by Append/Sync after Close.
-var ErrStoreClosed = errors.New("jobs: store closed")
+// ErrStoreClosed is returned by Append/Sync after Close. It is the
+// shared wal.ErrClosed sentinel.
+var ErrStoreClosed = wal.ErrClosed
 
 // Store persists job state transitions. Implementations must be safe
 // for concurrent use; Append durability is backend-defined (the memory
@@ -74,10 +76,11 @@ type Store interface {
 	Close() error
 }
 
-// FaultHook is the chaos seam on a store: installed via a faultable
-// store (SetFaultHook on MemStore/WALStore), it observes every Append
-// and Sync and may return an error to inject a write fault. Production
-// code never installs one.
+// FaultHook is the chaos seam on the memory store: installed with
+// MemStore.SetFaultHook, it observes every Append and Sync and may
+// return an error to inject a write fault. Production code never
+// installs one; the WAL store's faults come from a fault-injecting
+// fsx.FS.
 type FaultHook func(op string, rec Record) error
 
 // MemStore is the in-memory Store: a record slice behind a mutex. It

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"deptree/internal/fsx"
 	"deptree/internal/wal"
 )
 
@@ -100,8 +101,8 @@ func TestWALTornTailDroppedAndTruncated(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("replayed %d records, want 2 (torn tail dropped)", len(recs))
 	}
-	if w2.TruncatedTail() != 1 {
-		t.Fatalf("TruncatedTail = %d, want 1", w2.TruncatedTail())
+	if w2.TornTail() != 1 {
+		t.Fatalf("TornTail = %d, want 1", w2.TornTail())
 	}
 	// The file was truncated back to the valid prefix, so a new append
 	// never concatenates onto the partial record.
@@ -354,24 +355,31 @@ func TestCompactionConcurrentSubmitsSurviveRestart(t *testing.T) {
 	}
 }
 
-func TestWALFaultHookInjectsTransient(t *testing.T) {
-	w, _ := openTestWAL(t, WALOptions{SyncEvery: 1, SyncInterval: -1})
-	w.Replay()
-	boom := errors.New("injected")
-	w.SetFaultHook(func(op string, rec Record) error {
-		if op == "append" {
-			return boom
-		}
-		return nil
-	})
-	err := w.Append(submitRec("j", 1))
-	var tr Transient
-	if !errors.As(err, &tr) || !errors.Is(err, boom) {
-		t.Fatalf("fault error = %v, want Transient wrapping injected", err)
-	}
-	w.SetFaultHook(nil)
-	if err := w.Append(submitRec("j", 1)); err != nil {
+// TestWALWriteFaultIsTransient: a failed write or fsync of the log
+// comes back Transient, wrapping the file system's error, so the
+// manager retries it; the store appends again once the fault clears.
+func TestWALWriteFaultIsTransient(t *testing.T) {
+	ffs := fsx.NewFaultFS(fsx.NewMemFS(), 1)
+	w, err := OpenWAL("d/jobs.wal", WALOptions{FS: ffs, SyncEvery: 1, SyncInterval: -1})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Replay(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []fsx.FaultProfile{{WriteErr: 1}, {SyncErr: 1}} {
+		ffs.SetProfile(p)
+		err := w.Append(submitRec("j", 1))
+		var tr Transient
+		var injected *fsx.InjectedError
+		if !errors.As(err, &tr) || !errors.As(err, &injected) {
+			t.Fatalf("%+v: fault error = %v, want Transient wrapping *fsx.InjectedError", p, err)
+		}
+		ffs.SetProfile(fsx.FaultProfile{})
+		if err := w.Append(submitRec("j", 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

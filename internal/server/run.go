@@ -1,5 +1,5 @@
 // Package server is the HTTP serving layer of the discovery engine: a
-// JSON API over the five engine-wired discoverers plus validation and
+// JSON API over the registry's 15 discoverers plus validation and
 // repair, hardened for the long-tailed, memory-hungry requests dependency
 // discovery produces (a TANE lattice or FASTDC evidence set can blow up
 // on a small input).

@@ -57,7 +57,9 @@ func (e *odEngine) Sync(ctx context.Context, r *relation.Relation, opts Options)
 	}
 	e.st.Ingest(e.ingested)
 	e.ingested = r.Rows()
-	_, res := e.st.Revalidate(ctx)
+	pool := opts.exec().Pool(ctx)
+	defer pool.Close()
+	_, res := e.st.Revalidate(pool)
 	return res.Stop
 }
 

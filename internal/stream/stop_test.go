@@ -11,8 +11,7 @@ import (
 )
 
 // TestPartialSyncsTraceTheirStop: a drift sync cut by a cancelled
-// context or by MaxTasks 1 comes back Partial (an od sync under MaxTasks
-// aside, see below), and the run span that ends last — the sync's own —
+// context or by MaxTasks 1 comes back Partial, and the run span that ends last — the sync's own —
 // carries the "stop" attribute equal to the BatchResult's Reason, as the
 // registry's discoverers do, so a trace alone says why a stream batch
 // stopped. A sync that completes leaves no stop.
@@ -46,10 +45,7 @@ func TestPartialSyncsTraceTheirStop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// od's drift sync does not run under the Exec's budget yet,
-			// so MaxTasks may or may not cut it; either way its span
-			// must carry its stop.
-			if !res.Partial && !(algo == "od" && m.budget.MaxTasks > 0) {
+			if !res.Partial {
 				t.Errorf("%s %s: drift sync completed, want partial", algo, m.name)
 				continue
 			}

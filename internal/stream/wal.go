@@ -1,14 +1,12 @@
-// Stream WAL: crash-safe persistence for streaming sessions — a typed
-// codec over the shared checksummed record log in internal/wal. The log
+// Stream WAL: crash-safe persistence for streaming sessions. The log
 // records session creations and accepted batches; replaying it through
 // fresh Sessions reproduces every relation, chained fingerprint and
 // ruleset bit for bit, which is what lets an HTTP stream session survive
-// a server restart. The framed format replaces the old JSONL log's two
-// worst behaviours: a mid-log bit flip now surfaces as a typed
-// *wal.ErrCorruptRecord instead of silently truncating acknowledged
-// batches, and records larger than bufio.Scanner's 64 MiB ceiling
-// round-trip instead of erroring at replay after being acknowledged at
-// append. A pre-framing JSONL log is rejected as corrupt.
+// a server restart. It is a wal.Store of WALRecord — the shared framed
+// log and its one JSON record codec, with torn-tail repair, typed
+// corruption, quarantine and reopen-and-verify built there once — and
+// fsyncs every append. What is the stream package's own is the record
+// shape and its cell codec.
 //
 // Cells are encoded with relation.Value.Key — the injective canonical
 // form the dictionary coders and the chained fingerprint are built on.
@@ -17,12 +15,9 @@
 package stream
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"deptree/internal/fsx"
 	"deptree/internal/relation"
@@ -59,13 +54,9 @@ type WALOptions struct {
 
 // WAL is the durable session log. Every append is written and fsynced
 // before returning — batch acceptance is low-rate compared to the jobs
-// queue, so group commit buys nothing here.
-type WAL struct {
-	mu   sync.Mutex
-	path string
-	opts WALOptions
-	log  *wal.Log
-}
+// queue, so group commit buys nothing here. Replay, Reopen, Close and
+// the torn-tail and quarantine counters are the wal.Store's.
+type WAL struct{ *wal.Store[WALRecord] }
 
 // OpenWAL opens (creating if absent) the framed log at path on the real
 // filesystem. Creation fsyncs the parent directory, so a crash right
@@ -76,80 +67,11 @@ func OpenWAL(path string) (*WAL, error) {
 
 // OpenWALWith opens the log with explicit options.
 func OpenWALWith(path string, opts WALOptions) (*WAL, error) {
-	l, err := wal.Open(path, wal.Options{FS: opts.FS, Quarantine: opts.Quarantine})
+	st, err := wal.OpenStore[WALRecord](path, wal.Options{FS: opts.FS, Quarantine: opts.Quarantine, SyncEvery: 1})
 	if err != nil {
 		return nil, err
 	}
-	return &WAL{path: path, opts: opts, log: l}, nil
-}
-
-// Replay streams every verified record to fn in log order, truncates a
-// clean torn tail, and arms the WAL for appends. Mid-log corruption
-// returns the typed *wal.ErrCorruptRecord (or is quarantined when the
-// WAL was opened with Quarantine); fn returning an error aborts the
-// replay.
-func (w *WAL) Replay(fn func(rec WALRecord) error) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.log == nil {
-		return errors.New("stream: wal closed")
-	}
-	return w.log.Replay(func(payload []byte) error {
-		var rec WALRecord
-		if derr := json.Unmarshal(payload, &rec); derr != nil {
-			return fmt.Errorf("stream: wal replay: undecodable record: %w", derr)
-		}
-		if fn != nil {
-			return fn(rec)
-		}
-		return nil
-	})
-}
-
-// Reopen closes the underlying log, reopens it from disk and re-verifies
-// its frames without re-delivering records. It is the bounded recovery
-// step the server attempts once after an append failure before declaring
-// the stream subsystem poisoned: a transient write error (brief ENOSPC,
-// a hiccuping volume) heals here; real damage fails verification and the
-// poisoning stands.
-func (w *WAL) Reopen() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.log != nil {
-		w.log.Close()
-		w.log = nil
-	}
-	l, err := wal.Open(w.path, wal.Options{FS: w.opts.FS, Quarantine: w.opts.Quarantine})
-	if err != nil {
-		return err
-	}
-	if err := l.Replay(nil); err != nil {
-		l.Close()
-		return err
-	}
-	w.log = l
-	return nil
-}
-
-// TruncatedTail reports torn tails truncated by Replay.
-func (w *WAL) TruncatedTail() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.log == nil {
-		return 0
-	}
-	return w.log.TornTail()
-}
-
-// Quarantined reports corrupt suffixes sidecared by Replay (always 0
-// unless opened with Quarantine).
-func (w *WAL) Quarantined() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.log == nil {
-		return 0
-	}
-	return w.log.Quarantined()
+	return &WAL{st}, nil
 }
 
 // AppendCreate logs a session creation.
@@ -160,38 +82,12 @@ func (w *WAL) AppendCreate(session, algo string, schema *relation.Schema) error 
 		rec.Names = append(rec.Names, at.Name)
 		rec.Kinds = append(rec.Kinds, int(at.Kind))
 	}
-	return w.append(rec)
+	return w.Append(rec)
 }
 
 // AppendBatch logs one accepted batch.
 func (w *WAL) AppendBatch(session string, seq int, rows [][]relation.Value) error {
-	rec := WALRecord{Op: "batch", Session: session, Seq: seq, Cells: EncodeRows(rows)}
-	return w.append(rec)
-}
-
-func (w *WAL) append(rec WALRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("stream: wal append: %w", err)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.log == nil {
-		return errors.New("stream: wal closed")
-	}
-	return w.log.Append(payload, true)
-}
-
-// Close closes the log file.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.log == nil {
-		return nil
-	}
-	err := w.log.Close()
-	w.log = nil
-	return err
+	return w.Append(WALRecord{Op: "batch", Session: session, Seq: seq, Cells: EncodeRows(rows)})
 }
 
 // SchemaOf reconstructs a WAL create record's schema.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"deptree/internal/fsx"
 	"deptree/internal/relation"
 	"deptree/internal/wal"
 )
@@ -148,8 +149,8 @@ func TestWALTornTail(t *testing.T) {
 	if err := w2.Replay(func(rec WALRecord) error { ops = append(ops, rec.Op); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ops, []string{"create"}) || w2.TruncatedTail() != 1 {
-		t.Fatalf("ops %v truncated %d", ops, w2.TruncatedTail())
+	if !reflect.DeepEqual(ops, []string{"create"}) || w2.TornTail() != 1 {
+		t.Fatalf("ops %v truncated %d", ops, w2.TornTail())
 	}
 	// The torn bytes are gone from disk: a new append starts on a clean
 	// line boundary.
@@ -296,6 +297,45 @@ func TestWALReopenRecovers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ops, []string{"create", "batch"}) {
 		t.Fatalf("ops after reopen %v", ops)
+	}
+}
+
+// TestWALReopenDropsFailedAppend: an append whose fsync failed left a
+// whole, checksummed frame that was never acknowledged. The server's
+// recovery reopens the log and retries the append, so Reopen must drop
+// that frame; a re-verification that kept it would log the retried
+// batch twice and replay it twice.
+func TestWALReopenDropsFailedAppend(t *testing.T) {
+	ffs := fsx.NewFaultFS(fsx.NewMemFS(), 1)
+	w, err := OpenWALWith("d/s.wal", WALOptions{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendCreate("s1", "od", walSchema()); err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]relation.Value{{relation.Float(1), relation.String("x")}}
+	ffs.SetProfile(fsx.FaultProfile{SyncErr: 1})
+	if err := w.AppendBatch("s1", 1, rows); err == nil {
+		t.Fatal("append with a failed fsync reported success")
+	}
+	ffs.SetProfile(fsx.FaultProfile{})
+	if err := w.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBatch("s1", 1, rows); err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	if err := w.Replay(func(rec WALRecord) error { ops = append(ops, rec.Op); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ops, []string{"create", "batch"}) {
+		t.Fatalf("ops after reopen and retry %v, want [create batch]", ops)
 	}
 }
 

@@ -1,9 +1,14 @@
 // Package wal is the shared durable log under both the jobs store and
 // the stream WAL: an append-only file of length-prefixed, CRC32C-framed
-// records behind a versioned header. The jobs and stream packages are
-// thin typed codecs over this one implementation, so every durability
-// property — torn-tail repair, corruption detection, atomic compaction,
-// fault-injectable I/O — is built (and tortured) exactly once.
+// records behind a versioned header. Every durability property — torn-
+// tail repair, corruption detection, group-committed fsync, reopen-and-
+// verify, atomic compaction, fault-injectable I/O — is built (and
+// tortured) exactly once, in Log. Store is the one record codec over it:
+// a record is one frame holding its JSON encoding. jobs.WALStore is a
+// Store of jobs.Record that marks write faults Transient; stream.WAL is
+// a Store of stream.WALRecord that adds the Value.Key cell codec and
+// fsyncs every append. Each decision about the bytes on disk therefore
+// sits in this package alone.
 //
 // # Frame format
 //
@@ -38,12 +43,24 @@
 //
 // Appends are crash-consistent without a commit record: the log tracks
 // the last verified offset, and if an append fails partway (short write,
-// ENOSPC) the file is truncated back to that offset before the next
-// append, so a failed write can never corrupt the log for later readers.
+// ENOSPC, an fsync error) the file is truncated back to that offset
+// before the next append, so a failed append can never corrupt the log
+// for later readers.
+//
+// # Group commit
+//
+// Every Append issues the OS write before returning, so a killed
+// process loses nothing it acknowledged. Options.SyncEvery and
+// SyncInterval schedule the fsync: after every SyncEvery appends, and
+// from a background flusher at least every SyncInterval, so a power cut
+// loses at most one group and never corrupts the prefix. The jobs store
+// groups 8 appends and flushes every 100 ms; the stream WAL fsyncs each
+// append (SyncEvery 1).
 package wal
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -51,6 +68,7 @@ import (
 	"io/fs"
 	"os"
 	"sync"
+	"time"
 
 	"deptree/internal/fsx"
 )
@@ -121,6 +139,13 @@ type Options struct {
 	// <path>.quarantine, the log is truncated to the verified prefix, and
 	// replay succeeds with Quarantined() > 0.
 	Quarantine bool
+	// SyncEvery fsyncs inside the Append that completes each group of
+	// this many appends; 0 leaves fsync to Append's sync argument and
+	// to Sync.
+	SyncEvery int
+	// SyncInterval > 0 runs a background flusher that fsyncs unsynced
+	// appends at least this often, until Close.
+	SyncInterval time.Duration
 }
 
 // Log is an append-only checksummed record log. It is safe for
@@ -139,7 +164,12 @@ type Log struct {
 	closed        bool
 	tornTail      int
 	quarantined   int
-	records       int
+	dirty         int // appends since the last fsync
+	appends       int64
+	syncs         int64
+
+	flushStop chan struct{}
+	flushDone chan struct{}
 }
 
 // Open opens or creates the log at path. A new file gets the versioned
@@ -161,17 +191,11 @@ func Open(path string, opts Options) (*Log, error) {
 	if _, err := l.fs.Stat(path); errors.Is(err, fs.ErrNotExist) {
 		created = true
 	}
-	f, err := l.fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, size, err := l.openFile()
 	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+		return nil, err
 	}
-	st, err := l.fs.Stat(path)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: stat %s: %w", path, err)
-	}
-	l.f = f
-	l.size = st.Size()
+	l.f, l.size = f, size
 	if l.size == 0 {
 		if err := l.writeHeaderLocked(); err != nil {
 			f.Close()
@@ -184,17 +208,50 @@ func Open(path string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: sync dir %s: %w", fsx.Dir(path), err)
 		}
 	}
+	if opts.SyncInterval > 0 {
+		l.flushStop = make(chan struct{})
+		l.flushDone = make(chan struct{})
+		go l.flushLoop()
+	}
 	return l, nil
 }
 
+// flushLoop is the group-commit ticker: an unsynced append never waits
+// longer than SyncInterval for its fsync.
+func (l *Log) flushLoop() {
+	defer close(l.flushDone)
+	t := time.NewTicker(l.opts.SyncInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-l.flushStop:
+			return
+		case <-t.C:
+			l.Sync()
+		}
+	}
+}
+
+// openFile opens l.path for reading and writing, creating it if absent,
+// and returns the handle with the file's size.
+func (l *Log) openFile() (fsx.File, int64, error) {
+	f, err := l.fs.OpenFile(l.path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: open %s: %w", l.path, err)
+	}
+	st, err := l.fs.Stat(l.path)
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("wal: stat %s: %w", l.path, err)
+	}
+	return f, st.Size(), nil
+}
+
 func (l *Log) writeHeaderLocked() error {
-	var hdr [HeaderSize]byte
-	copy(hdr[:], Magic)
-	binary.LittleEndian.PutUint16(hdr[4:], Version)
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: seek %s: %w", l.path, err)
 	}
-	if _, err := l.f.Write(hdr[:]); err != nil {
+	if _, err := l.f.Write(EncodeHeader()); err != nil {
 		return fmt.Errorf("wal: write header %s: %w", l.path, err)
 	}
 	if err := l.f.Sync(); err != nil {
@@ -310,13 +367,21 @@ func Scan(fsys fsx.FS, path string, maxRecord int64, fn func(payload []byte, off
 	if len(data) == 0 {
 		return 0, false, nil
 	}
-	if len(data) < HeaderSize || string(data[:4]) != Magic {
-		return 0, false, &ErrCorruptRecord{Path: path, Offset: 0, Reason: "bad magic"}
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return 0, false, fmt.Errorf("wal: %s has unsupported version %d", path, v)
+	if err := checkHeader(path, data); err != nil {
+		return 0, false, err
 	}
 	return scan(path, data[HeaderSize:], maxRecord, fn)
+}
+
+// checkHeader validates the 8-byte file header opening data.
+func checkHeader(path string, data []byte) error {
+	if len(data) < HeaderSize || string(data[:4]) != Magic {
+		return &ErrCorruptRecord{Path: path, Offset: 0, Reason: "bad magic"}
+	}
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
+		return fmt.Errorf("wal: %s has unsupported version %d", path, v)
+	}
+	return nil
 }
 
 // Replay verifies the log from the start, invoking fn for each valid
@@ -334,33 +399,57 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 	if l.closed {
 		return ErrClosed
 	}
+	return l.replayLocked(fn)
+}
+
+// Reopen swaps the file handle for a fresh open of the path and
+// re-verifies every frame as Replay does, delivering none. It is the
+// bounded recovery step after a failed append: a transient write error
+// (brief ENOSPC, a hiccuping volume) heals here, while real damage
+// fails verification and the log refuses appends until a Reopen or
+// Replay succeeds. The failed append's bytes are cut first: a frame
+// whose fsync failed is whole and checksummed but unacknowledged, and
+// the caller retries it.
+func (l *Log) Reopen() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	l.replayed = false
+	if l.pendingRepair {
+		if err := l.f.Truncate(l.lastGood); err != nil {
+			return fmt.Errorf("wal: repair truncate %s: %w", l.path, err)
+		}
+	}
+	if err := l.reopenLocked(); err != nil {
+		return err
+	}
+	return l.replayLocked(nil)
+}
+
+func (l *Log) replayLocked(fn func(payload []byte) error) error {
 	data, err := l.fs.ReadFile(l.path)
 	if err != nil {
 		return fmt.Errorf("wal: read %s: %w", l.path, err)
 	}
-	if len(data) < HeaderSize || string(data[:4]) != Magic {
-		if allZero(data) {
-			// Entire file (header included) zero-filled or empty-ish:
-			// crash during creation. Rewrite the header and start clean.
-			if err := l.writeHeaderLocked(); err != nil {
-				return err
-			}
-			if err := l.f.Truncate(HeaderSize); err != nil {
-				return fmt.Errorf("wal: truncate %s: %w", l.path, err)
-			}
-			l.tornTail++
-			l.replayed = true
-			l.records = 0
-			return nil
+	if err := checkHeader(l.path, data); err != nil {
+		if !allZero(data) {
+			return err
 		}
-		return &ErrCorruptRecord{Path: l.path, Offset: 0, Reason: "bad magic"}
+		// Entire file (header included) zero-filled or empty-ish:
+		// crash during creation. Rewrite the header and start clean.
+		if err := l.writeHeaderLocked(); err != nil {
+			return err
+		}
+		if err := l.f.Truncate(HeaderSize); err != nil {
+			return fmt.Errorf("wal: truncate %s: %w", l.path, err)
+		}
+		l.tornTail++
+		l.replayed = true
+		return nil
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return fmt.Errorf("wal: %s has unsupported version %d", l.path, v)
-	}
-	count := 0
 	verified, torn, scanErr := scan(l.path, data[HeaderSize:], l.opts.MaxRecordBytes, func(payload []byte, _ int64) error {
-		count++
 		if fn != nil {
 			return fn(payload)
 		}
@@ -388,7 +477,6 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 	l.lastGood = verified
 	l.pendingRepair = false
 	l.replayed = true
-	l.records = count
 	return nil
 }
 
@@ -413,30 +501,25 @@ func (l *Log) quarantineLocked(data []byte, verified int64) error {
 	return nil
 }
 
-// reopenLocked swaps the file handle for a fresh open of l.path.
+// reopenLocked swaps the file handle for a fresh open of l.path; on
+// failure the old handle stays.
 func (l *Log) reopenLocked() error {
-	if l.f != nil {
-		l.f.Close()
-	}
-	f, err := l.fs.OpenFile(l.path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, size, err := l.openFile()
 	if err != nil {
-		return fmt.Errorf("wal: reopen %s: %w", l.path, err)
+		return err
 	}
-	st, err := l.fs.Stat(l.path)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("wal: stat %s: %w", l.path, err)
-	}
-	l.f = f
-	l.size = st.Size()
+	l.f.Close()
+	l.f, l.size = f, size
 	return nil
 }
 
-// Append frames payload and appends it. If sync is true the file is
-// fsync'd before returning (callers wanting group commit pass false and
-// call Sync on their own schedule). A failed append marks the log for
-// repair: the next append first truncates back to the last verified
-// offset, so a short write can never corrupt the log.
+// Append frames payload and appends it. The file is fsync'd before
+// Append returns when sync is true or when this append completes a
+// group of Options.SyncEvery; otherwise the frame waits for the next
+// Sync. A failed append — a write error, or an fsync error that leaves
+// the frame's durability unknown — marks the log for repair: the next
+// append first truncates back to the last verified offset, so a failed
+// append can never corrupt the log.
 func (l *Log) Append(payload []byte, sync bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -469,29 +552,40 @@ func (l *Log) Append(payload []byte, sync bool) error {
 		return fmt.Errorf("wal: append %s: %w", l.path, err)
 	}
 	l.size += int64(len(frame))
-	if sync {
-		if err := l.f.Sync(); err != nil {
+	l.appends++
+	l.dirty++
+	if sync || (l.opts.SyncEvery > 0 && l.dirty >= l.opts.SyncEvery) {
+		if err := l.syncLocked(); err != nil {
 			// The bytes may or may not be durable; treat the frame as
 			// suspect and repair before the next append.
 			l.pendingRepair = true
-			return fmt.Errorf("wal: sync %s: %w", l.path, err)
+			return err
 		}
 	}
 	l.lastGood = l.size
-	l.records++
 	return nil
 }
 
-// Sync fsyncs the log (group commit).
+// Sync fsyncs the appends since the last fsync; with none it is a
+// no-op.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
+	if l.dirty == 0 {
+		return nil
+	}
+	return l.syncLocked()
+}
+
+func (l *Log) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync %s: %w", l.path, err)
 	}
+	l.dirty = 0
+	l.syncs++
 	return nil
 }
 
@@ -543,23 +637,30 @@ func (l *Log) ReplaceWith(payloads [][]byte) error {
 	}
 	l.lastGood = l.size
 	l.pendingRepair = false
-	l.records = len(payloads)
+	l.dirty = 0
 	return nil
 }
 
-// Close closes the log.
+// Close fsyncs any unsynced appends (best effort), closes the log and
+// stops the flusher. Closing twice is a no-op.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
+	if l.dirty > 0 {
+		l.syncLocked()
+	}
 	l.closed = true
-	return l.f.Close()
+	err := l.f.Close()
+	l.mu.Unlock()
+	if l.flushStop != nil {
+		close(l.flushStop)
+		<-l.flushDone
+	}
+	return err
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // TornTail reports how many torn tails replay has truncated.
 func (l *Log) TornTail() int {
@@ -575,16 +676,87 @@ func (l *Log) Quarantined() int {
 	return l.quarantined
 }
 
-// Records reports the number of live records (replayed plus appended).
-func (l *Log) Records() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
-}
-
 // Size reports the current file size in bytes.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.size
+}
+
+// Stats reports how many appends were written and how many fsyncs
+// committed them.
+func (l *Log) Stats() (appends, syncs int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appends, l.syncs
+}
+
+// Store is a Log of typed records: each record of type R is one frame
+// holding its JSON encoding (Encode), the one record codec of both
+// durable logs. Append, Replay and Compact take records in place of
+// payloads; every other Log method is promoted unchanged.
+type Store[R any] struct{ *Log }
+
+// OpenStore opens the log at path (see Open) as a Store of R records.
+func OpenStore[R any](path string, opts Options) (*Store[R], error) {
+	l, err := Open(path, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Store[R]{l}, nil
+}
+
+// Encode returns a record's frame payload: its JSON encoding.
+func Encode[R any](rec R) ([]byte, error) {
+	p, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("wal: encode record: %w", err)
+	}
+	return p, nil
+}
+
+// Decode inverts Encode. A payload that passed its checksum but does
+// not decode is a writer bug, not disk damage: the checksum guarantees
+// those are the bytes that were acknowledged.
+func Decode[R any](payload []byte) (R, error) {
+	var rec R
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, fmt.Errorf("wal: undecodable record: %w", err)
+	}
+	return rec, nil
+}
+
+// Append encodes rec and appends it on the Options' group-commit
+// schedule.
+func (s *Store[R]) Append(rec R) error {
+	p, err := Encode(rec)
+	if err != nil {
+		return err
+	}
+	return s.Log.Append(p, false)
+}
+
+// Replay verifies the log as Log.Replay does and decodes every record,
+// passing each to fn (which may be nil) in log order.
+func (s *Store[R]) Replay(fn func(rec R) error) error {
+	return s.Log.Replay(func(p []byte) error {
+		rec, err := Decode[R](p)
+		if err != nil || fn == nil {
+			return err
+		}
+		return fn(rec)
+	})
+}
+
+// Compact atomically replaces the log with recs (see ReplaceWith).
+func (s *Store[R]) Compact(recs []R) error {
+	payloads := make([][]byte, len(recs))
+	for i, rec := range recs {
+		p, err := Encode(rec)
+		if err != nil {
+			return err
+		}
+		payloads[i] = p
+	}
+	return s.Log.ReplaceWith(payloads)
 }
