@@ -71,7 +71,8 @@ torture:
 # pair counting against the sort-based oracle, the similarity branch's
 # pair kernel (distance tables, weighted tuple pairs, threshold picker)
 # against the row-pair loops of internal/deps, the WAL frame codec under
-# arbitrary damage, and the stream cell codec's inversion.
+# arbitrary damage, the binary WAL record codec against the JSON codec
+# it replaced, and the stream cell codec's inversion.
 # Each pass runs 30 s. Minimizing a new interesting input is capped at
 # 1 s: Go's default (60 s) could spend most of a pass at 0 execs/s while
 # it shrank one input, and an execution cap still stalls the slow targets
@@ -93,6 +94,7 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzCORDSMatchOracle ./internal/discovery/cords/
 	$(FUZZ) -fuzz=FuzzPairKernelMatchesOracle ./internal/metric/
 	$(FUZZ) -fuzz=FuzzWALFrameRoundTrip ./internal/wal/
+	$(FUZZ) -fuzz=FuzzRecordCodecMatchesJSON ./internal/wal/
 	$(FUZZ) -fuzz=FuzzStreamKeyRoundTrip ./internal/stream/
 
 # Boots `deptool serve` on a real socket, exercises health/readiness/

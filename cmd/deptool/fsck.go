@@ -163,11 +163,19 @@ func isTypedDamage(err error) bool {
 	return errors.As(err, &corrupt) || errors.As(err, &tooBig)
 }
 
-// sniffKind resolves -kind auto: a record with an "op" field is a
-// stream record, one with a "type" field a jobs record; with no record
-// to look at, the filename decides.
+// sniffKind resolves -kind auto: a binary record names its kind in its
+// kind byte. In a legacy JSON record an "op" field marks a stream
+// record and a "type" field a jobs record. With no record to look at,
+// or one that is neither, the filename decides.
 func sniffKind(payload []byte, path string) string {
-	if payload != nil {
+	if kind, ok := wal.PayloadKind(payload); ok {
+		switch kind {
+		case wal.KindJobs:
+			return "jobs"
+		case wal.KindStream:
+			return "stream"
+		}
+	} else if len(payload) > 0 && payload[0] == '{' {
 		var probe map[string]json.RawMessage
 		if json.Unmarshal(payload, &probe) == nil {
 			if _, ok := probe["op"]; ok {
@@ -190,8 +198,8 @@ func sniffKind(payload []byte, path string) string {
 func decodeRecord(kind string, payload []byte) (string, error) {
 	switch kind {
 	case "stream":
-		rec, err := wal.Decode[stream.WALRecord](payload)
-		if err != nil {
+		var rec stream.WALRecord
+		if err := wal.Decode(payload, &rec); err != nil {
 			return "", err
 		}
 		switch rec.Op {
@@ -203,8 +211,8 @@ func decodeRecord(kind string, payload []byte) (string, error) {
 			return "", fmt.Errorf("unknown stream op %q", rec.Op)
 		}
 	default: // jobs
-		rec, err := wal.Decode[jobs.Record](payload)
-		if err != nil {
+		var rec jobs.Record
+		if err := wal.Decode(payload, &rec); err != nil {
 			return "", err
 		}
 		switch rec.Type {
@@ -259,8 +267,8 @@ func fsckCompact(w io.Writer, path, kind string, maxRec int64) error {
 	return compactStore(w, path, maxRec, func(recs []stream.WALRecord) []stream.WALRecord { return recs })
 }
 
-func compactStore[R any](w io.Writer, path string, maxRec int64, fold func([]R) []R) error {
-	st, err := wal.OpenStore[R](path, wal.Options{MaxRecordBytes: maxRec})
+func compactStore[R any, P wal.RecordPtr[R]](w io.Writer, path string, maxRec int64, fold func([]R) []R) error {
+	st, err := wal.OpenStore[R, P](path, wal.Options{MaxRecordBytes: maxRec})
 	if err != nil {
 		return fmt.Errorf("fsck: compact: %w", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"deptree/internal/jobs"
+	"deptree/internal/relation"
 	"deptree/internal/stream"
 	"deptree/internal/wal"
 )
@@ -157,6 +158,7 @@ func TestFsckCompactFoldsJobsLog(t *testing.T) {
 	if !strings.Contains(out, "compacted 8 -> ") {
 		t.Fatalf("compact output:\n%s", out)
 	}
+	requireBinaryFrames(t, path)
 
 	store, err := jobs.OpenWAL(path, jobs.WALOptions{})
 	if err != nil {
@@ -313,22 +315,34 @@ func TestCacheHitSubmitRecordCarriesNoCSV(t *testing.T) {
 
 func TestFsckKindSniffing(t *testing.T) {
 	dir := t.TempDir()
-	// Contents win over filename: a stream record in a file named x.wal.
-	path := filepath.Join(dir, "x.wal")
-	writeJobsWAL(t, path, `{"op":"create","session":"s1","algo":"od","names":["a"],"kinds":[0]}`)
-	out, err := capture(t, func() error { return cmdFsck([]string{"-q", path}) })
-	if err != nil {
-		t.Fatalf("fsck: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "stream log") {
-		t.Fatalf("sniffed kind:\n%s", out)
+	// Contents win over filename: a stream record in a file named x.wal,
+	// legacy JSON or binary, and a binary jobs record in a file whose
+	// name says stream.
+	streamRec := stream.WALRecord{Op: "create", Session: "s1", Algo: "od", Names: []string{"a"}, Kinds: []int{0}}
+	jobsRec := jobs.Record{Type: jobs.RecCancel, ID: "j1"}
+	for _, c := range []struct {
+		name, payload, want string
+	}{
+		{"x.wal", `{"op":"create","session":"s1","algo":"od","names":["a"],"kinds":[0]}`, "stream log"},
+		{"x.wal", string(wal.Encode(&streamRec)), "stream log"},
+		{"stream-jobs.wal", string(wal.Encode(&jobsRec)), "jobs log"},
+	} {
+		path := filepath.Join(dir, c.name)
+		writeJobsWAL(t, path, c.payload)
+		out, err := capture(t, func() error { return cmdFsck([]string{"-q", path}) })
+		if err != nil {
+			t.Fatalf("fsck %q: %v\n%s", c.payload, err, out)
+		}
+		if !strings.Contains(out, c.want) {
+			t.Fatalf("sniffed kind of %q, want %s:\n%s", c.payload, c.want, out)
+		}
 	}
 	// Empty log: filename decides.
 	empty := filepath.Join(dir, "stream.wal")
 	if err := os.WriteFile(empty, wal.EncodeHeader(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err = capture(t, func() error { return cmdFsck([]string{empty}) })
+	out, err := capture(t, func() error { return cmdFsck([]string{empty}) })
 	if err != nil {
 		t.Fatalf("fsck empty: %v\n%s", err, out)
 	}
@@ -342,12 +356,85 @@ func TestFsckUndecodablePayload(t *testing.T) {
 	writeJobsWAL(t, path,
 		`{"type":"submit","id":"j1","spec":{"kind":"discover"}}`,
 		`{"type":"frobnicate","id":"j2"}`, // valid checksum, unknown type
+		"\x01\x01\x05start",               // binary, cut short
+		"\x00junk",                        // neither JSON nor binary
 	)
 	out, err := capture(t, func() error { return cmdFsck([]string{path}) })
 	if !errors.Is(err, errPartial) {
 		t.Fatalf("undecodable record: err = %v, want errPartial\n%s", err, out)
 	}
-	if !strings.Contains(out, "UNDECODABLE") || !strings.Contains(out, "writer bug") {
-		t.Fatalf("undecodable report:\n%s", out)
+	if n := strings.Count(out, "UNDECODABLE"); n != 3 || !strings.Contains(out, "3 record(s) with valid checksums") || !strings.Contains(out, "writer bug") {
+		t.Fatalf("undecodable report (%d UNDECODABLE lines):\n%s", n, out)
+	}
+}
+
+// TestFsckMixedFormatLog: a stream log with a legacy JSON prefix and
+// binary appends, as a newer build leaves an older build's log,
+// verifies clean, and -compact rewrites it into binary frames only that
+// replay to the same records.
+func TestFsckMixedFormatLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sessions.wal")
+	writeJobsWAL(t, path,
+		`{"op":"create","session":"s1","algo":"od","names":["a","b"],"kinds":[0,1]}`,
+		`{"op":"batch","session":"s1","seq":1,"cells":[["s:x","n:1"]]}`,
+	)
+	replay := func() []stream.WALRecord {
+		t.Helper()
+		w, err := stream.OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		var recs []stream.WALRecord
+		if err := w.Replay(func(rec stream.WALRecord) error {
+			recs = append(recs, rec)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	w, err := stream.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBatch("s1", 2, [][]relation.Value{{relation.Null(relation.KindString), relation.Float(2.5)}}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	want := replay()
+	if len(want) != 3 || want[2].Seq != 2 {
+		t.Fatalf("mixed log replays to %+v", want)
+	}
+
+	out, err := capture(t, func() error { return cmdFsck([]string{"-compact", path}) })
+	if err != nil {
+		t.Fatalf("fsck -compact: %v\n%s", err, out)
+	}
+	for _, s := range []string{"stream log, 3 record(s)", "clean", "stream batch s1 seq=2 rows=1", "compacted 3 -> 3"} {
+		if !strings.Contains(out, s) {
+			t.Errorf("output missing %q:\n%s", s, out)
+		}
+	}
+	requireBinaryFrames(t, path)
+	if got := replay(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("compacted log replays to\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// requireBinaryFrames fails unless every frame of the log at path holds
+// a binary payload.
+func requireBinaryFrames(t *testing.T, path string) {
+	t.Helper()
+	if _, _, err := wal.Scan(nil, path, 0, func(p []byte, off int64) error {
+		if _, ok := wal.PayloadKind(p); !ok {
+			t.Errorf("%s: frame at %d is not binary: %q", path, off, p)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,8 +7,8 @@
 // The design is event-sourced: every state transition is one appended
 // Record, and a Manager is just the fold of its store's records. The
 // in-memory store keeps the records in a slice; the WAL store encodes
-// each as JSON inside one internal/wal frame, with batched fsync
-// (wal.go). On restart the manager replays the store, re-enqueues every
+// each in the binary record codec inside one internal/wal frame, with
+// batched fsync (wal.go). On restart the manager replays the store, re-enqueues every
 // job that was queued or running at crash time in its original
 // submission order, and serves completed results without recompute.
 //

@@ -23,11 +23,12 @@ const (
 	RecCancel RecordType = "cancel"
 )
 
-// Record is one appended state transition. The WAL serializes each
-// record as JSON in one internal/wal frame; replay folds them back into
-// jobs in Seq order. Wall-clock times are deliberately absent — replay
-// must be deterministic, and the API's informational timestamps live
-// only in memory.
+// Record is one appended state transition. The WAL writes each record
+// in one internal/wal frame, in the binary field order Fields declares
+// (the JSON tags read logs written before it); replay folds them back
+// into jobs in Seq order. Wall-clock times are deliberately absent —
+// replay must be deterministic, and the API's informational timestamps
+// live only in memory.
 type Record struct {
 	Type RecordType `json:"type"`
 	// ID names the job every record but submit refers back to.
@@ -51,6 +52,48 @@ type Record struct {
 	Result *Result `json:"result,omitempty"`
 	// Reason is the failure/retry reason token.
 	Reason string `json:"reason,omitempty"`
+}
+
+// RecordKind marks jobs records in the WAL.
+func (*Record) RecordKind() wal.Kind { return wal.KindJobs }
+
+// Fields declares the record's on-disk field order (see wal.Codec).
+// Spec.Rel is never written.
+func (r *Record) Fields(c *wal.Codec) {
+	c.String((*string)(&r.Type))
+	c.String(&r.ID)
+	c.Int64(&r.Seq)
+	wal.Optional(c, &r.Spec, specFields)
+	c.String(&r.Fingerprint)
+	c.String(&r.IdemKey)
+	c.Bool(&r.CacheHit)
+	c.Int(&r.Attempt)
+	c.String((*string)(&r.State))
+	wal.Optional(c, &r.Result, resultFields)
+	c.String(&r.Reason)
+}
+
+func specFields(c *wal.Codec, s *Spec) {
+	c.String(&s.Kind)
+	c.String(&s.Algo)
+	c.String(&s.CSV)
+	c.String(&s.FDs)
+	c.String(&s.FD)
+	c.Float64(&s.MaxErr)
+	c.Int(&s.SampleRows)
+	c.Int64(&s.SampleSeed)
+	c.Int(&s.Workers)
+	c.Int64(&s.TimeoutMs)
+	c.Int64(&s.MaxTasks)
+}
+
+func resultFields(c *wal.Codec, r *Result) {
+	c.Strings(&r.Lines)
+	c.String(&r.Report)
+	c.String(&r.CSV)
+	c.Strings(&r.Changes)
+	c.Bool(&r.Partial)
+	c.String(&r.Reason)
 }
 
 // ErrStoreClosed is returned by Append/Sync after Close. It is the

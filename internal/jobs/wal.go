@@ -28,7 +28,8 @@ type WALOptions struct {
 }
 
 // WALStore is the durable Store: the shared record log of internal/wal
-// holding one JSON frame per Record, group-committed as WALOptions
+// holding one binary-encoded frame per Record (Record.Fields; frames
+// of older logs holding JSON still replay), group-committed as WALOptions
 // schedules it (see the wal package doc). Replay distinguishes a clean
 // torn tail (truncated and counted by TornTail) from mid-log
 // corruption, which surfaces as a typed *wal.ErrCorruptRecord instead
@@ -36,7 +37,7 @@ type WALOptions struct {
 // set, which sidecars the damage and keeps the verified prefix. What is
 // the jobs package's own is the Store contract: write and sync failures
 // come back Transient, and Replay returns the records as a slice.
-type WALStore struct{ *wal.Store[Record] }
+type WALStore struct{ *wal.Store[Record, *Record] }
 
 // ErrNotReplayed is returned by Append before Replay has run: until the
 // log's contents are verified (and any torn tail truncated), an append

@@ -3,10 +3,10 @@
 // fresh Sessions reproduces every relation, chained fingerprint and
 // ruleset bit for bit, which is what lets an HTTP stream session survive
 // a server restart. It is a wal.Store of WALRecord — the shared framed
-// log and its one JSON record codec, with torn-tail repair, typed
+// log and its one binary record codec, with torn-tail repair, typed
 // corruption, quarantine and reopen-and-verify built there once — and
 // fsyncs every append. What is the stream package's own is the record
-// shape and its cell codec.
+// shape, its field order (WALRecord.Fields) and its cell codec.
 //
 // Cells are encoded with relation.Value.Key — the injective canonical
 // form the dictionary coders and the chained fingerprint are built on.
@@ -43,6 +43,21 @@ type WALRecord struct {
 	Cells   [][]string `json:"cells,omitempty"`
 }
 
+// RecordKind marks stream records in the WAL.
+func (*WALRecord) RecordKind() wal.Kind { return wal.KindStream }
+
+// Fields declares the record's on-disk field order (see wal.Codec).
+// Cells stay Value.Key strings, stored raw.
+func (r *WALRecord) Fields(c *wal.Codec) {
+	c.String(&r.Op)
+	c.String(&r.Session)
+	c.String(&r.Algo)
+	c.Strings(&r.Names)
+	c.Ints(&r.Kinds)
+	c.Int(&r.Seq)
+	wal.Slice(c, &r.Cells, (*wal.Codec).Strings)
+}
+
 // WALOptions tunes OpenWALWith.
 type WALOptions struct {
 	// FS is the filesystem the log lives on (nil = the real OS).
@@ -56,7 +71,9 @@ type WALOptions struct {
 // before returning — batch acceptance is low-rate compared to the jobs
 // queue, so group commit buys nothing here. Replay, Reopen, Close and
 // the torn-tail and quarantine counters are the wal.Store's.
-type WAL struct{ *wal.Store[WALRecord] }
+type WAL struct {
+	*wal.Store[WALRecord, *WALRecord]
+}
 
 // OpenWAL opens (creating if absent) the framed log at path on the real
 // filesystem. Creation fsyncs the parent directory, so a crash right

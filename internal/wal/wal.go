@@ -4,11 +4,12 @@
 // tail repair, corruption detection, group-committed fsync, reopen-and-
 // verify, atomic compaction, fault-injectable I/O — is built (and
 // tortured) exactly once, in Log. Store is the one record codec over it:
-// a record is one frame holding its JSON encoding. jobs.WALStore is a
+// a record is one frame holding its binary encoding. jobs.WALStore is a
 // Store of jobs.Record that marks write faults Transient; stream.WAL is
 // a Store of stream.WALRecord that adds the Value.Key cell codec and
 // fsyncs every append. Each decision about the bytes on disk therefore
-// sits in this package alone.
+// sits in this package alone; the record types declare only their field
+// order.
 //
 // # Frame format
 //
@@ -47,6 +48,20 @@
 // before the next append, so a failed append can never corrupt the log
 // for later readers.
 //
+// # Record format
+//
+// A payload is the format byte FormatBinary (0x01), a Kind byte (jobs or
+// stream), then the record's fields in the fixed order its Fields method
+// declares, written by Codec: strings raw behind uvarint lengths,
+// integers as zigzag varints, floats as their 8 IEEE-754 bytes, one
+// presence byte before an optional struct. A payload opening with '{'
+// is the JSON encoding logs were written in before; Decode still reads
+// it, so an old log, or one with a JSON prefix and binary appends,
+// replays unchanged. Appends and compaction write only the binary
+// format, and the header version stays 1: a build that reads JSON only
+// fails to replay a log this one has appended to or compacted, as
+// undecodable. Downgrading is not supported.
+//
 // # Group commit
 //
 // Every Append issues the OS write before returning, so a killed
@@ -59,8 +74,8 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -84,6 +99,11 @@ const HeaderSize = 8
 
 // FrameHeaderSize is the byte length of each frame's header.
 const FrameHeaderSize = 12
+
+// compactBufSize is the write buffer ReplaceWith streams a snapshot
+// through: large enough that a snapshot of small records costs a few
+// write calls, not one per frame.
+const compactBufSize = 256 << 10
 
 // DefaultMaxRecordBytes bounds a single frame's payload (1 GiB). It is a
 // sanity limit against garbage length fields surviving the header CRC by
@@ -268,11 +288,16 @@ func (l *Log) writeHeaderLocked() error {
 // deliberately torn prefixes of a real frame.
 func EncodeFrame(payload []byte) []byte {
 	buf := make([]byte, FrameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(buf[:8], castagnoli))
+	putFrameHeader(buf, payload)
 	copy(buf[FrameHeaderSize:], payload)
 	return buf
+}
+
+// putFrameHeader writes the 12-byte header framing payload into hdr.
+func putFrameHeader(hdr, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(hdr[:8], castagnoli))
 }
 
 // EncodeHeader returns the 8-byte file header, for tests building logs
@@ -591,8 +616,9 @@ func (l *Log) syncLocked() error {
 
 // ReplaceWith atomically replaces the log's contents with the given
 // payloads (compaction): a temp file is written with a fresh header and
-// all frames, fsync'd, renamed over the log, and the directory fsync'd.
-// The log stays usable for appends afterwards.
+// all frames through one buffered writer, flushed and fsync'd, renamed
+// over the log, and the directory fsync'd. Any failure removes the temp
+// file. The log stays usable for appends afterwards.
 func (l *Log) ReplaceWith(payloads [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -605,16 +631,21 @@ func (l *Log) ReplaceWith(payloads [][]byte) error {
 		return fmt.Errorf("wal: compact open %s: %w", tmp, err)
 	}
 	err = func() error {
-		if _, err := f.Write(EncodeHeader()); err != nil {
-			return err
-		}
+		// A bufio.Writer keeps its first write error and returns it
+		// from every later call, so Flush reports any failed Write.
+		bw := bufio.NewWriterSize(f, compactBufSize)
+		bw.Write(EncodeHeader())
+		hdr := make([]byte, FrameHeaderSize)
 		for _, p := range payloads {
 			if int64(len(p)) > l.opts.MaxRecordBytes {
 				return &ErrRecordTooLarge{Path: tmp, Size: int64(len(p)), Limit: l.opts.MaxRecordBytes}
 			}
-			if _, err := f.Write(EncodeFrame(p)); err != nil {
-				return err
-			}
+			putFrameHeader(hdr, p)
+			bw.Write(hdr)
+			bw.Write(p)
+		}
+		if err := bw.Flush(); err != nil {
+			return err
 		}
 		return f.Sync()
 	}()
@@ -692,71 +723,52 @@ func (l *Log) Stats() (appends, syncs int64) {
 }
 
 // Store is a Log of typed records: each record of type R is one frame
-// holding its JSON encoding (Encode), the one record codec of both
-// durable logs. Append, Replay and Compact take records in place of
-// payloads; every other Log method is promoted unchanged.
-type Store[R any] struct{ *Log }
+// holding its binary encoding (Encode), the one record codec of both
+// durable logs, and replay also reads the JSON payloads of logs written
+// before it (Decode). Append, Replay and Compact take records in place
+// of payloads; every other Log method is promoted unchanged.
+type Store[R any, P RecordPtr[R]] struct{ *Log }
+
+// RecordPtr constrains a Store's second type parameter to *R, the
+// pointer that implements Record.
+type RecordPtr[R any] interface {
+	*R
+	Record
+}
 
 // OpenStore opens the log at path (see Open) as a Store of R records.
-func OpenStore[R any](path string, opts Options) (*Store[R], error) {
+func OpenStore[R any, P RecordPtr[R]](path string, opts Options) (*Store[R, P], error) {
 	l, err := Open(path, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Store[R]{l}, nil
-}
-
-// Encode returns a record's frame payload: its JSON encoding.
-func Encode[R any](rec R) ([]byte, error) {
-	p, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encode record: %w", err)
-	}
-	return p, nil
-}
-
-// Decode inverts Encode. A payload that passed its checksum but does
-// not decode is a writer bug, not disk damage: the checksum guarantees
-// those are the bytes that were acknowledged.
-func Decode[R any](payload []byte) (R, error) {
-	var rec R
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("wal: undecodable record: %w", err)
-	}
-	return rec, nil
+	return &Store[R, P]{l}, nil
 }
 
 // Append encodes rec and appends it on the Options' group-commit
 // schedule.
-func (s *Store[R]) Append(rec R) error {
-	p, err := Encode(rec)
-	if err != nil {
-		return err
-	}
-	return s.Log.Append(p, false)
+func (s *Store[R, P]) Append(rec R) error {
+	return s.Log.Append(Encode(P(&rec)), false)
 }
 
 // Replay verifies the log as Log.Replay does and decodes every record,
 // passing each to fn (which may be nil) in log order.
-func (s *Store[R]) Replay(fn func(rec R) error) error {
+func (s *Store[R, P]) Replay(fn func(rec R) error) error {
 	return s.Log.Replay(func(p []byte) error {
-		rec, err := Decode[R](p)
-		if err != nil || fn == nil {
+		var rec R
+		if err := Decode(p, P(&rec)); err != nil || fn == nil {
 			return err
 		}
 		return fn(rec)
 	})
 }
 
-// Compact atomically replaces the log with recs (see ReplaceWith).
-func (s *Store[R]) Compact(recs []R) error {
+// Compact atomically replaces the log with recs (see ReplaceWith), in
+// the binary format whatever the log held before.
+func (s *Store[R, P]) Compact(recs []R) error {
 	payloads := make([][]byte, len(recs))
-	for i, rec := range recs {
-		p, err := Encode(rec)
-		if err != nil {
-			return err
-		}
-		payloads[i] = p
+	for i := range recs {
+		payloads[i] = Encode(P(&recs[i]))
 	}
 	return s.Log.ReplaceWith(payloads)
 }

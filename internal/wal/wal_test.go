@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -342,6 +345,52 @@ func TestReplaceWithCompacts(t *testing.T) {
 	want := []string{"kept-a", "kept-b", "appended"}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("after compact replayed %v", got)
+	}
+}
+
+// TestReplaceWithFailureRemovesTemp: a compaction whose buffered write
+// or fsync fails, whether inside the frame loop (a snapshot larger than
+// the buffer) or at the final Flush (a small one), returns the error,
+// removes the temp file and leaves the log as it was and appendable.
+func TestReplaceWithFailureRemovesTemp(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), compactBufSize/3)
+	snapshots := map[string][][]byte{
+		"small": {[]byte("kept-a"), []byte("kept-b")},
+		"large": {big, big, big, big, big},
+	}
+	for name, snap := range snapshots {
+		for _, prof := range []fsx.FaultProfile{{WriteErr: 1}, {ShortWrite: 1}, {SyncErr: 1}} {
+			m := fsx.NewMemFS()
+			ff := fsx.NewFaultFS(m, 7)
+			l, err := Open("d/test.wal", Options{FS: ff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Replay(nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := l.Append([]byte(fmt.Sprintf("old-%d", i)), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ff.SetProfile(prof)
+			if err := l.ReplaceWith(snap); err == nil {
+				t.Fatalf("%s snapshot under %+v: compaction reported success", name, prof)
+			}
+			ff.SetProfile(fsx.FaultProfile{})
+			if _, err := m.Stat("d/test.wal.tmp"); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%s snapshot under %+v: temp file left behind (stat: %v)", name, prof, err)
+			}
+			if err := l.Append([]byte("after"), true); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			got := replayAll(t, openMem(t, m, Options{}))
+			if want := []string{"old-0", "old-1", "old-2", "after"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s snapshot under %+v: log replays %q, want %q", name, prof, got, want)
+			}
+		}
 	}
 }
 
