@@ -22,7 +22,7 @@ test:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Race coverage for the worker pool, the shared partition cache, all
+# Race coverage for the engine's fan-out, the shared partition cache, all
 # parallelized discovery algorithms (the differential harness runs both
 # sequential and parallel paths under the detector), the HTTP serving
 # layer (admission semaphore, breakers, drain), the async job service

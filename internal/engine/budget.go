@@ -10,12 +10,6 @@ import (
 	"deptree/internal/obs"
 )
 
-// ErrPoolClosed is returned by Submit/ForEach when the pool has been
-// Closed. Before the closed guard existed, a post-Close Submit panicked
-// on the closed task channel; returning this error instead is part of the
-// pool's failure model.
-var ErrPoolClosed = errors.New("engine: pool closed")
-
 // ErrMaxTasks is the failure recorded when a Reserve would exceed the
 // run's MaxTasks budget. Discovery runs stopped by it report a
 // deterministic partial result.
@@ -26,7 +20,7 @@ var ErrMaxTasks = errors.New("engine: task budget exhausted")
 type Budget struct {
 	// Timeout is the wall-clock deadline for the whole run (0 = none).
 	// When it fires the pool context reports context.DeadlineExceeded,
-	// queued tasks are skipped, and the run returns a partial result.
+	// unstarted tasks are skipped, and the run returns a partial result.
 	Timeout time.Duration
 	// MaxTasks bounds the total pool tasks the run may execute (0 =
 	// unlimited). It is enforced all-or-nothing per fan-out (Reserve), so

@@ -27,21 +27,26 @@ func settleGoroutines(t *testing.T, before int) {
 	}
 }
 
-// Regression: Submit used to race Close and panic on the closed task
-// channel; now it must return ErrPoolClosed, including under a concurrent
-// hammer of submitters.
-func TestSubmitAfterCloseReturnsErrPoolClosed(t *testing.T) {
-	p := Exec{Workers: 4}.Pool(context.Background())
-	p.Close()
-	if err := p.Submit(func() {}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
-	}
-	if err := p.ForEach(3, func(int) {}); err == nil {
-		t.Fatal("ForEach after Close succeeded")
+// A fan-out after Close fails with the closed context's error, which
+// reports as "cancelled", for both the inline and the fanned-out path.
+func TestForEachAfterCloseIsCancelled(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := Exec{Workers: workers}.Pool(context.Background())
+		p.Close()
+		ran := false
+		err := p.ForEach(3, func(int) { ran = true })
+		if !errors.Is(err, context.Canceled) || Reason(err) != "cancelled" {
+			t.Fatalf("workers=%d: ForEach after Close = %v, want context.Canceled", workers, err)
+		}
+		if ran {
+			t.Fatalf("workers=%d: a task ran after Close", workers)
+		}
 	}
 }
 
-func TestSubmitCloseHammer(t *testing.T) {
+// Close racing fan-outs from several goroutines must neither panic nor
+// hang; each fan-out either completes or reports the cancellation.
+func TestForEachCloseHammer(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		p := Exec{Workers: 4}.Pool(context.Background())
 		var wg sync.WaitGroup
@@ -50,16 +55,32 @@ func TestSubmitCloseHammer(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					// Any of nil / ErrPoolClosed / context error is fine;
-					// a panic on the closed channel is the bug.
-					_ = p.Submit(func() {})
-					_ = p.ForEach(4, func(int) {})
+					if err := p.ForEach(4, func(int) {}); err != nil && !errors.Is(err, context.Canceled) {
+						t.Errorf("ForEach racing Close = %v, want nil or context.Canceled", err)
+						return
+					}
 				}
 			}()
 		}
 		p.Close()
 		wg.Wait()
 	}
+}
+
+// A pool keeps no goroutines between fan-outs: building one starts none,
+// and a fan-out joins every helper it started before it returns.
+func TestPoolHoldsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := Exec{Workers: 8}.Pool(context.Background())
+	defer p.Close()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("Exec{Workers: 8}.Pool started goroutines: %d before, %d after", before, got)
+	}
+	if err := p.ForEach(64, func(int) { time.Sleep(10 * time.Microsecond) }); err != nil {
+		t.Fatal(err)
+	}
+	// A joined helper may still be exiting when ForEach returns.
+	settleGoroutines(t, before)
 }
 
 // Regression: a cancellation landing after the last index completed used
@@ -102,8 +123,8 @@ func TestReserveAllOrNothing(t *testing.T) {
 	if err := p.Err(); !errors.Is(err, ErrMaxTasks) {
 		t.Fatalf("exhausted budget must fail the run: Err = %v", err)
 	}
-	if err := p.Submit(func() {}); !errors.Is(err, ErrMaxTasks) {
-		t.Fatalf("Submit on a budget-failed run = %v, want ErrMaxTasks", err)
+	if err := p.ForEach(1, func(int) {}); !errors.Is(err, ErrMaxTasks) {
+		t.Fatalf("ForEach on a budget-failed run = %v, want ErrMaxTasks", err)
 	}
 }
 
@@ -264,19 +285,6 @@ func TestInlineWorkerHonorsDeadline(t *testing.T) {
 	}
 }
 
-func TestInlineSubmitPanicReturnsError(t *testing.T) {
-	p := Exec{Workers: 1}.Pool(context.Background())
-	defer p.Close()
-	err := p.Submit(func() { panic("inline boom") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("inline Submit of panicking task = %v, want *PanicError", err)
-	}
-	if pe.Task != -1 {
-		t.Fatalf("direct submissions carry Task = -1, got %d", pe.Task)
-	}
-}
-
 func TestReasonTokens(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -292,6 +300,30 @@ func TestReasonTokens(t *testing.T) {
 	for _, c := range cases {
 		if got := Reason(c.err); got != c.want {
 			t.Errorf("Reason(%v) = %q, want %q", c.err, got, c.want)
+		}
+	}
+}
+
+// A fan-out allocates no closure per index: the sequential path, taken by
+// a one-worker pool and by a one-index fan-out, allocates nothing, and a
+// parallel fan-out allocates only its fixed per-call state.
+func TestForEachAllocs(t *testing.T) {
+	sink := make([]int, 256)
+	fill := func(i int) { sink[i] = i * i }
+	cases := []struct {
+		workers, n int
+		max        float64
+	}{{1, len(sink), 0}, {4, 1, 0}, {4, len(sink), 10}}
+	for _, c := range cases {
+		p := Exec{Workers: c.workers}.Pool(context.Background())
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := p.ForEach(c.n, fill); err != nil {
+				t.Fatal(err)
+			}
+		})
+		p.Close()
+		if allocs > c.max {
+			t.Errorf("workers=%d n=%d: %.1f allocs per ForEach, want at most %.0f", c.workers, c.n, allocs, c.max)
 		}
 	}
 }

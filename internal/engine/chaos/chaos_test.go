@@ -85,8 +85,8 @@ func runAll(ctx context.Context, r *relation.Relation, o registry.RunOptions) []
 
 // TestInjectedPanicPoolIsolation drives a raw pool: a panicking task must
 // surface as a task-attributed *engine.PanicError, the pool must stay
-// closable without leaking its workers, and post-Close submission must
-// return ErrPoolClosed.
+// closable without leaking goroutines, and a fan-out after Close must
+// still report the recorded panic.
 func TestInjectedPanicPoolIsolation(t *testing.T) {
 	inj, uninstall := Install(Options{PanicEvery: 7})
 	defer uninstall()
@@ -107,8 +107,8 @@ func TestInjectedPanicPoolIsolation(t *testing.T) {
 			t.Fatalf("panic value lost: %v", pe)
 		}
 		p.Close()
-		if err := p.Submit(func() {}); err != engine.ErrPoolClosed {
-			t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
+		if err := p.ForEach(1, func(int) {}); err != pe {
+			t.Fatalf("ForEach after Close = %v, want the recorded panic %v", err, pe)
 		}
 	})
 	if inj.Panics() == 0 {

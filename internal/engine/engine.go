@@ -1,8 +1,8 @@
 // Package engine is the shared parallel-execution substrate for the
-// discovery algorithms: a bounded worker pool with context cancellation,
-// built from one execution config (exec.go), per-run resource budgets
-// (budget.go), deterministic fan-out helpers, and a concurrency-safe
-// memoizing partition cache (cache.go).
+// discovery algorithms: a per-run fan-out context with context
+// cancellation, built from one execution config (exec.go), per-run
+// resource budgets (budget.go), deterministic fan-out helpers, and a
+// concurrency-safe memoizing partition cache (cache.go).
 //
 // The paper's Fig 3 places FD/CFD/OD/DC discovery in the
 // exponential-lattice difficulty band; the engine lets each level or
@@ -17,10 +17,10 @@
 // The pool also implements the failure model every discovery run relies
 // on (DESIGN.md "Failure model"): a panicking task is converted into a
 // task-attributed *PanicError that cancels the run instead of crashing
-// the process, Submit after Close returns ErrPoolClosed instead of
-// panicking on a closed channel, and an exhausted Budget stops the run
-// with ErrMaxTasks or context.DeadlineExceeded so callers can report a
-// deterministic partial result.
+// the process, a fan-out after Close fails with context.Canceled, and an
+// exhausted Budget stops the run with ErrMaxTasks or
+// context.DeadlineExceeded so callers can report a deterministic partial
+// result.
 package engine
 
 import (
@@ -36,10 +36,9 @@ import (
 
 // PanicError is the error a panicking task is converted into: the run is
 // cancelled, the panic value and stack are preserved, and the pool stays
-// safe to use (Close still drains, Submit returns errors).
+// safe to Close and to query.
 type PanicError struct {
-	// Task is the fan-out index of the panicking task, or -1 for a task
-	// submitted directly via Submit.
+	// Task is the fan-out index of the panicking task.
 	Task int
 	// Value is the recovered panic value.
 	Value any
@@ -48,10 +47,7 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	if e.Task >= 0 {
-		return fmt.Sprintf("engine: task %d panicked: %v", e.Task, e.Value)
-	}
-	return fmt.Sprintf("engine: task panicked: %v", e.Value)
+	return fmt.Sprintf("engine: task %d panicked: %v", e.Task, e.Value)
 }
 
 // abortPanic carries an error out of a task through Abort.
@@ -83,30 +79,22 @@ func SetTaskHook(h TaskHook) (restore func()) {
 	return func() { taskHook.Store(prev) }
 }
 
-// Pool is a bounded worker pool, built by Exec.Pool. A Pool with one
-// worker executes every task inline on the submitting goroutine — the
-// exact sequential legacy path, with no goroutines and no channel
-// traffic — so algorithms can use one code path for both modes.
-// Budgets (deadline, max tasks) are honored in both modes.
+// Pool is one run's fan-out context, built by Exec.Pool: the worker
+// count, the deadline context, the task budget, the first failure and
+// the metric handles. It keeps no goroutines of its own. Each fan-out runs
+// its indices on the calling goroutine plus up to workers-1 helpers that
+// it starts and joins; a one-worker pool, or a one-index fan-out, is the
+// exact sequential legacy path, so algorithms use one code path for both
+// modes. Budgets (deadline, max tasks) are honored in both modes.
 //
-// Tasks submitted to the same Pool must not themselves submit to that
-// Pool: with every worker blocked on a full queue the pool would deadlock.
-// The discovery algorithms fan out one loop at a time, so nesting never
-// arises there.
+// A task must not fan out on its own pool: the nested reservation would
+// race the outer fan-out's remaining tasks for the budget, so the point
+// where MaxTasks trips would depend on scheduling. The discovery
+// algorithms fan out one loop at a time, so nesting never arises there.
 type Pool struct {
 	workers int
-	tasks   chan func()
 	ctx     context.Context
 	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	once    sync.Once
-
-	// mu guards closed against the Submit/Close race: senders hold the
-	// read lock across the channel send, Close sets closed under the
-	// write lock before closing the channel, and cancels the context
-	// first so a blocked sender always wakes and releases the lock.
-	mu     sync.RWMutex
-	closed bool
 
 	// maxTasks caps Reserve'd task executions (0 = unlimited); used is
 	// the running total, shared by every pool of one run (Exec.Share).
@@ -116,11 +104,9 @@ type Pool struct {
 	failMu  sync.Mutex
 	failure error
 
-	// obs is the run's optional metrics registry (nil = no-op). The
-	// handles below are resolved once at construction so the task hot
-	// path never takes the registry lock; on a nil registry they are nil,
-	// which every obs handle accepts as a no-op.
-	obs         *obs.Registry
+	// The metric handles are resolved once at construction so the task
+	// hot path never takes the registry lock; without a registry they are
+	// nil, which every obs handle accepts as a no-op.
 	taskSec     *obs.Histogram
 	cCompleted  *obs.Counter
 	cPanicked   *obs.Counter
@@ -151,7 +137,7 @@ func (p *Pool) cause() error {
 }
 
 // fail records err as the run's failure (first writer wins) and cancels
-// the pool so queued work is skipped.
+// the pool so indices not yet started are skipped.
 func (p *Pool) fail(err error) {
 	p.failMu.Lock()
 	if p.failure == nil {
@@ -185,10 +171,10 @@ func (p *Pool) Reserve(n int) error {
 	}
 }
 
-// exec runs fn with panic isolation and the chaos hook. It reports
+// exec runs fn(task) with panic isolation and the chaos hook. It reports
 // whether fn completed; on panic the run is failed with a task-attributed
 // *PanicError (or, for Abort, the aborting error) and ok is false.
-func (p *Pool) exec(task int, fn func()) (ok bool) {
+func (p *Pool) exec(task int, fn func(int)) (ok bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			if ab, isAbort := v.(abortPanic); isAbort {
@@ -205,79 +191,23 @@ func (p *Pool) exec(task int, fn func()) (ok bool) {
 	}
 	if p.taskSec != nil {
 		start := time.Now()
-		fn()
+		fn(task)
 		p.taskSec.Observe(time.Since(start).Seconds())
 	} else {
-		fn()
+		fn(task)
 	}
 	p.cCompleted.Inc()
 	return true
 }
 
-// isClosed reports whether Close has begun.
-func (p *Pool) isClosed() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.closed
-}
-
-// send enqueues task for a worker. It blocks while the queue is full and
-// returns ErrPoolClosed after Close or the pool's failure/context error
-// on cancellation — never panicking on a closed channel.
-func (p *Pool) send(task func()) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrPoolClosed
-	}
-	select {
-	case p.tasks <- task:
-		return nil
-	case <-p.ctx.Done():
-		return p.cause()
-	}
-}
-
-// Submit runs the task on a worker (or inline for a one-worker pool). It
-// blocks while the queue is full. It returns ErrPoolClosed after Close,
-// the pool's failure/context error if the run is already cancelled, and —
-// in inline mode — the task's own converted panic, if any.
-func (p *Pool) Submit(task func()) error {
-	if p.isClosed() {
-		return ErrPoolClosed
-	}
-	if err := p.cause(); err != nil {
-		return err
-	}
-	if err := p.Reserve(1); err != nil {
-		return err
-	}
-	if p.workers <= 1 {
-		if p.exec(-1, task) {
-			return nil
-		}
-		return p.cause()
-	}
-	return p.send(func() { p.exec(-1, task) })
-}
-
-// Cancel aborts the pool: queued tasks wrapped by ForEach become no-ops
-// and further Submits fail. Workers stay alive until Close.
+// Cancel aborts the pool: indices of a running fan-out that have not
+// started yet are skipped, and later fan-outs fail.
 func (p *Pool) Cancel() { p.cancel() }
 
-// Close cancels the context, stops the workers and waits for them to
-// drain. It is safe to call more than once, and safe against concurrent
-// Submit/ForEach calls: late submissions get ErrPoolClosed.
-func (p *Pool) Close() {
-	p.once.Do(func() {
-		p.cancel()
-		p.mu.Lock()
-		p.closed = true
-		p.mu.Unlock()
-		close(p.tasks)
-		p.wg.Wait()
-	})
-}
+// Close cancels the pool's context, releasing its deadline timer. It is
+// safe to call more than once and concurrently with a fan-out, which then
+// stops as on Cancel; a fan-out after Close fails with context.Canceled.
+func (p *Pool) Close() { p.cancel() }
 
 // ForEach runs fn(i) for every i in [0, n), fanned out across the pool's
 // workers, and blocks until all calls return. With one worker the calls
@@ -293,62 +223,69 @@ func (p *Pool) ForEach(n int, fn func(i int)) error {
 // forEach is ForEach over the index range [lo, hi); fan-out helpers use
 // it so task attribution (PanicError.Task) carries global indices.
 func (p *Pool) forEach(lo, hi int, fn func(i int)) error {
-	n := hi - lo
 	if p == nil {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
 		return nil
 	}
+	n := hi - lo
 	if n <= 0 {
 		return nil
 	}
 	if err := p.Reserve(n); err != nil {
 		return err
 	}
-	var completed atomic.Int64
-	if p.workers <= 1 {
-		for i := lo; i < hi; i++ {
-			if err := p.cause(); err != nil {
-				return err
-			}
-			i := i
-			if !p.exec(i, func() { fn(i) }) {
-				return p.cause()
-			}
-			completed.Add(1)
-		}
-		return nil
+	if workers := min(p.workers, n); workers > 1 {
+		return p.fanOut(lo, hi, workers, fn)
 	}
-	var wg sync.WaitGroup
-	var sendErr error
 	for i := lo; i < hi; i++ {
-		i := i
-		wg.Add(1)
-		err := p.send(func() {
-			defer wg.Done()
-			if p.cause() != nil {
-				p.cCancelled.Inc()
+		if err := p.cause(); err != nil {
+			return err
+		}
+		if !p.exec(i, fn) {
+			return p.cause()
+		}
+	}
+	return nil
+}
+
+// fanOut runs [lo, hi) on the calling goroutine and workers-1 helpers,
+// all claiming indices from one counter. Once the run stops, whoever sees
+// it first claims every remaining index as skipped.
+func (p *Pool) fanOut(lo, hi, workers int, fn func(i int)) error {
+	var next, completed atomic.Int64
+	next.Store(int64(lo))
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= hi {
 				return
 			}
-			if p.exec(i, func() { fn(i) }) {
+			if p.cause() != nil {
+				rest := int(next.Swap(int64(hi)))
+				p.cCancelled.Add(int64(1 + max(hi-rest, 0)))
+				return
+			}
+			if p.exec(i, fn) {
 				completed.Add(1)
 			}
-		})
-		if err != nil {
-			wg.Done()
-			sendErr = err
-			break
 		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
-	if completed.Load() == int64(n) {
+	if completed.Load() == int64(hi-lo) {
 		return nil
 	}
-	if err := p.cause(); err != nil {
-		return err
-	}
-	return sendErr
+	return p.cause()
 }
 
 // MapErr runs fn(i) for every i in [0, n) across the pool and returns the

@@ -71,16 +71,17 @@ func TestPoolCancellation(t *testing.T) {
 	var started sync.WaitGroup
 	started.Add(2)
 	release := make(chan struct{})
-	// Occupy both workers, then cancel: queued work must be skipped and
-	// ForEach must report the context error rather than hang.
-	for i := 0; i < 2; i++ {
-		if err := p.Submit(func() { started.Done(); <-release }); err != nil {
-			t.Fatal(err)
-		}
-	}
+	blocked := make(chan error)
+	// Occupy both workers with a blocking fan-out, then cancel: later
+	// work must be skipped and ForEach must report the context error
+	// rather than hang.
+	go func() { blocked <- p.ForEach(2, func(int) { started.Done(); <-release }) }()
 	started.Wait()
 	cancel()
 	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocking ForEach = %v, want nil: both its indices ran", err)
+	}
 
 	var ran int32
 	err := p.ForEach(100, func(i int) { atomic.AddInt32(&ran, 1) })
@@ -90,8 +91,8 @@ func TestPoolCancellation(t *testing.T) {
 	if got := atomic.LoadInt32(&ran); got != 0 {
 		t.Fatalf("%d tasks ran after cancellation", got)
 	}
-	if err := p.Submit(func() {}); err == nil {
-		t.Fatal("Submit after cancel returned nil error")
+	if err := p.ForEach(1, func(int) {}); err == nil {
+		t.Fatal("one-index ForEach after cancel returned nil error")
 	}
 }
 

@@ -29,9 +29,10 @@ type Exec struct {
 	tasks *atomic.Int64
 }
 
-// Pool builds the run's worker pool: max(Workers, 1) workers, a queue
-// of twice that, a context that ends at Budget.Timeout, a MaxTasks cap
-// enforced through Reserve, and Obs's engine.* metrics. Budget's
+// Pool builds the run's fan-out context: max(Workers, 1) workers per
+// fan-out, a context that ends at Budget.Timeout, a MaxTasks cap
+// enforced through Reserve, and Obs's engine.* metrics. It starts no
+// goroutines; each fan-out starts and joins its own helpers. Budget's
 // MaxCacheBytes is not enforced by the pool; pass it to
 // NewPartitionCache. Observation never feeds back into scheduling,
 // so a pool with a registry runs the same task sequence as one without.
@@ -50,12 +51,10 @@ func (x Exec) Pool(ctx context.Context) *Pool {
 	}
 	p := &Pool{
 		workers:  workers,
-		tasks:    make(chan func(), 2*workers),
 		ctx:      ctx,
 		cancel:   cancel,
 		maxTasks: x.Budget.MaxTasks,
 		used:     used,
-		obs:      x.Obs,
 	}
 	if reg := x.Obs; reg != nil {
 		p.taskSec = reg.Histogram("engine.task.seconds")
@@ -65,17 +64,6 @@ func (x Exec) Pool(ctx context.Context) *Pool {
 		p.cCancelled = reg.Counter("engine.tasks.cancelled")
 		p.cBudgetTrip = reg.Counter("engine.budget.max_tasks_trips")
 		reg.Gauge("engine.workers").Set(int64(workers))
-	}
-	if workers > 1 {
-		p.wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer p.wg.Done()
-				for task := range p.tasks {
-					task()
-				}
-			}()
-		}
 	}
 	return p
 }

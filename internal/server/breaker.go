@@ -42,17 +42,14 @@ type breakerConfig struct {
 	// breaker.
 	threshold int
 	// backoff is the first open interval; each failed probe doubles it
-	// up to maxBackoff.
-	backoff    time.Duration
-	maxBackoff time.Duration
-	// jitterSeed seeds the default jitter's private generator (0 =
-	// time-seeded). Chaos and recovery tests pin it so breaker reopen
-	// schedules replay deterministically; the global math/rand state is
-	// never touched either way.
-	jitterSeed uint64
-	now        func() time.Time
-	jitter     func(time.Duration) time.Duration
+	// up to breakerMaxBackoff.
+	backoff time.Duration
+	now     func() time.Time
+	jitter  func(time.Duration) time.Duration
 }
+
+// breakerMaxBackoff caps a breaker's open interval.
+const breakerMaxBackoff = 30 * time.Second
 
 func (c breakerConfig) withDefaults() breakerConfig {
 	if c.threshold <= 0 {
@@ -61,14 +58,11 @@ func (c breakerConfig) withDefaults() breakerConfig {
 	if c.backoff <= 0 {
 		c.backoff = 500 * time.Millisecond
 	}
-	if c.maxBackoff <= 0 {
-		c.maxBackoff = 30 * time.Second
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
 	if c.jitter == nil {
-		c.jitter = seededJitter(c.jitterSeed)
+		c.jitter = seededJitter(0)
 	}
 	return c
 }
@@ -211,9 +205,7 @@ func (b *breaker) doneFunc(probe bool) func(breakerOutcome) {
 func (b *breaker) reopenLocked(probeFailed bool) {
 	if probeFailed && b.curBackoff > 0 {
 		b.curBackoff *= 2
-		if b.curBackoff > b.cfg.maxBackoff {
-			b.curBackoff = b.cfg.maxBackoff
-		}
+		b.curBackoff = min(b.curBackoff, breakerMaxBackoff)
 	} else if b.curBackoff == 0 {
 		b.curBackoff = b.cfg.backoff
 	}

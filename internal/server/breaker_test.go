@@ -15,14 +15,13 @@ func (c *fakeClock) now() time.Time                { return c.t }
 func (c *fakeClock) advance(d time.Duration)       { c.t = c.t.Add(d) }
 func identityJitter(d time.Duration) time.Duration { return d }
 
-func newTestBreaker(threshold int, backoff, maxBackoff time.Duration) (*breaker, *fakeClock) {
+func newTestBreaker(threshold int, backoff time.Duration) (*breaker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	b := newBreaker("test", breakerConfig{
-		threshold:  threshold,
-		backoff:    backoff,
-		maxBackoff: maxBackoff,
-		now:        clk.now,
-		jitter:     identityJitter,
+		threshold: threshold,
+		backoff:   backoff,
+		now:       clk.now,
+		jitter:    identityJitter,
 	}, obs.New())
 	return b, clk
 }
@@ -39,7 +38,7 @@ func mustAllow(t *testing.T, b *breaker) func(breakerOutcome) {
 }
 
 func TestBreakerOpensAtThreshold(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Second, time.Minute)
+	b, _ := newTestBreaker(3, time.Second)
 	for i := 0; i < 2; i++ {
 		mustAllow(t, b)(breakerFault)
 	}
@@ -59,7 +58,7 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsConsecutiveCount(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Second, time.Minute)
+	b, _ := newTestBreaker(3, time.Second)
 	mustAllow(t, b)(breakerFault)
 	mustAllow(t, b)(breakerFault)
 	mustAllow(t, b)(breakerOK)
@@ -71,7 +70,7 @@ func TestBreakerSuccessResetsConsecutiveCount(t *testing.T) {
 }
 
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Second, time.Minute)
+	b, clk := newTestBreaker(1, time.Second)
 	mustAllow(t, b)(breakerFault) // trips immediately
 	clk.advance(time.Second)
 	probeDone := mustAllow(t, b) // backoff expired: half-open probe
@@ -95,10 +94,10 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 }
 
 func TestBreakerFailedProbeDoublesBackoff(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Second, 3*time.Second)
+	b, clk := newTestBreaker(1, 10*time.Second)
 	mustAllow(t, b)(breakerFault)
-	wantBackoffs := []time.Duration{2 * time.Second, 3 * time.Second, 3 * time.Second} // doubles, then caps
-	cur := time.Second
+	wantBackoffs := []time.Duration{20 * time.Second, breakerMaxBackoff, breakerMaxBackoff} // doubles, then caps
+	cur := 10 * time.Second
 	for i, want := range wantBackoffs {
 		clk.advance(cur)
 		mustAllow(t, b)(breakerFault) // failed probe
@@ -114,7 +113,7 @@ func TestBreakerFailedProbeDoublesBackoff(t *testing.T) {
 }
 
 func TestBreakerSkippedProbeStaysHalfOpen(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Second, time.Minute)
+	b, clk := newTestBreaker(1, time.Second)
 	mustAllow(t, b)(breakerFault)
 	clk.advance(time.Second)
 	probeDone := mustAllow(t, b)
@@ -131,7 +130,7 @@ func TestBreakerSkippedProbeStaysHalfOpen(t *testing.T) {
 }
 
 func TestBreakerSkipDoesNotResetClosedStreak(t *testing.T) {
-	b, _ := newTestBreaker(2, time.Second, time.Minute)
+	b, _ := newTestBreaker(2, time.Second)
 	mustAllow(t, b)(breakerFault)
 	mustAllow(t, b)(breakerSkip) // shed request carries no engine signal
 	mustAllow(t, b)(breakerFault)
@@ -141,7 +140,7 @@ func TestBreakerSkipDoesNotResetClosedStreak(t *testing.T) {
 }
 
 func TestBreakerDoneIdempotent(t *testing.T) {
-	b, _ := newTestBreaker(2, time.Second, time.Minute)
+	b, _ := newTestBreaker(2, time.Second)
 	done := mustAllow(t, b)
 	done(breakerFault)
 	done(breakerFault) // second call must be a no-op
@@ -151,7 +150,7 @@ func TestBreakerDoneIdempotent(t *testing.T) {
 }
 
 func TestBreakerLateDoneAfterTripIgnored(t *testing.T) {
-	b, _ := newTestBreaker(1, time.Second, time.Minute)
+	b, _ := newTestBreaker(1, time.Second)
 	slow := mustAllow(t, b) // in flight before the trip
 	mustAllow(t, b)(breakerFault)
 	if got := b.snapshotState(); got != breakerOpen {
@@ -197,24 +196,5 @@ func TestSeededJitterDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seeds 7 and 8 produced identical jitter schedules")
-	}
-}
-
-// TestBreakerConfigJitterSeedThreaded proves Config.BreakerJitterSeed
-// reaches the breakers: two servers with the same seed open and reopen
-// on identical schedules under a pinned clock.
-func TestBreakerJitterSeedThreaded(t *testing.T) {
-	mkBreaker := func(seed uint64) *breaker {
-		clk := &fakeClock{t: time.Unix(0, 0)}
-		cfg := breakerConfig{threshold: 1, backoff: time.Second,
-			maxBackoff: time.Minute, jitterSeed: seed, now: clk.now}
-		return newBreaker("x", cfg, nil)
-	}
-	b1, b2 := mkBreaker(99), mkBreaker(99)
-	mustAllow(t, b1)(breakerFault)
-	mustAllow(t, b2)(breakerFault)
-	u1 := func(b *breaker) time.Time { b.mu.Lock(); defer b.mu.Unlock(); return b.openUntil }
-	if !u1(b1).Equal(u1(b2)) {
-		t.Fatalf("same seed, different reopen instants: %v vs %v", u1(b1), u1(b2))
 	}
 }

@@ -54,15 +54,10 @@ type Config struct {
 	DrainTimeout time.Duration
 	// BreakerThreshold consecutive engine faults open an endpoint's
 	// breaker (default 5); BreakerBackoff is the first open interval
-	// (default 500ms), doubling per failed probe up to
-	// BreakerMaxBackoff (default 30s).
-	BreakerThreshold  int
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
-	// BreakerJitterSeed seeds the breakers' reopen jitter (0 =
-	// time-seeded). Chaos and recovery tests pin it so breaker reopen
-	// schedules are deterministic.
-	BreakerJitterSeed uint64
+	// (default 500ms), doubling per failed probe up to 30s. The reopen
+	// instant is jittered by a time-seeded generator.
+	BreakerThreshold int
+	BreakerBackoff   time.Duration
 	// JobStore persists the async job queue (nil = a fresh in-memory
 	// store; `deptool serve -jobs-dir` passes a WAL store so jobs
 	// survive crashes).
@@ -184,12 +179,10 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	bcfg := breakerConfig{
-		threshold:  cfg.BreakerThreshold,
-		backoff:    cfg.BreakerBackoff,
-		maxBackoff: cfg.BreakerMaxBackoff,
-		jitterSeed: cfg.BreakerJitterSeed,
-		now:        cfg.breakerNow,
-		jitter:     cfg.breakerJitter,
+		threshold: cfg.BreakerThreshold,
+		backoff:   cfg.BreakerBackoff,
+		now:       cfg.breakerNow,
+		jitter:    cfg.breakerJitter,
 	}
 	for _, ep := range endpoints() {
 		// Registered up front so a snapshot lists every endpoint's

@@ -203,9 +203,13 @@ const encodeCap = 128
 
 // Encode returns rec's frame payload: the format byte, the kind byte,
 // then the fields in the order rec.Fields declares them.
-func Encode(rec Record) []byte {
-	c := Codec{buf: make([]byte, 2, encodeCap)}
-	c.buf[0], c.buf[1] = FormatBinary, byte(rec.RecordKind())
+func Encode(rec Record) []byte { return encode(rec, 0) }
+
+// encode returns rec's payload behind headroom zero bytes, so a frame
+// header can be filled in place in front of it.
+func encode(rec Record, headroom int) []byte {
+	c := Codec{buf: make([]byte, headroom+2, headroom+encodeCap)}
+	c.buf[headroom], c.buf[headroom+1] = FormatBinary, byte(rec.RecordKind())
 	rec.Fields(&c)
 	return c.buf
 }

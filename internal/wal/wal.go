@@ -546,6 +546,12 @@ func (l *Log) reopenLocked() error {
 // append first truncates back to the last verified offset, so a failed
 // append can never corrupt the log.
 func (l *Log) Append(payload []byte, sync bool) error {
+	return l.appendFrame(EncodeFrame(payload), sync)
+}
+
+// appendFrame is Append of an encoded frame.
+func (l *Log) appendFrame(frame []byte, sync bool) error {
+	payload := frame[FrameHeaderSize:]
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -564,7 +570,6 @@ func (l *Log) Append(payload []byte, sync bool) error {
 		l.size = l.lastGood
 		l.pendingRepair = false
 	}
-	frame := EncodeFrame(payload)
 	if _, err := l.f.Seek(l.size, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: seek %s: %w", l.path, err)
 	}
@@ -745,10 +750,12 @@ func OpenStore[R any, P RecordPtr[R]](path string, opts Options) (*Store[R, P], 
 	return &Store[R, P]{l}, nil
 }
 
-// Append encodes rec and appends it on the Options' group-commit
-// schedule.
+// Append encodes rec straight into its frame and appends it on the
+// Options' group-commit schedule.
 func (s *Store[R, P]) Append(rec R) error {
-	return s.Log.Append(Encode(P(&rec)), false)
+	frame := encode(P(&rec), FrameHeaderSize)
+	putFrameHeader(frame, frame[FrameHeaderSize:])
+	return s.Log.appendFrame(frame, false)
 }
 
 // Replay verifies the log as Log.Replay does and decodes every record,
